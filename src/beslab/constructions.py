@@ -277,6 +277,16 @@ def enumerate_conflicts(H: PackingPairGraph, family: str) -> list[tuple[tuple[in
     subgraph of one packing with cliques extending to an (e1, d1) subgraph
     of the other.  Symmetric in the two sides; each conflict is returned
     once, as a sorted tuple of (k1 index, k2 index) pairs.
+
+    Works from the matchings outward, and is exact for two reasons.  The
+    host sets are enumerated only over cliques with a partner in ``H``:
+    the defect ``u*|S| - |V(S)|`` depends on S alone, so these are exactly
+    the (e2, d2) sets all of whose members can be matched.  Each injective
+    pick of partners is then extended by a search over the remaining
+    cliques of the other packing.  Adding clique K to union U changes the
+    defect by ``u - |K - U| >= 0``, so the defect never falls: a branch
+    above d1, or one that cannot reach d1 even if every clique still to
+    add brought u, holds no extension, and cutting it loses none.
     """
     if family not in _CONFLICT_FAMILIES:
         raise Unknown(f"unknown conflict family {family!r}")
@@ -291,46 +301,37 @@ def enumerate_conflicts(H: PackingPairGraph, family: str) -> list[tuple[tuple[in
         host = H.k1 if host_is_k1 else H.k2
         other = H.k2 if host_is_k1 else H.k1
         adj = adj1 if host_is_k1 else adj2
-        targets = [
-            frozenset(S)
-            for S in enumerate_S(other, e1, d1)
-            if not (no_isolated and _has_isolated_edge(other.edge_masks, S))
-        ]
-        if not targets:
-            continue
-        # which targets contain a given partner clique, for pruning
-        by_member: dict[int, set[int]] = {}
-        for tid, T in enumerate(targets):
-            for c in T:
-                by_member.setdefault(c, set()).add(tid)
-        for members in enumerate_S(host, e2, d2):
-            partner_lists = [
-                [c for c in adj.get(v, []) if c in by_member] for v in members
-            ]
-            if any(not lst for lst in partner_lists):
-                continue
+        masks = other.edge_masks
+        u = other.r
+        extends: dict[frozenset[int], bool] = {}
 
-            def assign(pos: int, used: set[int], picks: list[int], live: set[int]) -> None:
-                if pos == len(members):
-                    if host_is_k1:
-                        key = frozenset(zip(members, picks))
-                    else:
-                        key = frozenset(zip(picks, members))
-                    found.add(key)
-                    return
-                for cand in partner_lists[pos]:
-                    if cand in used:
-                        continue
-                    narrowed = live & by_member[cand]
-                    if not narrowed:
-                        continue
-                    used.add(cand)
-                    picks.append(cand)
-                    assign(pos + 1, used, picks, narrowed)
-                    picks.pop()
-                    used.remove(cand)
+        def grow(chosen: list[int], union: int, start: int, picks: frozenset[int]) -> bool:
+            size = len(chosen)
+            def_now = u * size - union.bit_count()
+            if def_now > d1 or def_now + (e1 - size) * u < d1:
+                return False
+            if size == e1:
+                return not (no_isolated and _has_isolated_edge(masks, chosen))
+            for j in range(start, len(masks)):
+                if j not in picks and grow(chosen + [j], union | masks[j], j + 1, picks):
+                    return True
+            return False
 
-            assign(0, set(), [], set(range(len(targets))))
+        active = sorted(adj)
+        for S in enumerate_S(host.subgraph(active), e2, d2):
+            members = [active[i] for i in S]
+            for picks in itertools.product(*(adj[v] for v in members)):
+                key = frozenset(picks)
+                if len(key) < e2:
+                    continue
+                if key not in extends:
+                    union = 0
+                    for c in key:
+                        union |= masks[c]
+                    extends[key] = grow(list(key), union, 0, key)
+                if extends[key]:
+                    pairs = zip(members, picks) if host_is_k1 else zip(picks, members)
+                    found.add(frozenset(pairs))
     return sorted(tuple(sorted(fs)) for fs in found)
 
 

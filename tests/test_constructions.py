@@ -18,6 +18,7 @@ from beslab import (
     check_peel_order,
     conflict_family_ids,
     construction_doc,
+    constructions,
     diamond_peel_order,
     diamond_star,
     enumerate_conflicts,
@@ -176,32 +177,56 @@ class TestConflicts:
         H2 = PackingPairGraph(k1, k2, frozenset({(0, 0)}))
         assert enumerate_conflicts(H2, "C(3,3;2,1)") == []
 
+    FAMILIES = {
+        "C(3,3;2,1)": (3, 3, 2, 1, False),
+        "C(4,4;3,2)": (4, 4, 3, 2, False),
+        "C(4,5;2,1)": (4, 5, 2, 1, False),
+        "C(5,7;2,1)": (5, 7, 2, 1, False),
+        "C'(4,3;3,3)": (4, 3, 3, 3, True),
+    }
+
     def test_matches_naive_on_random_instances(self):
         rng = random.Random(61)
-        cases = {
-            "C(3,3;2,1)": (3, 3, 2, 1, False),
-            "C(4,4;3,2)": (4, 4, 3, 2, False),
-            "C(4,5;2,1)": (4, 5, 2, 1, False),
-            "C(5,7;2,1)": (5, 7, 2, 1, False),
-            "C'(4,3;3,3)": (4, 3, 3, 3, True),
-        }
-        for _ in range(40):
+        for trial in range(120):
             u = rng.choice([2, 2, 3])
             k1 = util.random_hypergraph(rng, u, rng.randint(u + 1, 6), 6)
-            k2 = util.random_hypergraph(rng, u, rng.randint(u + 1, 6), 6)
+            # the pipeline relates a packing to itself: k2 is k1
+            if trial % 3 == 1:
+                k2 = k1
+            else:
+                k2 = util.random_hypergraph(rng, u, rng.randint(u + 1, 6), 6)
             if not k1.edges or not k2.edges:
                 continue
-            pool = list(
-                itertools.product(range(len(k1.edges)), range(len(k2.edges)))
-            )
+            side1, side2 = range(len(k1.edges)), range(len(k2.edges))
+            if trial % 3 == 2:  # leave some cliques of each side unpartnered
+                side1 = sorted(rng.sample(side1, rng.randint(1, len(side1))))
+                side2 = sorted(rng.sample(side2, rng.randint(1, len(side2))))
+            pool = list(itertools.product(side1, side2))
             rng.shuffle(pool)
             H = PackingPairGraph(
                 k1, k2, frozenset(pool[: rng.randint(0, len(pool))])
             )
-            for fam, (e1, d1, e2, d2, noiso) in cases.items():
+            for fam, spec in self.FAMILIES.items():
                 assert enumerate_conflicts(H, fam) == util.naive_conflicts(
-                    H, e1, d1, e2, d2, noiso
-                ), (fam, k1.edges, k2.edges)
+                    H, *spec
+                ), (fam, trial, k1.edges, k2.edges)
+
+    def test_pipeline_calls_match_naive(self, monkeypatch):
+        real = constructions.enumerate_conflicts
+        seen: dict[str, int] = {}
+
+        def checked(H, family):
+            got = real(H, family)
+            assert got == util.naive_conflicts(H, *self.FAMILIES[family]), family
+            seen[family] = len(got)
+            return got
+
+        monkeypatch.setattr(constructions, "enumerate_conflicts", checked)
+        rep = random_packing_construction(
+            RandomParams(r=4, m=8, alpha=Fraction(1, 2), mu=Fraction(1, 4), seed=7)
+        )
+        assert seen == rep.aux["conflicts"]
+        assert all(seen[fam] for fam in ("C(3,3;2,1)", "C(4,4;3,2)", "C'(4,3;3,3)"))
 
 
 class TestRandomParams:

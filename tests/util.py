@@ -44,7 +44,8 @@ def naive_claim_set(F: Hypergraph, u: int, v: int, cap: int) -> set[int]:
 
 
 def naive_find_config(F: Hypergraph, k: int, s: int) -> Optional[tuple[int, ...]]:
-    """Any k edge indices spanning at most s vertices, or None."""
+    """The first k edge indices, in itertools.combinations order, that span
+    at most s vertices, or None."""
     vertex_sets = [set(e) for e in F.edges]
     for subset in itertools.combinations(range(len(vertex_sets)), k):
         span: set[int] = set()
