@@ -31,7 +31,7 @@ from .constructions import (
 )
 from .errors import NoOrder, NotFree, TooLarge, Unknown
 from .hypergraphs import Hypergraph, from_text, graph_doc, to_text
-from .merging import m11, m12, m2plus, m3plus, partition_report
+from .merging import STAGES, partition_report
 from .turan import (
     consistency_sweep,
     exact_turan,
@@ -41,9 +41,6 @@ from .turan import (
     turan_doc,
 )
 from .weights import certify, limit_table, report_doc, rule_for
-
-_STAGES = {"m11": m11, "m12": m12, "m2plus": m2plus, "m3plus": m3plus}
-
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -100,11 +97,27 @@ def _threads_from_env() -> int:
     return max(1, min(value, os.cpu_count() or 1))
 
 
-def _query_doc(exc: NotFree) -> dict:
-    return {
-        "edge_count": exc.query.edge_count,
-        "max_vertices": exc.query.max_vertices,
-    }
+def _not_free(G: Hypergraph, exc: NotFree, as_json: bool, **extra) -> int:
+    """Report a forbidden configuration (JSON on stdout, else text on
+    stderr); ``extra`` adds fields to the JSON document.  Returns 1."""
+    sub = G.subgraph(exc.witness)
+    if as_json:
+        _emit_json(
+            {
+                **extra,
+                "free": False,
+                "witness": list(exc.witness),
+                "witness_text": to_text(sub),
+                "query": {
+                    "edge_count": exc.query.edge_count,
+                    "max_vertices": exc.query.max_vertices,
+                },
+            }
+        )
+    else:
+        print(f"not admissible: {exc}", file=sys.stderr)
+        sys.stderr.write(to_text(sub))
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +166,7 @@ def _cmd_verify_construction(args: argparse.Namespace) -> int:
     try:
         ratio, pset = lower_bound_ratio(G, args.k)
     except NotFree as exc:
-        sub = G.subgraph(exc.witness)
-        if args.json:
-            _emit_json(
-                {
-                    "free": False,
-                    "witness": list(exc.witness),
-                    "witness_text": to_text(sub),
-                    "query": _query_doc(exc),
-                }
-            )
-        else:
-            print(f"not admissible: {exc}", file=sys.stderr)
-            sys.stderr.write(to_text(sub))
-        return 1
+        return _not_free(G, exc, args.json)
     if args.json:
         _emit_json(
             {
@@ -188,7 +188,7 @@ def _cmd_verify_construction(args: argparse.Namespace) -> int:
 def _cmd_partition(args: argparse.Namespace) -> int:
     G = _read_graph(args.input)
     rng = random.Random(args.seed) if args.seed is not None else None
-    part = _STAGES[args.stage](G, rng=rng)
+    part = STAGES[args.stage](G, rng=rng)
     doc = partition_report(part)
     if args.json:
         _emit_json(doc)
@@ -209,21 +209,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     try:
         rep = certify(G, rule)
     except NotFree as exc:
-        sub = G.subgraph(exc.witness)
-        if args.json:
-            _emit_json(
-                {
-                    "certified": False,
-                    "free": False,
-                    "witness": list(exc.witness),
-                    "witness_text": to_text(sub),
-                    "query": _query_doc(exc),
-                }
-            )
-        else:
-            print(f"not admissible: {exc}", file=sys.stderr)
-            sys.stderr.write(to_text(sub))
-        return 1
+        return _not_free(G, exc, args.json, certified=False)
     if args.json:
         _emit_json(report_doc(rep))
     else:
@@ -382,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="run a cluster-merging stage")
     p.add_argument("--input", default="-", help="graph file or - for stdin")
-    p.add_argument("--stage", choices=sorted(_STAGES), required=True)
+    p.add_argument("--stage", choices=sorted(STAGES), required=True)
     p.add_argument("--seed", type=int, help="randomize the merge order")
     p.add_argument("--json", action="store_true")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -301,8 +302,10 @@ def enumerate_conflicts(H: PackingPairGraph, family: str) -> list[tuple[tuple[in
         host = H.k1 if host_is_k1 else H.k2
         other = H.k2 if host_is_k1 else H.k1
         adj = adj1 if host_is_k1 else adj2
-        masks = other.edge_masks
         u = other.r
+        if math.comb(u * e1 - d1, u) < e1:
+            continue  # e1 distinct u-cliques do not fit on u*e1 - d1 vertices
+        masks = other.edge_masks
         extends: dict[frozenset[int], bool] = {}
 
         def grow(chosen: list[int], union: int, start: int, picks: frozenset[int]) -> bool:

@@ -11,13 +11,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .errors import NoOrder
 from .hypergraphs import (
     ClaimProfile,
     Hypergraph,
     Pair,
+    _mask_to_list,
     claim_profile,
     classify_tree,
 )
@@ -171,13 +172,7 @@ def tp_pair_set(F: Hypergraph) -> frozenset[Pair]:
         for a, b in itertools.combinations(combo, 2):
             inter = masks[a] & masks[b]
             if inter.bit_count() == 2:
-                span = masks[a] | masks[b]
-                vs = []
-                mm = span
-                while mm:
-                    low = mm & -mm
-                    vs.append(low.bit_length() - 1)
-                    mm ^= low
+                vs = _mask_to_list(masks[a] | masks[b])
                 for x, y in itertools.combinations(vs, 2):
                     out.add(Pair(x, y))
     return frozenset(out)
@@ -380,6 +375,14 @@ def m3plus(G: Hypergraph, rng: Optional[random.Random] = None) -> Partition:
     return merge(G, m12(G), RULE_3PLUS, rng=rng)
 
 
+STAGES: dict[str, Callable[..., Partition]] = {
+    "m11": m11,
+    "m12": m12,
+    "m2plus": m2plus,
+    "m3plus": m3plus,
+}
+
+
 def composition(c: Cluster) -> Composition:
     """Sizes of the cluster's pair-connected components, largest first.
 
@@ -387,27 +390,8 @@ def composition(c: Cluster) -> Composition:
     original m11 constituents (edges in different constituents never share
     two vertices).
     """
-    edges = c.edge_indices
-    masks = [c.ambient.edge_masks[i] for i in edges]
-    parent = list(range(len(edges)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(len(edges)):
-        for b in range(a + 1, len(edges)):
-            if (masks[a] & masks[b]).bit_count() >= 2:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    counts: dict[int, int] = {}
-    for a in range(len(edges)):
-        root = find(a)
-        counts[root] = counts.get(root, 0) + 1
-    return Composition(tuple(sorted(counts.values(), reverse=True)))
+    sizes = sorted((len(comp) for comp in _pair_components(c.part)), reverse=True)
+    return Composition(tuple(sizes))
 
 
 def _pair_components(F: Hypergraph) -> list[tuple[int, ...]]:

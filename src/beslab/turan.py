@@ -1,11 +1,12 @@
-"""Exact extremal-number oracles via branch and bound.
+"""Exact extremal numbers via branch and bound.
 
-Both oracles maximize the number of edges of an r-uniform graph on n
-labeled vertices subject to a sparsity constraint: either a single
-(max_vertices, edge_count) configuration ban, or the full banned family for
-a given k.  Small n only; results carry a deterministic witness (the
-lexicographically first optimum with respect to the colex candidate order)
-and can be cached in a JSON-lines file.
+One oracle maximizes the number of edges of an r-uniform graph on n
+labeled vertices that matches no configuration query in a list.
+:func:`exact_turan` passes the single (edge_count, max_vertices) ban and
+:func:`exact_turan_family` the full banned family for a given k.  Small n
+only; results carry a deterministic witness (the lexicographically first
+optimum with respect to the colex candidate order) and can be cached in a
+JSON-lines file.
 """
 
 from __future__ import annotations
@@ -87,18 +88,12 @@ def _validate(r: int, n: int, k: int) -> None:
 _OkFn = Callable[[list[int], int], bool]
 
 
-def _plain_ok(k: int, s: int) -> _OkFn:
-    def ok(masks: list[int], new: int) -> bool:
-        return _config_search(masks, k, s, forced=new) is None
-
-    return ok
-
-
-def _family_ok(r: int, k: int) -> _OkFn:
-    queries = [(q.edge_count, q.max_vertices) for q in family_queries(r, k)]
+def _admissible(queries: list[ConfigQuery]) -> _OkFn:
+    # Unpacked once: reading the NamedTuple fields on every call is slower.
+    bans = [(q.edge_count, q.max_vertices) for q in queries]
 
     def ok(masks: list[int], new: int) -> bool:
-        for qk, qs in queries:
+        for qk, qs in bans:
             if _config_search(masks, qk, qs, forced=new) is not None:
                 return False
         return True
@@ -210,7 +205,41 @@ def _cache_append(path: str, key: tuple, value: int, witness, nodes: int) -> Non
 
 
 # ---------------------------------------------------------------------------
-# The two oracles
+# The oracle and its two front ends
+
+
+def _exact(
+    kind: str,
+    r: int,
+    n: int,
+    queries: list[ConfigQuery],
+    allow_large: bool,
+    cache_path: Optional[str],
+    t0: float,
+) -> TuranResult:
+    """Most edges of an r-uniform graph on n vertices matching none of
+    ``queries``: cache lookup, size cap, search, witness re-check, cache
+    append.  The last query is the main ban and keys the cache entry."""
+    main = queries[-1]
+    key = (kind, r, n, main.max_vertices, main.edge_count)
+    if cache_path:
+        hit = _cache_load(cache_path).get(key)
+        if hit is not None:
+            return TuranResult(hit[0], hit[1], hit[2], time.perf_counter() - t0)
+    ok = _admissible(queries)
+    if n > size_cap(r) and not allow_large:
+        raise TooLarge(
+            f"exact search for n={n} exceeds the n<={size_cap(r)} cap for r={r}; "
+            "pass allow_large to force it",
+            best=_greedy(r, n, ok),
+        )
+    value, edges, nodes = _branch_and_bound(r, n, ok)
+    witness = build(r, n, edges)
+    if any(find_configuration(witness, q) is not None for q in queries):
+        raise RuntimeError("internal error: extremal witness fails its own ban")
+    if cache_path:
+        _cache_append(cache_path, key, value, witness, nodes)
+    return TuranResult(value, witness, nodes, time.perf_counter() - t0)
 
 
 def exact_turan(
@@ -237,25 +266,7 @@ def exact_turan(
         value = min(math.comb(n, r), k - 1)
         witness = build(r, n, itertools.islice(_colex_iter(n, r), value))
         return TuranResult(value, witness, 0, time.perf_counter() - t0)
-    key = ("plain", r, n, s, k)
-    if cache_path:
-        hit = _cache_load(cache_path).get(key)
-        if hit is not None:
-            return TuranResult(hit[0], hit[1], hit[2], time.perf_counter() - t0)
-    ok = _plain_ok(k, s)
-    if n > size_cap(r) and not allow_large:
-        raise TooLarge(
-            f"exact search for n={n} exceeds the n<={size_cap(r)} cap for r={r}; "
-            "pass allow_large to force it",
-            best=_greedy(r, n, ok),
-        )
-    value, edges, nodes = _branch_and_bound(r, n, ok)
-    witness = build(r, n, edges)
-    if find_configuration(witness, ConfigQuery(k, s)) is not None:
-        raise RuntimeError("internal error: extremal witness fails its own ban")
-    if cache_path:
-        _cache_append(cache_path, key, value, witness, nodes)
-    return TuranResult(value, witness, nodes, time.perf_counter() - t0)
+    return _exact("plain", r, n, [ConfigQuery(k, s)], allow_large, cache_path, t0)
 
 
 def exact_turan_family(
@@ -275,26 +286,7 @@ def exact_turan_family(
     _validate(r, n, k)
     if k < 2:
         raise ValueError(f"family needs k >= 2, got {k}")
-    s_main = r * k - 2 * k + 2
-    key = ("family", r, n, s_main, k)
-    if cache_path:
-        hit = _cache_load(cache_path).get(key)
-        if hit is not None:
-            return TuranResult(hit[0], hit[1], hit[2], time.perf_counter() - t0)
-    ok = _family_ok(r, k)
-    if n > size_cap(r) and not allow_large:
-        raise TooLarge(
-            f"exact search for n={n} exceeds the n<={size_cap(r)} cap for r={r}; "
-            "pass allow_large to force it",
-            best=_greedy(r, n, ok),
-        )
-    value, edges, nodes = _branch_and_bound(r, n, ok)
-    witness = build(r, n, edges)
-    if not is_family_free(witness, k).free:
-        raise RuntimeError("internal error: extremal witness fails its own ban")
-    if cache_path:
-        _cache_append(cache_path, key, value, witness, nodes)
-    return TuranResult(value, witness, nodes, time.perf_counter() - t0)
+    return _exact("family", r, n, family_queries(r, k), allow_large, cache_path, t0)
 
 
 def turan_doc(result: TuranResult) -> dict:
@@ -362,7 +354,7 @@ def consistency_sweep(
     _validate(r, n_max, k)
     if k < 2:
         raise ValueError(f"family needs k >= 2, got {k}")
-    s_main = r * k - 2 * k + 2
+    s_main = family_queries(r, k)[-1].max_vertices
     ns = list(range(r, n_max + 1))
     catalog = _catalog(r, k, n_max)
     if threads > 1 and len(ns) > 1:

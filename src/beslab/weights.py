@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import NotFree, Unknown, WrongStage
 from .hypergraphs import (
@@ -25,16 +25,7 @@ from .hypergraphs import (
     one_bar_two,
     shadow,
 )
-from .merging import (
-    Cluster,
-    Partition,
-    composition,
-    m11,
-    m12,
-    m2plus,
-    m3plus,
-    tp_pair_set,
-)
+from .merging import STAGES, Cluster, Partition, composition, tp_pair_set
 
 # Base weight function on claim-index sets for the (3,6) rule.  h is the
 # maximum of f over subsets, making it monotone; h(A) > 0 exactly when A
@@ -74,12 +65,30 @@ def h_value(A) -> Fraction:
     return _H_TABLE[fa]
 
 
-_CASES = {
-    "K5R3": {"k": 5, "stage": "m11", "r_check": lambda r: r == 3},
-    "K5High": {"k": 5, "stage": "m2plus", "r_check": lambda r: r >= 4},
-    "K7": {"k": 7, "stage": "m2plus", "r_check": lambda r: r >= 3},
-    "K6High": {"k": 6, "stage": "m12", "r_check": lambda r: r >= 4},
-    "K63": {"k": 6, "stage": "m3plus", "r_check": lambda r: r == 3},
+@dataclass(frozen=True)
+class _Case:
+    """One weighting case: the k it certifies, the merging stage its
+    clusters come from, the uniformities it covers, its edge-bound
+    coefficient at r, and the scale in
+    ``lambda = lambda_scale * (weight - edges / coefficient)``."""
+
+    k: int
+    stage: str
+    applies: Callable[[int], bool]
+    coefficient: Callable[[int], Fraction]
+    lambda_scale: int
+
+
+# For each k the r = 3 case precedes the case for larger r: rule_for falls
+# back to the last case of its k, whose check then names the rejected r.
+_CASES: dict[str, _Case] = {
+    "K5R3": _Case(5, "m11", lambda r: r == 3, lambda r: Fraction(2, 5), 2),
+    "K5High": _Case(
+        5, "m2plus", lambda r: r >= 4, lambda r: Fraction(2, r * r - r - 1), 2
+    ),
+    "K63": _Case(6, "m3plus", lambda r: r == 3, lambda r: Fraction(61, 165), 1),
+    "K6High": _Case(6, "m12", lambda r: r >= 4, lambda r: Fraction(2, r * (r - 1)), 2),
+    "K7": _Case(7, "m2plus", lambda r: r >= 3, lambda r: Fraction(2, r * r - r - 1), 2),
 }
 
 
@@ -95,9 +104,9 @@ class WeightRule:
         info = _CASES.get(self.case)
         if info is None:
             raise ValueError(f"unknown weighting case {self.case!r}")
-        if self.k != info["k"]:
-            raise ValueError(f"{self.case} certifies k={info['k']}, not k={self.k}")
-        if not info["r_check"](self.r):
+        if self.k != info.k:
+            raise ValueError(f"{self.case} certifies k={info.k}, not k={self.k}")
+        if not info.applies(self.r):
             raise ValueError(f"{self.case} does not apply at uniformity r={self.r}")
 
     @staticmethod
@@ -105,22 +114,20 @@ class WeightRule:
         info = _CASES.get(case)
         if info is None:
             raise ValueError(f"unknown weighting case {case!r}")
-        return WeightRule(case, r, info["k"])
+        return WeightRule(case, r, info.k)
 
     @property
     def stage(self) -> str:
-        return _CASES[self.case]["stage"]
+        return _CASES[self.case].stage
 
 
 def rule_for(r: int, k: int) -> WeightRule:
     """The weighting rule that certifies parameter ``k`` at uniformity ``r``."""
-    if k == 5:
-        return WeightRule("K5R3", 3, 5) if r == 3 else WeightRule("K5High", r, 5)
-    if k == 6:
-        return WeightRule("K63", 3, 6) if r == 3 else WeightRule("K6High", r, 6)
-    if k == 7:
-        return WeightRule("K7", r, 7)
-    raise Unknown(f"no weighting rule for (r, k) = ({r}, {k})")
+    names = [name for name, info in _CASES.items() if info.k == k]
+    if not names:
+        raise Unknown(f"no weighting rule for (r, k) = ({r}, {k})")
+    case = next((name for name in names if _CASES[name].applies(r)), names[-1])
+    return WeightRule(case, r, k)
 
 
 def _check_cluster(F: Cluster, rule: WeightRule) -> None:
@@ -209,14 +216,8 @@ def cluster_weight(F: Cluster, rule: WeightRule) -> Fraction:
 
 
 def _lambda_from_weight(w: Fraction, edge_count: int, rule: WeightRule) -> Fraction:
-    r = rule.r
-    if rule.case == "K5R3":
-        return 2 * w - 5 * edge_count
-    if rule.case in ("K5High", "K7"):
-        return 2 * w - (r * r - r - 1) * edge_count
-    if rule.case == "K6High":
-        return 2 * w - r * (r - 1) * edge_count
-    return w - Fraction(165, 61) * edge_count
+    info = _CASES[rule.case]
+    return info.lambda_scale * (w - edge_count / info.coefficient(rule.r))
 
 
 def lambda_value(F: Cluster, rule: WeightRule) -> Fraction:
@@ -225,23 +226,7 @@ def lambda_value(F: Cluster, rule: WeightRule) -> Fraction:
 
 
 def bound_coefficient(rule: WeightRule) -> Fraction:
-    r = rule.r
-    if rule.case == "K5R3":
-        return Fraction(2, 5)
-    if rule.case in ("K5High", "K7"):
-        return Fraction(2, r * r - r - 1)
-    if rule.case == "K6High":
-        return Fraction(2, r * (r - 1))
-    return Fraction(61, 165)
-
-
-_PARTITION_FOR = {
-    "K5R3": m11,
-    "K5High": m2plus,
-    "K7": m2plus,
-    "K6High": m12,
-    "K63": m3plus,
-}
+    return _CASES[rule.case].coefficient(rule.r)
 
 
 @dataclass(frozen=True)
@@ -279,7 +264,7 @@ def certify(G: Hypergraph, rule: WeightRule) -> WeightReport:
             res.witness,
             res.query,
         )
-    part = _PARTITION_FOR[rule.case](G)
+    part = STAGES[rule.stage](G)
     per_cluster: dict[int, tuple[Fraction, Fraction]] = {}
     per_pair: dict[Pair, Fraction] = {}
     for c in part.clusters:
@@ -332,6 +317,7 @@ def limit_table(r: int, k: int) -> Fraction:
 
 def report_doc(report: WeightReport) -> dict:
     """Serialize a weight report with reduced-fraction strings."""
+    clusters = {c.id: c for c in report.partition.clusters}
     return {
         "rule": {"case": report.rule.case, "r": report.rule.r, "k": report.rule.k},
         "stage": report.partition.stage,
@@ -343,13 +329,7 @@ def report_doc(report: WeightReport) -> dict:
         "clusters": [
             {
                 "id": cid,
-                "edges": list(
-                    next(
-                        c.edge_indices
-                        for c in report.partition.clusters
-                        if c.id == cid
-                    )
-                ),
+                "edges": list(clusters[cid].edge_indices),
                 "weight": str(w),
                 "lambda": str(lam),
             }

@@ -177,6 +177,21 @@ class TestConflicts:
         H2 = PackingPairGraph(k1, k2, frozenset({(0, 0)}))
         assert enumerate_conflicts(H2, "C(3,3;2,1)") == []
 
+    def test_families_that_cannot_fit_two_uniform_cliques(self, monkeypatch):
+        # 4 (or 5) distinct 2-cliques span at least 4 vertices, more than
+        # the 2*4 - 5 = 3 (or 2*5 - 7 = 3) that C(4,5;2,1) and C(5,7;2,1)
+        # allow, so neither side needs a host set
+        k = build(2, 4, list(itertools.combinations(range(4), 2)))
+        H = PackingPairGraph(k, k, frozenset(itertools.product(range(6), repeat=2)))
+        assert enumerate_conflicts(H, "C(3,3;2,1)")
+
+        def no_hosts(*args):
+            raise AssertionError("host sets enumerated for an empty family")
+
+        monkeypatch.setattr(constructions, "enumerate_S", no_hosts)
+        assert enumerate_conflicts(H, "C(4,5;2,1)") == []
+        assert enumerate_conflicts(H, "C(5,7;2,1)") == []
+
     FAMILIES = {
         "C(3,3;2,1)": (3, 3, 2, 1, False),
         "C(4,4;3,2)": (4, 4, 3, 2, False),

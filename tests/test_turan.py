@@ -125,6 +125,15 @@ class TestFamily:
                     <= exact_turan(3, n, s_main, k).value
                 )
 
+    def test_one_query_family_runs_the_plain_search(self):
+        # for k = 2 the family is the single ban of 2 edges on 2r - 2 vertices
+        for r, n in ((3, 5), (3, 6), (3, 7), (4, 7)):
+            fam = exact_turan_family(r, n, 2)
+            plain = exact_turan(r, n, 2 * r - 2, 2)
+            assert fam.value == plain.value, (r, n)
+            assert fam.witness == plain.witness, (r, n)
+            assert fam.nodes_explored == plain.nodes_explored > 0, (r, n)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             exact_turan_family(3, 5, 1)

@@ -98,6 +98,14 @@ class TestRuleSelection:
         with pytest.raises(ValueError):
             WeightRule("Nope", 3, 5)
         assert WeightRule.for_case("K7", 3) == WeightRule("K7", 3, 7)
+        for k, case in ((5, "K5High"), (6, "K6High"), (7, "K7")):
+            with pytest.raises(ValueError, match=f"^{case} does not apply at uniformity r=2$"):
+                rule_for(2, k)
+
+    def test_coefficient_is_twice_the_limit(self):
+        for r in range(3, 9):
+            for k in (5, 6, 7):
+                assert bound_coefficient(rule_for(r, k)) == 2 * limit_table(r, k), (r, k)
 
     def test_stages(self):
         assert rule_for(3, 5).stage == "m11"
