@@ -11,6 +11,7 @@ no timing fields) on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -339,7 +340,11 @@ _DISPATCH = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process and shared by every run(): parse_args keeps
+    # no state between calls, and help and error text go to sys.stdout and
+    # sys.stderr as they are when printed.
     top = argparse.ArgumentParser(
         prog="beslab",
         description="Sparse hypergraph toolkit: constructions, cluster "

@@ -164,12 +164,18 @@ def _branch_and_bound(r: int, n: int, ok: _OkFn) -> tuple[int, tuple[tuple[int, 
 # JSON-lines result cache
 
 
-def _cache_load(path: str) -> dict[tuple, tuple]:
-    table: dict[tuple, tuple] = {}
+def _cache_load(path: str, key: tuple) -> Optional[tuple]:
+    """(value, witness, nodes) of the record stored under ``key``, or None.
+
+    Only lines whose five key fields equal ``key`` have their witness
+    parsed.  Lines that are not well-formed records are skipped; the last
+    well-formed matching line wins.
+    """
+    hit = None
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8", errors="replace")
     except OSError:
-        return table
+        return None
     with fh:
         for line in fh:
             line = line.strip()
@@ -177,12 +183,13 @@ def _cache_load(path: str) -> dict[tuple, tuple]:
                 continue
             try:
                 obj = json.loads(line)
-                key = (obj["kind"], obj["r"], obj["n"], obj["s"], obj["k"])
-                val = (int(obj["value"]), from_text(obj["witness"]), int(obj["nodes"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                if (obj["kind"], obj["r"], obj["n"], obj["s"], obj["k"]) != key:
+                    continue
+                hit = (int(obj["value"]), from_text(obj["witness"]), int(obj["nodes"]))
+            # AttributeError: a witness that is not a string; OverflowError: 1e400.
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
                 continue
-            table[key] = val
-    return table
+    return hit
 
 
 def _cache_append(path: str, key: tuple, value: int, witness, nodes: int) -> None:
@@ -208,6 +215,14 @@ def _cache_append(path: str, key: tuple, value: int, witness, nodes: int) -> Non
 # The oracle and its two front ends
 
 
+def _proves(r: int, n: int, queries: list[ConfigQuery], value: int, witness: Hypergraph) -> bool:
+    """Is ``witness`` an r-uniform graph on n vertices with ``value`` edges
+    in which no query finds a configuration?"""
+    return (witness.r, witness.n, len(witness.edges)) == (r, n, value) and all(
+        find_configuration(witness, q) is None for q in queries
+    )
+
+
 def _exact(
     kind: str,
     r: int,
@@ -219,13 +234,14 @@ def _exact(
 ) -> TuranResult:
     """Most edges of an r-uniform graph on n vertices matching none of
     ``queries``: cache lookup, size cap, search, witness re-check, cache
-    append.  The last query is the main ban and keys the cache entry."""
+    append.  The last query is the main ban and keys the cache entry.  A
+    cached record whose witness fails the re-check counts as a miss."""
     main = queries[-1]
     key = (kind, r, n, main.max_vertices, main.edge_count)
     if cache_path:
-        hit = _cache_load(cache_path).get(key)
-        if hit is not None:
-            return TuranResult(hit[0], hit[1], hit[2], time.perf_counter() - t0)
+        hit = _cache_load(cache_path, key)
+        if hit is not None and _proves(r, n, queries, hit[0], hit[1]):
+            return TuranResult(*hit, time.perf_counter() - t0)
     ok = _admissible(queries)
     if n > size_cap(r) and not allow_large:
         raise TooLarge(
@@ -235,7 +251,7 @@ def _exact(
         )
     value, edges, nodes = _branch_and_bound(r, n, ok)
     witness = build(r, n, edges)
-    if any(find_configuration(witness, q) is not None for q in queries):
+    if not _proves(r, n, queries, value, witness):
         raise RuntimeError("internal error: extremal witness fails its own ban")
     if cache_path:
         _cache_append(cache_path, key, value, witness, nodes)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -472,6 +474,21 @@ class TestTuran:
         assert d1["witness"] == d2["witness"]
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 1
 
+    def test_malformed_cache_line_is_skipped(self, tmp_path, capsys):
+        cache = tmp_path / "t.jsonl"
+        cache.write_text(
+            '{"kind":"family","r":[3],"n":6,"s":7,"k":5,'
+            '"value":4,"witness":"3 6 0\\n","nodes":0}\n'
+        )
+        code, out, err = run_cli(
+            ["turan", "--r", "3", "--n", "6", "--s", "5", "--k", "2",
+             "--cache", str(cache), "--json"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == 2
+        assert len(cache.read_text(encoding="utf-8").splitlines()) == 2
+
     def test_cache_env_var(self, tmp_path, monkeypatch, capsys):
         cache = tmp_path / "env-cache.jsonl"
         monkeypatch.setenv("BESLAB_CACHE", str(cache))
@@ -631,6 +648,48 @@ class TestTopLevel:
             "sweep",
         ):
             assert name in out
+
+    def test_shared_parser_keeps_no_state(self, tmp_path, monkeypatch, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text(DIAMOND_TEXT)
+        script = [
+            (["--help"], None),
+            (["frobnicate"], None),
+            (["turan", "--r", "3", "--n", "5", "--k", "2", "--no-cache"], None),
+            (["construct", "random", "--r", "4", "--m", "12",
+              "--alpha", "3/10", "--mu", "1/4"], None),
+            (["certify", "--input", str(graph), "--k", "5", "--json"], None),
+            (["certify", "--input", str(graph), "--k", "5"], None),
+            (["partition", "--input", str(graph), "--stage", "m11", "--seed", "3"], None),
+            (["verify-construction", "--input", "-", "--k", "5"], DIAMOND_TEXT),
+        ]
+
+        def play():
+            results = []
+            for argv, stdin in script:
+                if stdin is not None:
+                    feed_stdin(monkeypatch, stdin)
+                results.append(run_cli(argv, capsys))
+            return results
+
+        first = play()
+        assert [code for code, _, _ in first] == [0, 2, 2, 2, 0, 0, 0, 0]
+        assert play() == first
+
+    def test_entry_point_matches_run(self, tmp_path, capsys):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("BESLAB_")}
+        env.update(PYTHONPATH=src, HOME=str(tmp_path))
+        codes = []
+        for argv in (["ratio", "--json", "--r", "3", "--k", "5"], ["frobnicate"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "beslab.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            code, out, _ = run_cli(argv, capsys)
+            assert (proc.returncode, proc.stdout) == (code, out)
+            codes.append(code)
+        assert codes == [0, 2]
 
     def test_threads_env_default(self, monkeypatch):
         monkeypatch.delenv("BESLAB_THREADS", raising=False)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from beslab import (
     is_family_free,
     size_cap,
     sweep_doc,
+    to_text,
     turan_doc,
 )
 
@@ -204,6 +206,77 @@ class TestCache:
         path = str(tmp_path / "deep" / "nested" / "cache.jsonl")
         exact_turan(3, 6, 5, 2, cache_path=path)
         assert open(path).read().strip()
+
+    @staticmethod
+    def _family_record(value, witness_text):
+        # The key of exact_turan_family(3, 6, 5): the main ban is 5 edges on 7 vertices.
+        return json.dumps(
+            {"kind": "family", "r": 3, "n": 6, "s": 7, "k": 5,
+             "value": value, "witness": witness_text, "nodes": 1},
+            sort_keys=True,
+        ) + "\n"
+
+    def test_hit_with_wrong_value_is_searched_again(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self._family_record(99, "3 6 1\n0 1 2\n"))
+        res = exact_turan_family(3, 6, 5, cache_path=str(path))
+        assert res.value == 4 == exact_turan_family(3, 6, 5).value
+        assert res.nodes_explored > 0
+        assert len(path.read_text().splitlines()) == 2
+        # The appended record is the last match and now answers the lookup.
+        again = exact_turan_family(3, 6, 5, cache_path=str(path))
+        assert (again.value, again.witness) == (res.value, res.witness)
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_hit_whose_witness_holds_a_banned_configuration_is_rejected(self, tmp_path):
+        # Three edges on the four vertices 0..3 form a banned (3, 4) configuration.
+        witness = build(3, 6, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 4, 5), (2, 4, 5)])
+        assert not is_family_free(witness, 5).free
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self._family_record(5, to_text(witness)))
+        res = exact_turan_family(3, 6, 5, cache_path=str(path))
+        assert res.value == 4
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_hit_for_another_graph_size_is_rejected(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self._family_record(1, "3 5 1\n0 1 2\n"))
+        assert exact_turan_family(3, 6, 5, cache_path=str(path)).value == 4
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_last_well_formed_matching_line_wins(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        good = exact_turan_family(3, 6, 5, cache_path=str(path))
+        record = path.read_text()
+        # A later match without "nodes" is not well formed and is skipped.
+        partial = json.loads(record)
+        del partial["nodes"]
+        path.write_text(self._family_record(99, "3 6 1\n0 1 2\n") + record
+                        + json.dumps(partial) + "\n")
+        hit = exact_turan_family(3, 6, 5, cache_path=str(path))
+        assert (hit.value, hit.witness, hit.nodes_explored) == (
+            good.value, good.witness, good.nodes_explored)
+        assert len(path.read_text().splitlines()) == 3
+
+    def test_unhashable_key_line_is_skipped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            '{"kind":"family","r":[3],"n":6,"s":7,"k":5,'
+            '"value":4,"witness":"3 6 0\\n","nodes":0}\n'
+        )
+        res = exact_turan(3, 6, 5, 2, cache_path=str(path))
+        assert res.value == exact_turan(3, 6, 5, 2).value
+
+    def test_malformed_matching_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(
+            b'{"kind":"family","r":3,"n":6,"s":7,"k":5,"value":4,"witness":5,"nodes":0}\n'
+            b'{"kind":"family","r":3,"n":6,"s":7,"k":5,"value":1e400,'
+            b'"witness":"3 6 0\\n","nodes":0}\n'
+            b'{"kind":"family","r":3,"\xff":6}\n'
+        )
+        assert exact_turan_family(3, 6, 5, cache_path=str(path)).value == 4
+        assert len(path.read_bytes().splitlines()) == 4
 
 
 class TestSweep:
