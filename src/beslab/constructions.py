@@ -421,10 +421,8 @@ def _packing_girth_ok(
     """
     if u <= 2:
         return True
-    all_masks = masks + [new_mask]
-    forced = len(all_masks) - 1
     for ell in range(2, cap + 1):
-        if _config_search(all_masks, ell, (u - 2) * ell + 2, forced=forced) is not None:
+        if _config_search(masks, ell - 1, (u - 2) * ell + 2, base=new_mask) is not None:
             return False
     return True
 

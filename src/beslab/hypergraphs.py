@@ -377,16 +377,12 @@ def one_bar_two(F: Hypergraph) -> set[Pair]:
 def _config_rec(
     masks: Sequence[int], cands: list[int], union: int, need: int, s: int
 ) -> Optional[tuple[int, ...]]:
+    # Every candidate fits within s vertices together with ``union``.
     if need == 1:
-        for j in cands:
-            if (union | masks[j]).bit_count() <= s:
-                return (j,)
-        return None
+        return (cands[0],) if cands else None
     for idx in range(len(cands) - need + 1):
         j = cands[idx]
         u2 = union | masks[j]
-        if u2.bit_count() > s:
-            continue
         tail = [h for h in cands[idx + 1 :] if (u2 | masks[h]).bit_count() <= s]
         if len(tail) >= need - 1:
             rest = _config_rec(masks, tail, u2, need - 1, s)
@@ -396,27 +392,21 @@ def _config_rec(
 
 
 def _config_search(
-    masks: Sequence[int], k: int, s: int, forced: Optional[int] = None
+    masks: Sequence[int], k: int, s: int, base: int = 0
 ) -> Optional[tuple[int, ...]]:
-    """First (lexicographically smallest) k-edge subset spanning <= s vertices."""
-    m = len(masks)
-    if k > m:
+    """First (lexicographically smallest) k-edge subset of ``masks`` whose
+    vertices together with the vertex mask ``base`` number at most s.
+
+    ``base`` holds the vertices of edges every configuration must contain,
+    kept outside ``masks``; with ``k == 0`` the answer is ``()`` when
+    ``base`` alone fits.
+    """
+    if k > len(masks) or base.bit_count() > s:
         return None
-    if forced is None:
-        found = _config_rec(masks, list(range(m)), 0, k, s)
-        return found
-    base = masks[forced]
-    if base.bit_count() > s:
-        return None
-    if k == 1:
-        return (forced,)
-    cands = [
-        j for j in range(m) if j != forced and (base | masks[j]).bit_count() <= s
-    ]
-    found = _config_rec(masks, cands, base, k - 1, s)
-    if found is None:
-        return None
-    return tuple(sorted(found + (forced,)))
+    if k == 0:
+        return ()
+    cands = [j for j, mj in enumerate(masks) if (base | mj).bit_count() <= s]
+    return _config_rec(masks, cands, base, k, s)
 
 
 def find_configuration(G: Hypergraph, q: ConfigQuery) -> Optional[tuple[int, ...]]:
@@ -439,7 +429,14 @@ def find_configuration_containing(
         raise ValueError(f"edge_count must be at least 1, got {q.edge_count}")
     if not 0 <= forced < len(G.edges):
         raise IndexError(f"edge index {forced} out of range")
-    return _config_search(G.edge_masks, q.edge_count, q.max_vertices, forced=forced)
+    masks = G.edge_masks
+    others = masks[:forced] + masks[forced + 1 :]
+    found = _config_search(others, q.edge_count - 1, q.max_vertices, base=masks[forced])
+    if found is None:
+        return None
+    # Index i of ``others`` is edge i, or i + 1 past the forced edge.  Adding
+    # one edge to every subset keeps their lexicographic order.
+    return tuple(sorted([forced] + [i + (i >= forced) for i in found]))
 
 
 def family_queries(r: int, k: int) -> list[ConfigQuery]:

@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .constructions import diamond_star, single_edge
 from .errors import TooLarge, Unknown
@@ -83,80 +83,114 @@ def _validate(r: int, n: int, k: int) -> None:
         raise ValueError(f"edge budget must be at least 1, got {k}")
 
 
-# ``ok(masks, new_index)``: does the graph stay admissible after the edge at
-# ``new_index`` (always the last entry) was added to ``masks``?
-_OkFn = Callable[[list[int], int], bool]
-
-
-def _admissible(queries: list[ConfigQuery]) -> _OkFn:
-    # Unpacked once: reading the NamedTuple fields on every call is slower.
-    bans = [(q.edge_count, q.max_vertices) for q in queries]
-
-    def ok(masks: list[int], new: int) -> bool:
-        for qk, qs in bans:
-            if _config_search(masks, qk, qs, forced=new) is not None:
-                return False
-        return True
-
-    return ok
-
-
-def _greedy(r: int, n: int, ok: _OkFn) -> TuranResult:
-    t0 = time.perf_counter()
-    masks: list[int] = []
-    edges: list[tuple[int, ...]] = []
-    for e in _colex_iter(n, r):
-        masks.append(_mask(e))
-        if ok(masks, len(masks) - 1):
-            edges.append(e)
+def _still_live(
+    chosen: list[int],
+    fixed: int,
+    live: Sequence[int],
+    cmasks: list[int],
+    bans: list[tuple[int, int]],
+) -> list[int]:
+    """The candidates h of ``live`` such that no ban ``(need, s)`` finds
+    ``need`` edges of ``chosen`` spanning, together with the vertices of
+    ``fixed`` and of h, at most s vertices."""
+    out = []
+    for h in live:
+        base = fixed | cmasks[h]
+        for need, s in bans:
+            if _config_search(chosen, need, s, base=base) is not None:
+                break
         else:
-            masks.pop()
+            out.append(h)
+    return out
+
+
+def _start(
+    r: int, n: int, queries: list[ConfigQuery]
+) -> tuple[list[tuple[int, ...]], list[int], list[tuple[int, int]], list[int]]:
+    """The colex candidates, their vertex masks, the pair bans, and the
+    candidates that are admissible on their own.
+
+    A pair ban ``(k - 2, s)`` asks for the k - 2 edges that complete a
+    configuration through two given edges; bans of one edge have none.
+    """
+    cands = list(_colex_iter(n, r))
+    cmasks = [_mask(e) for e in cands]
+    bans = [(q.edge_count, q.max_vertices) for q in queries]
+    pair_bans = [(k - 2, s) for k, s in bans if k >= 2]
+    live = _still_live([], 0, range(len(cands)), cmasks, [(k - 1, s) for k, s in bans])
+    return cands, cmasks, pair_bans, live
+
+
+def _greedy(r: int, n: int, queries: list[ConfigQuery]) -> TuranResult:
+    """The leftmost descent of :func:`_branch_and_bound`: each step keeps the
+    first live candidate, which is the first colex candidate that keeps the
+    edge set admissible."""
+    t0 = time.perf_counter()
+    cands, cmasks, pair_bans, live = _start(r, n, queries)
+    chosen: list[int] = []
+    edges: list[tuple[int, ...]] = []
+    while live:
+        j = live[0]
+        live = _still_live(chosen, cmasks[j], live[1:], cmasks, pair_bans)
+        chosen.append(cmasks[j])
+        edges.append(cands[j])
     return TuranResult(len(edges), build(r, n, edges), 0, time.perf_counter() - t0)
 
 
-def _branch_and_bound(r: int, n: int, ok: _OkFn) -> tuple[int, tuple[tuple[int, ...], ...], int]:
-    """Maximize admissible edge sets over all r-subsets of range(n).
+def _branch_and_bound(
+    r: int, n: int, queries: list[ConfigQuery]
+) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+    """Maximize the edge sets over all r-subsets of range(n) in which no
+    query finds a configuration.
 
     Candidates are taken in colex order; only sets containing the first
     candidate are branched on (relabeling vertices maps any optimum to one
-    that contains it), with the empty set as the value-0 baseline.  Subsets
-    are visited in lexicographic order of their index tuples and the best
-    value is updated at node entry, so the witness returned is the
-    lexicographically first optimum.
+    that contains it), with the empty set as the value-0 baseline.
+
+    Each node, an admissible set C, carries its live list: the later
+    candidates h with C + {h} admissible, in colex order.  When a live j is
+    chosen, a later live h stays live in the child iff no query finds a
+    configuration through both j and h, that is k - 2 edges of C spanning
+    at most s vertices together with j and h.  Every other configuration in
+    C + {j, h} lies in C + {j} or in C + {h}, both admissible already.  A
+    candidate rejected once is never tested again below that node.
+
+    The children are the live candidates in order, and the best value is
+    updated at node entry only when strictly beaten, so the witness is the
+    lexicographically first optimum.  The bound ``size + (len(live) - pos)``
+    counts only live candidates; it cuts a branch only when no set below it
+    can beat the best value, so the answer matches the search without it.
+    ``nodes`` counts the nodes entered.
     """
-    cands = list(_colex_iter(n, r))
-    total = len(cands)
-    cmasks = [_mask(e) for e in cands]
+    cands, cmasks, pair_bans, root_live = _start(r, n, queries)
     best_val = 0
     best_idx: tuple[int, ...] = ()
     nodes = 0
     chosen_masks: list[int] = []
     chosen_idx: list[int] = []
 
-    def dfs(start: int) -> None:
+    def dfs(live: list[int]) -> None:
         nonlocal best_val, best_idx, nodes
         nodes += 1
         size = len(chosen_idx)
         if size > best_val:
             best_val = size
             best_idx = tuple(chosen_idx)
-        for j in range(start, total):
-            if size + (total - j) <= best_val:
+        for pos, j in enumerate(live):
+            if size + (len(live) - pos) <= best_val:
                 break
+            child = _still_live(chosen_masks, cmasks[j], live[pos + 1 :], cmasks, pair_bans)
             chosen_masks.append(cmasks[j])
-            if ok(chosen_masks, size):
-                chosen_idx.append(j)
-                dfs(j + 1)
-                chosen_idx.pop()
+            chosen_idx.append(j)
+            dfs(child)
+            chosen_idx.pop()
             chosen_masks.pop()
 
-    if total:
+    # Lone edges are all alike: either none is admissible or candidate 0 is.
+    if root_live:
         chosen_masks.append(cmasks[0])
-        if ok(chosen_masks, 0):
-            chosen_idx.append(0)
-            dfs(1)
-            chosen_idx.pop()
-        chosen_masks.pop()
+        chosen_idx.append(0)
+        dfs(_still_live([], cmasks[0], root_live[1:], cmasks, pair_bans))
     return best_val, tuple(cands[i] for i in best_idx), nodes
 
 
@@ -242,14 +276,13 @@ def _exact(
         hit = _cache_load(cache_path, key)
         if hit is not None and _proves(r, n, queries, hit[0], hit[1]):
             return TuranResult(*hit, time.perf_counter() - t0)
-    ok = _admissible(queries)
     if n > size_cap(r) and not allow_large:
         raise TooLarge(
             f"exact search for n={n} exceeds the n<={size_cap(r)} cap for r={r}; "
             "pass allow_large to force it",
-            best=_greedy(r, n, ok),
+            best=_greedy(r, n, queries),
         )
-    value, edges, nodes = _branch_and_bound(r, n, ok)
+    value, edges, nodes = _branch_and_bound(r, n, queries)
     witness = build(r, n, edges)
     if not _proves(r, n, queries, value, witness):
         raise RuntimeError("internal error: extremal witness fails its own ban")

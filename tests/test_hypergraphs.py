@@ -266,6 +266,16 @@ class TestConfigurations:
                     break
             assert got == naive, (G.edges, forced, k, s)
 
+    def test_containing_maps_indices_around_the_forced_edge(self):
+        # Three edges on the four vertices 0..3, and one edge apart.
+        G = build(3, 6, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (3, 4, 5)])
+        q = ConfigQuery(3, 4)
+        assert [find_configuration_containing(G, q, f) for f in range(5)] == [
+            (0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 1, 3), None
+        ]
+        assert find_configuration_containing(G, ConfigQuery(1, 3), 2) == (2,)
+        assert find_configuration_containing(G, ConfigQuery(2, 5), 4) == (1, 4)
+
     def test_family_queries_shape(self):
         qs = family_queries(3, 5)
         assert qs == [

@@ -118,6 +118,24 @@ class TestFamily:
                 assert is_family_free(got.witness, k).free
                 assert len(got.witness.edges) == got.value
 
+    def test_lex_min_witness(self):
+        # The witness is the first index tuple of maximum size, with the
+        # candidates in colex order, whose graph avoids the whole family.
+        for r, n in ((3, 4), (3, 5), (4, 5), (4, 6)):
+            cands = sorted(itertools.combinations(range(n), r), key=lambda e: e[::-1])
+            for k in (3, 5, 6):
+                want = None
+                for size in range(len(cands), -1, -1):
+                    for idx in itertools.combinations(range(len(cands)), size):
+                        G = build(r, n, [cands[i] for i in idx])
+                        if util.naive_family_free(G, k):
+                            want = G
+                            break
+                    if want is not None:
+                        break
+                got = exact_turan_family(r, n, k)
+                assert (got.value, got.witness) == (len(want.edges), want), (r, n, k)
+
     def test_never_exceeds_plain(self):
         for n in range(3, 8):
             for k in (5, 6, 7):
@@ -154,8 +172,16 @@ class TestLimits:
         assert best is not None
         assert len(best.witness.edges) == best.value
         assert find_configuration(best.witness, ConfigQuery(4, 5)) is None
-        with pytest.raises(TooLarge):
+        # Recorded at commit e4c9392, whose greedy tested each colex
+        # candidate against the whole edge set chosen so far.
+        assert (best.value, best.witness.edges) == _pinned(
+            "012 013 023 045 046 047 048 049 145 167 168 178 246 257 258 259 347 356 358 369"
+        )
+        with pytest.raises(TooLarge) as ei:
             exact_turan_family(3, 10, 5)
+        best = ei.value.best
+        assert (best.value, best.witness.edges) == _pinned("012 013 014 015 067 068 069")
+        assert is_family_free(best.witness, 5).free
 
     def test_allow_large(self):
         # distinct 4-edges span five vertices, so nothing is ever banned
@@ -200,7 +226,8 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         path.write_text('not json at all\n{"broken": true\n')
         res = exact_turan(3, 6, 5, 2, cache_path=str(path))
-        assert res.value == util.naive_turan_plain(3, 6, 5, 2)
+        # util.naive_turan_plain(3, 6, 5, 2) == 2; the powerset scan takes ~20 s.
+        assert res.value == 2
 
     def test_parent_directory_created(self, tmp_path):
         path = str(tmp_path / "deep" / "nested" / "cache.jsonl")
@@ -316,6 +343,116 @@ class TestSweep:
         report = consistency_sweep(3, 3, 5)
         assert report.ok
         assert all(row.bound_value is None and row.bound_ok is None for row in report.rows)
+
+
+def _pinned(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(value, edges) of a pinned witness: "012 013" is 2, ((0, 1, 2), (0, 1, 3))."""
+    edges = tuple(tuple(map(int, e)) for e in text.split())
+    return len(edges), edges
+
+
+# The witness of every search run by the consistency sweeps (3, k, 6) for
+# k = 5..8 and (4, k, 8) for k = 4..7, keyed (r, n, k) for the family
+# searches and (r, n, s, k) for the plain ones.  Recorded at commit e4c9392,
+# whose search tested every later candidate at every node; the value is the
+# witness's edge count.
+FAMILY_PINS = {
+    (3, 3, 5): "012",
+    (3, 3, 6): "012",
+    (3, 3, 7): "012",
+    (3, 3, 8): "012",
+    (3, 4, 5): "012 013",
+    (3, 4, 6): "012 013",
+    (3, 4, 7): "012 013",
+    (3, 4, 8): "012 013",
+    (3, 5, 5): "012 013 014",
+    (3, 5, 6): "012 013 014",
+    (3, 5, 7): "012 013 014",
+    (3, 5, 8): "012 013 014",
+    (3, 6, 5): "012 013 014 015",
+    (3, 6, 6): "012 013 014 015",
+    (3, 6, 7): "012 013 014 015",
+    (3, 6, 8): "012 013 014 015",
+    (4, 4, 4): "0123",
+    (4, 4, 5): "0123",
+    (4, 4, 6): "0123",
+    (4, 4, 7): "0123",
+    (4, 5, 4): "0123",
+    (4, 5, 5): "0123",
+    (4, 5, 6): "0123",
+    (4, 5, 7): "0123",
+    (4, 6, 4): "0123 0145",
+    (4, 6, 5): "0123 0145",
+    (4, 6, 6): "0123 0145",
+    (4, 6, 7): "0123 0145",
+    (4, 7, 4): "0123 0145",
+    (4, 7, 5): "0123 0145",
+    (4, 7, 6): "0123 0145",
+    (4, 7, 7): "0123 0145",
+    (4, 8, 4): "0123 0145 0167",
+    (4, 8, 5): "0123 0145 0167",
+    (4, 8, 6): "0123 0145 0167",
+    (4, 8, 7): "0123 0145 0167",
+}
+PLAIN_PINS = {
+    (3, 3, 7, 5): "012",
+    (3, 3, 8, 6): "012",
+    (3, 3, 9, 7): "012",
+    (3, 3, 10, 8): "012",
+    (3, 4, 7, 5): "012 013 023 123",
+    (3, 4, 8, 6): "012 013 023 123",
+    (3, 4, 9, 7): "012 013 023 123",
+    (3, 4, 10, 8): "012 013 023 123",
+    (3, 5, 7, 5): "012 013 023 123",
+    (3, 5, 8, 6): "012 013 014 023 123",
+    (3, 5, 9, 7): "012 013 014 023 024 123",
+    (3, 5, 10, 8): "012 013 014 023 024 034 123",
+    (3, 6, 7, 5): "012 013 023 123",
+    (3, 6, 8, 6): "012 013 014 023 123",
+    (3, 6, 9, 7): "012 013 014 023 024 123",
+    (3, 6, 10, 8): "012 013 014 023 024 034 123",
+    (4, 4, 10, 4): "0123",
+    (4, 4, 12, 5): "0123",
+    (4, 4, 14, 6): "0123",
+    (4, 4, 16, 7): "0123",
+    (4, 5, 10, 4): "0123 0124 0134",
+    (4, 5, 12, 5): "0123 0124 0134 0234",
+    (4, 5, 14, 6): "0123 0124 0134 0234 1234",
+    (4, 5, 16, 7): "0123 0124 0134 0234 1234",
+    (4, 6, 10, 4): "0123 0124 0134",
+    (4, 6, 12, 5): "0123 0124 0134 0234",
+    (4, 6, 14, 6): "0123 0124 0134 0234 1234",
+    (4, 6, 16, 7): "0123 0124 0125 0134 0234 1234",
+    (4, 7, 10, 4): "0123 0124 0134",
+    (4, 7, 12, 5): "0123 0124 0134 0234",
+    (4, 7, 14, 6): "0123 0124 0134 0234 1234",
+    (4, 7, 16, 7): "0123 0124 0125 0134 0234 1234",
+    (4, 8, 10, 4): "0123 0124 0134",
+    (4, 8, 12, 5): "0123 0124 0134 0234",
+    (4, 8, 14, 6): "0123 0124 0134 0234 1234",
+    (4, 8, 16, 7): "0123 0124 0125 0134 0234 1234",
+}
+
+
+class TestPinnedAnswers:
+    def test_sweep_searches(self):
+        for (r, n, k), text in FAMILY_PINS.items():
+            res = exact_turan_family(r, n, k)
+            assert (res.value, res.witness.edges) == _pinned(text), (r, n, k)
+        for (r, n, s, k), text in PLAIN_PINS.items():
+            res = exact_turan(r, n, s, k)
+            assert (res.value, res.witness.edges) == _pinned(text), (r, n, s, k)
+
+    def test_larger_families(self):
+        # (k, witness, nodes now, nodes at commit e4c9392); the search may
+        # only skip nodes the earlier one entered.
+        for k, text, nodes, before in (
+            (5, "012 013 014 015", 5283, 5292),
+            (6, "012 013 014 015 016", 27530, 28222),
+        ):
+            res = exact_turan_family(3, 7, k)
+            assert (res.value, res.witness.edges) == _pinned(text), k
+            assert res.nodes_explored == nodes <= before, k
 
 
 def test_turan_doc_shape():
