@@ -513,69 +513,66 @@ def classify_tree(F: Hypergraph) -> TreeClass:
     if m == 1:
         return TreeClass.path(1)
     masks = F.edge_masks
-    full = (1 << m) - 1
-
-    failed_path: set[tuple[int, int]] = set()
-
-    def extend_path(used: int, union: int, last: int) -> bool:
-        if used == full:
-            return True
-        key = (used, last)
-        if key in failed_path:
-            return False
-        for j in range(m):
-            if used >> j & 1:
-                continue
-            inter = masks[j] & union
-            if inter.bit_count() != 2:
-                continue
-            if masks[last] & inter != inter:
-                continue
-            fresh = True
-            others = used ^ (1 << last)
-            while others:
-                low = others & -others
-                if masks[low.bit_length() - 1] & inter == inter:
-                    fresh = False
-                    break
-                others ^= low
-            if fresh and extend_path(used | 1 << j, union | masks[j], j):
-                return True
-        failed_path.add(key)
-        return False
-
-    if any(extend_path(1 << j, masks[j], j) for j in range(m)):
+    if _grows_in_order(masks, path=True):
         return TreeClass.path(m)
-
-    failed_tree: set[int] = set()
-
-    def extend_tree(used: int, union: int) -> bool:
-        if used == full:
-            return True
-        if used in failed_tree:
-            return False
-        for j in range(m):
-            if used >> j & 1:
-                continue
-            inter = masks[j] & union
-            if inter.bit_count() != 2:
-                continue
-            ok = False
-            uu = used
-            while uu:
-                low = uu & -uu
-                if masks[low.bit_length() - 1] & inter == inter:
-                    ok = True
-                    break
-                uu ^= low
-            if ok and extend_tree(used | 1 << j, union | masks[j]):
-                return True
-        failed_tree.add(used)
-        return False
-
-    if any(extend_tree(1 << j, masks[j]) for j in range(m)):
+    if _grows_in_order(masks, path=False):
         return TreeClass.tree(m)
     return NOT_TREE
+
+
+def _grows_in_order(masks: Sequence[int], path: bool) -> bool:
+    """Can the edges be ordered so that each one after the first meets the
+    union so far in exactly one pair, and that pair lies in an earlier edge
+    (for ``path``: in the previous edge and in no edge before it)?
+
+    A depth-first search from each first edge over an explicit stack, so
+    long paths cannot exhaust the interpreter's recursion limit.  A state
+    (the used edges, plus the last one for ``path``) that cannot be
+    completed is remembered and never expanded again.
+    """
+    m = len(masks)
+    full = (1 << m) - 1
+    failed: set = set()
+    for first in range(m):
+        # Frames [used, union, last, next index to try].
+        stack = [[1 << first, masks[first], first, 0]]
+        while stack:
+            frame = stack[-1]
+            used, union, last, j = frame
+            if j == 0:
+                if used == full:
+                    return True
+                if ((used, last) if path else used) in failed:
+                    stack.pop()
+                    continue
+            while j < m:
+                if not used >> j & 1:
+                    inter = masks[j] & union
+                    if inter.bit_count() == 2 and _pair_placed(masks, used, last, inter, path):
+                        break
+                j += 1
+            if j < m:
+                frame[3] = j + 1
+                stack.append([used | 1 << j, union | masks[j], j, 0])
+            else:
+                failed.add((used, last) if path else used)
+                stack.pop()
+    return False
+
+
+def _pair_placed(masks: Sequence[int], used: int, last: int, inter: int, path: bool) -> bool:
+    """Does the pair ``inter`` lie in a used edge (for ``path``: in edge
+    ``last`` and in no other used edge)?"""
+    if path:
+        if masks[last] & inter != inter:
+            return False
+        used ^= 1 << last
+    while used:
+        low = used & -used
+        if masks[low.bit_length() - 1] & inter == inter:
+            return not path
+        used ^= low
+    return path
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .constructions import diamond_star, single_edge
 from .errors import TooLarge, Unknown
 from .hypergraphs import (
     ConfigQuery,
     Hypergraph,
-    _config_search,
     build,
     family_queries,
     find_configuration,
@@ -83,42 +82,75 @@ def _validate(r: int, n: int, k: int) -> None:
         raise ValueError(f"edge budget must be at least 1, got {k}")
 
 
-def _still_live(
-    chosen: list[int],
-    fixed: int,
-    live: Sequence[int],
-    cmasks: list[int],
-    bans: list[tuple[int, int]],
-) -> list[int]:
-    """The candidates h of ``live`` such that no ban ``(need, s)`` finds
-    ``need`` edges of ``chosen`` spanning, together with the vertices of
-    ``fixed`` and of h, at most s vertices."""
-    out = []
-    for h in live:
-        base = fixed | cmasks[h]
-        for need, s in bans:
-            if _config_search(chosen, need, s, base=base) is not None:
-                break
-        else:
-            out.append(h)
-    return out
+class _Kills:
+    """Kill masks over the colex candidates of one search.
 
-
-def _start(
-    r: int, n: int, queries: list[ConfigQuery]
-) -> tuple[list[tuple[int, ...]], list[int], list[tuple[int, int]], list[int]]:
-    """The colex candidates, their vertex masks, the pair bans, and the
-    candidates that are admissible on their own.
-
-    A pair ban ``(k - 2, s)`` asks for the k - 2 edges that complete a
-    configuration through two given edges; bans of one edge have none.
+    A live set is an int bitmask over candidate indices.  For a pair ban
+    ``(need, s)`` (a ban of k edges on at most s vertices, need = k - 2), a
+    node carries, for t = 0..need, a tuple of the distinct vertex unions of
+    t chosen edges that fit in s vertices.  Choosing j then kills every
+    candidate h with |U + j + h| <= s for a carried need-union U: the union
+    over U of ``fits(U | j, s)``, the memoised bitmask of the candidates h
+    with |V + h| <= s.
     """
-    cands = list(_colex_iter(n, r))
-    cmasks = [_mask(e) for e in cands]
-    bans = [(q.edge_count, q.max_vertices) for q in queries]
-    pair_bans = [(k - 2, s) for k, s in bans if k >= 2]
-    live = _still_live([], 0, range(len(cands)), cmasks, [(k - 1, s) for k, s in bans])
-    return cands, cmasks, pair_bans, live
+
+    def __init__(self, r: int, n: int, queries: list[ConfigQuery]) -> None:
+        self.cands = list(_colex_iter(n, r))
+        self.cmasks = [_mask(e) for e in self.cands]
+        # fits(V, s) is tables[s][V].
+        self.tables: dict[int, dict[int, int]] = {}
+        bans = [(q.edge_count, q.max_vertices) for q in queries]
+        # Two distinct candidates span at least r + 1 vertices, so a pair ban
+        # on fewer vertices never kills.
+        self.pair_bans = [
+            (k - 2, s, self.tables.setdefault(s, {})) for k, s in bans if k >= 2 and s > r
+        ]
+        # A ban of one edge kills every candidate that fits alone.
+        alone = 0
+        for k, s in bans:
+            if k == 1:
+                alone |= self._fits(0, s)
+        self.root_live = ((1 << len(self.cands)) - 1) & ~alone
+        # The unions of no chosen edge: the empty union at t = 0 only.
+        self.root_unions = tuple(((0,),) + ((),) * need for need, _, _ in self.pair_bans)
+
+    def _fits(self, v: int, s: int) -> int:
+        """Bitmask of the candidates h with |v + h| <= s, memoised per s."""
+        table = self.tables.setdefault(s, {})
+        out = table.get(v)
+        if out is None:
+            out = 0
+            for h, mh in enumerate(self.cmasks):
+                if (v | mh).bit_count() <= s:
+                    out |= 1 << h
+            table[v] = out
+        return out
+
+    def kill(self, unions: tuple, mj: int) -> int:
+        """The candidates h for which some ban finds k - 2 chosen edges
+        spanning at most s vertices together with the new edge ``mj`` and h."""
+        out = 0
+        for (need, s, table), levels in zip(self.pair_bans, unions):
+            for u in levels[need]:
+                v = u | mj
+                if v.bit_count() <= s:
+                    f = table.get(v)
+                    if f is None:
+                        f = self._fits(v, s)
+                    out |= f
+        return out
+
+    def extend(self, unions: tuple, mj: int) -> tuple:
+        """The carried unions once the edge ``mj`` is chosen."""
+        out = []
+        for (need, s, _), levels in zip(self.pair_bans, unions):
+            grown = [levels[0]]
+            for t in range(1, need + 1):
+                new = {v for u in levels[t - 1] if (v := u | mj).bit_count() <= s}
+                new.difference_update(levels[t])
+                grown.append(levels[t] + tuple(new) if new else levels[t])
+            out.append(tuple(grown))
+        return tuple(out)
 
 
 def _greedy(r: int, n: int, queries: list[ConfigQuery]) -> TuranResult:
@@ -126,14 +158,16 @@ def _greedy(r: int, n: int, queries: list[ConfigQuery]) -> TuranResult:
     first live candidate, which is the first colex candidate that keeps the
     edge set admissible."""
     t0 = time.perf_counter()
-    cands, cmasks, pair_bans, live = _start(r, n, queries)
-    chosen: list[int] = []
+    ks = _Kills(r, n, queries)
+    live, unions = ks.root_live, ks.root_unions
     edges: list[tuple[int, ...]] = []
     while live:
-        j = live[0]
-        live = _still_live(chosen, cmasks[j], live[1:], cmasks, pair_bans)
-        chosen.append(cmasks[j])
-        edges.append(cands[j])
+        low = live & -live
+        j = low.bit_length() - 1
+        mj = ks.cmasks[j]
+        live = (live ^ low) & ~ks.kill(unions, mj)
+        unions = ks.extend(unions, mj)
+        edges.append(ks.cands[j])
     return TuranResult(len(edges), build(r, n, edges), 0, time.perf_counter() - t0)
 
 
@@ -147,51 +181,59 @@ def _branch_and_bound(
     candidate are branched on (relabeling vertices maps any optimum to one
     that contains it), with the empty set as the value-0 baseline.
 
-    Each node, an admissible set C, carries its live list: the later
-    candidates h with C + {h} admissible, in colex order.  When a live j is
-    chosen, a later live h stays live in the child iff no query finds a
-    configuration through both j and h, that is k - 2 edges of C spanning
-    at most s vertices together with j and h.  Every other configuration in
-    C + {j, h} lies in C + {j} or in C + {h}, both admissible already.  A
-    candidate rejected once is never tested again below that node.
+    Each node, an admissible set C, carries its live set: the bitmask of
+    the later candidates h with C + {h} admissible.  Kill-mask lemma: when
+    a live j is chosen, a later live h stays live in the child iff no query
+    of k >= 2 edges on at most s vertices finds k - 2 edges of C spanning,
+    together with j and h, at most s vertices; every other configuration
+    in C + {j, h} lies in C + {j} or in C + {h}, both admissible already.
+    So the child's live set is the parent's later live candidates minus
+    the union, over the carried unions U of k - 2 edges of C that fit in s,
+    of ``fits(U | j, s)`` (see :class:`_Kills`).  A child extends the
+    carried unions by j only when it branches.
 
-    The children are the live candidates in order, and the best value is
-    updated at node entry only when strictly beaten, so the witness is the
-    lexicographically first optimum.  The bound ``size + (len(live) - pos)``
-    counts only live candidates; it cuts a branch only when no set below it
-    can beat the best value, so the answer matches the search without it.
-    ``nodes`` counts the nodes entered.
+    The children are the live candidates in colex order, and the best value
+    is updated at node entry only when strictly beaten, so the witness is
+    the lexicographically first optimum.  The bound ``size + |live from
+    j on|`` counts only live candidates; it cuts a branch only when no set
+    below it can beat the best value, so the answer matches the search
+    without it.  ``nodes`` counts the nodes entered.
     """
-    cands, cmasks, pair_bans, root_live = _start(r, n, queries)
+    ks = _Kills(r, n, queries)
+    cmasks, kill, extend = ks.cmasks, ks.kill, ks.extend
     best_val = 0
     best_idx: tuple[int, ...] = ()
     nodes = 0
-    chosen_masks: list[int] = []
     chosen_idx: list[int] = []
 
-    def dfs(live: list[int]) -> None:
+    def dfs(live: int, parent_unions: tuple, mj: int) -> None:
         nonlocal best_val, best_idx, nodes
         nodes += 1
         size = len(chosen_idx)
         if size > best_val:
             best_val = size
             best_idx = tuple(chosen_idx)
-        for pos, j in enumerate(live):
-            if size + (len(live) - pos) <= best_val:
-                break
-            child = _still_live(chosen_masks, cmasks[j], live[pos + 1 :], cmasks, pair_bans)
-            chosen_masks.append(cmasks[j])
+        if size + live.bit_count() <= best_val:
+            return
+        unions = extend(parent_unions, mj)
+        while size + live.bit_count() > best_val:
+            low = live & -live
+            live ^= low
+            j = low.bit_length() - 1
+            mj = cmasks[j]
             chosen_idx.append(j)
-            dfs(child)
+            dfs(live & ~kill(unions, mj), unions, mj)
             chosen_idx.pop()
-            chosen_masks.pop()
 
     # Lone edges are all alike: either none is admissible or candidate 0 is.
-    if root_live:
-        chosen_masks.append(cmasks[0])
+    if ks.root_live:
+        m0 = cmasks[0]
         chosen_idx.append(0)
-        dfs(_still_live([], cmasks[0], root_live[1:], cmasks, pair_bans))
-    return best_val, tuple(cands[i] for i in best_idx), nodes
+        dfs(ks.root_live & ~1 & ~kill(ks.root_unions, m0), ks.root_unions, m0)
+    # dfs refers to itself through its closure; emptying that cell frees the
+    # memo tables now rather than at the next cyclic garbage collection.
+    del dfs
+    return best_val, tuple(ks.cands[i] for i in best_idx), nodes
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,12 @@ class TestTrees:
             assert (kind != "none") == tc.is_tree
             assert (kind == "path") == tc.is_path
 
+    def test_long_tight_path_needs_no_recursion(self):
+        # Deeper than the interpreter's recursion limit, in either edge order.
+        edges = [(i, i + 1, i + 2) for i in range(1500)]
+        assert classify_tree(build(3, 1502, edges)) == TreeClass.path(1500)
+        assert classify_tree(build(3, 1502, edges[::-1])) == TreeClass.path(1500)
+
 
 # ---------------------------------------------------------------------------
 # Text format and documents

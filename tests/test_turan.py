@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from beslab import (
     to_text,
     turan_doc,
 )
+from beslab.hypergraphs import family_queries
+from beslab.turan import _Kills
 
 
 class TestPlain:
@@ -159,6 +162,73 @@ class TestFamily:
             exact_turan_family(3, 5, 1)
 
 
+class TestKillMasks:
+    """The kill step against the definition: after choosing the sorted
+    admissible set C, the live set is every later h with C + {h}
+    admissible, and choosing a live j leaves every later live h with
+    C + {j, h} admissible."""
+
+    @staticmethod
+    def _descend(ks, chosen):
+        live, unions = ks.root_live, ks.root_unions
+        for j in chosen:
+            assert live >> j & 1, (chosen, j)
+            live = (live >> (j + 1) << (j + 1)) & ~ks.kill(unions, ks.cmasks[j])
+            unions = ks.extend(unions, ks.cmasks[j])
+        return live, unions
+
+    @staticmethod
+    def _random_admissible(rng, ks, ok):
+        """A random subset of a random maximal admissible set."""
+        order = list(range(len(ks.cands)))
+        rng.shuffle(order)
+        maximal: list[int] = []
+        for h in order:
+            if ok(sorted(maximal + [h])):
+                maximal.append(h)
+        return sorted(rng.sample(maximal, rng.randint(len(maximal) // 2, len(maximal))))
+
+    def _check(self, rng, r, n, queries, admissible, trials):
+        """``admissible(G)`` is the definitional test of a graph."""
+        ks = _Kills(r, n, queries)
+
+        def ok(idx):
+            return admissible(build(r, n, [ks.cands[i] for i in idx]))
+
+        def bits(mask):
+            return [h for h in range(len(ks.cands)) if mask >> h & 1]
+
+        for _ in range(trials):
+            chosen = self._random_admissible(rng, ks, ok)
+            live, unions = self._descend(ks, chosen)
+            after = chosen[-1] + 1 if chosen else 0
+            want = [h for h in range(after, len(ks.cands)) if ok(chosen + [h])]
+            assert bits(live) == want, (r, n, queries, chosen)
+            for j in rng.sample(want, min(3, len(want))):
+                child = (live >> (j + 1) << (j + 1)) & ~ks.kill(unions, ks.cmasks[j])
+                want_child = [h for h in want if h > j and ok(chosen + [j, h])]
+                assert bits(child) == want_child, (r, n, queries, chosen, j)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_family_matches_definition(self, r):
+        rng = random.Random(60 + r)
+        for n in range(r + 1, 8):
+            for k in (3, 5, 6):
+                self._check(rng, r, n, family_queries(r, k),
+                            lambda G, k=k: util.naive_family_free(G, k), trials=4)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_plain_matches_definition(self, r):
+        rng = random.Random(70 + r)
+        for n in range(r + 1, 8):
+            for _ in range(3):
+                k = rng.randint(1, 5)
+                s = rng.randint(r, 2 * r + 1)
+                self._check(rng, r, n, [ConfigQuery(k, s)],
+                            lambda G, k=k, s=s: util.naive_find_config(G, k, s) is None,
+                            trials=4)
+
+
 class TestLimits:
     def test_size_cap(self):
         assert size_cap(3) == 9
@@ -201,7 +271,7 @@ class TestCache:
         path = str(tmp_path / "cache.jsonl")
         a = exact_turan(3, 6, 5, 2, cache_path=path)
         assert a.nodes_explored > 0
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert len(lines) == 1
         b = exact_turan(3, 6, 5, 2, cache_path=path)
         assert (b.value, b.witness, b.nodes_explored) == (
@@ -209,7 +279,7 @@ class TestCache:
             a.witness,
             a.nodes_explored,
         )
-        assert len(open(path).read().splitlines()) == 1
+        assert len(Path(path).read_text().splitlines()) == 1
 
     def test_family_and_plain_keys_differ(self, tmp_path):
         # same numeric key (r=3, n=5, s=4, k=2); only the kind separates them
@@ -217,10 +287,10 @@ class TestCache:
         fam = exact_turan_family(3, 5, 2, cache_path=path)
         plain = exact_turan(3, 5, 4, 2, cache_path=path)
         assert fam.value == plain.value == util.naive_turan_family(3, 5, 2)
-        assert len(open(path).read().splitlines()) == 2
+        assert len(Path(path).read_text().splitlines()) == 2
         assert exact_turan_family(3, 5, 2, cache_path=path).value == fam.value
         assert exact_turan(3, 5, 4, 2, cache_path=path).value == plain.value
-        assert len(open(path).read().splitlines()) == 2
+        assert len(Path(path).read_text().splitlines()) == 2
 
     def test_corrupt_lines_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -232,7 +302,7 @@ class TestCache:
     def test_parent_directory_created(self, tmp_path):
         path = str(tmp_path / "deep" / "nested" / "cache.jsonl")
         exact_turan(3, 6, 5, 2, cache_path=path)
-        assert open(path).read().strip()
+        assert Path(path).read_text().strip()
 
     @staticmethod
     def _family_record(value, witness_text):
@@ -444,15 +514,16 @@ class TestPinnedAnswers:
             assert (res.value, res.witness.edges) == _pinned(text), (r, n, s, k)
 
     def test_larger_families(self):
-        # (k, witness, nodes now, nodes at commit e4c9392); the search may
-        # only skip nodes the earlier one entered.
-        for k, text, nodes, before in (
-            (5, "012 013 014 015", 5283, 5292),
-            (6, "012 013 014 015 016", 27530, 28222),
+        # (n, k, witness, nodes), recorded at commit 387c457, whose search
+        # tested every live candidate with one configuration search per ban.
+        for n, k, text, nodes in (
+            (7, 5, "012 013 014 015", 5283),
+            (7, 6, "012 013 014 015 016", 27530),
+            (8, 5, "012 013 014 235 467 567", 148575),
         ):
-            res = exact_turan_family(3, 7, k)
-            assert (res.value, res.witness.edges) == _pinned(text), k
-            assert res.nodes_explored == nodes <= before, k
+            res = exact_turan_family(3, n, k)
+            assert (res.value, res.witness.edges) == _pinned(text), (n, k)
+            assert res.nodes_explored == nodes, (n, k)
 
 
 def test_turan_doc_shape():
