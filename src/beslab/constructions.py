@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotFree, Unknown
 from .hypergraphs import (
@@ -118,30 +118,25 @@ def diamond_peel_order(F: Hypergraph) -> Optional[list[tuple[int, ...]]]:
     built so far, or a diamond (two edges sharing exactly two vertices)
     whose overlap with the built part lies inside its tip pair (the two
     vertices not shared between its edges, for r = 3).  Found by backtracking
-    over peelings from the full graph; returns ``None`` when stuck.
+    over peelings from the full graph, depth first over an explicit stack so
+    that long graphs cannot exhaust the interpreter's recursion limit;
+    returns ``None`` when stuck.  An edge set that cannot be peeled is
+    remembered and never expanded again.
     """
-    m = len(F.edges)
     masks = F.edge_masks
-    full = frozenset(range(m))
     failed: set[frozenset[int]] = set()
 
-    def peel(remaining: frozenset[int]) -> Optional[list[tuple[int, ...]]]:
-        if not remaining:
-            return []
-        if remaining in failed:
-            return None
-        rest_masks = {i: masks[i] for i in remaining}
+    def last_steps(remaining: frozenset[int]) -> Iterator[tuple[int, ...]]:
+        """The steps that may have built ``remaining`` last, in trial order."""
         order = sorted(remaining, reverse=True)
         # lone edges first: cheapest step, try high indices first (outer layers)
         for i in order:
             others = 0
             for j in remaining:
                 if j != i:
-                    others |= rest_masks[j]
+                    others |= masks[j]
             if (masks[i] & others).bit_count() <= 1:
-                rest = peel(remaining - {i})
-                if rest is not None:
-                    return rest + [(i,)]
+                yield (i,)
         for i, j in itertools.combinations(order, 2):
             inter = masks[i] & masks[j]
             if inter.bit_count() != 2:
@@ -151,17 +146,32 @@ def diamond_peel_order(F: Hypergraph) -> Optional[list[tuple[int, ...]]]:
             others = 0
             for h in remaining:
                 if h != i and h != j:
-                    others |= rest_masks[h]
+                    others |= masks[h]
             overlap = span & others
             if overlap & ~tips:
                 continue
-            rest = peel(remaining - {i, j})
-            if rest is not None:
-                return rest + [tuple(sorted((i, j)))]
-        failed.add(remaining)
-        return None
+            yield (j, i)
 
-    return peel(full)
+    full = frozenset(range(len(F.edges)))
+    # stack[d] is the edge set left after peeling path[:d].
+    stack = [(full, last_steps(full))]
+    path: list[tuple[int, ...]] = []
+    while stack:
+        remaining, steps = stack[-1]
+        if not remaining:
+            return path[::-1]
+        step = next(steps, None)
+        if step is None:
+            failed.add(remaining)
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        rest = remaining.difference(step)
+        if rest not in failed:
+            path.append(step)
+            stack.append((rest, last_steps(rest)))
+    return None
 
 
 def check_peel_order(F: Hypergraph, steps: list[tuple[int, ...]]) -> bool:

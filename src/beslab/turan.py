@@ -5,8 +5,9 @@ labeled vertices that matches no configuration query in a list.
 :func:`exact_turan` passes the single (edge_count, max_vertices) ban and
 :func:`exact_turan_family` the full banned family for a given k.  Small n
 only; results carry a deterministic witness (the lexicographically first
-optimum with respect to the colex candidate order) and can be cached in a
-JSON-lines file.
+optimum with respect to the search's candidate order: the r-subsets by
+largest vertex, then lexicographically) and can be cached in a JSON-lines
+file.
 """
 
 from __future__ import annotations
@@ -59,8 +60,10 @@ class TuranResult:
     elapsed: float
 
 
-def _colex_iter(n: int, r: int) -> Iterator[tuple[int, ...]]:
-    """All r-subsets of range(n) in colexicographic order."""
+def _subsets_by_top(n: int, r: int) -> Iterator[tuple[int, ...]]:
+    """All r-subsets of range(n), ordered by largest vertex, then
+    lexicographically: (0, 3, 4) comes before (1, 2, 4).  This is not colex
+    order, which puts (1, 2, 4) first."""
     for top in range(r - 1, n):
         for rest in itertools.combinations(range(top), r - 1):
             yield rest + (top,)
@@ -83,7 +86,8 @@ def _validate(r: int, n: int, k: int) -> None:
 
 
 class _Kills:
-    """Kill masks over the colex candidates of one search.
+    """Kill masks over the candidates of one search, the r-subsets in the
+    order of :func:`_subsets_by_top`.
 
     A live set is an int bitmask over candidate indices.  For a pair ban
     ``(need, s)`` (a ban of k edges on at most s vertices, need = k - 2), a
@@ -95,7 +99,7 @@ class _Kills:
     """
 
     def __init__(self, r: int, n: int, queries: list[ConfigQuery]) -> None:
-        self.cands = list(_colex_iter(n, r))
+        self.cands = list(_subsets_by_top(n, r))
         self.cmasks = [_mask(e) for e in self.cands]
         # fits(V, s) is tables[s][V].
         self.tables: dict[int, dict[int, int]] = {}
@@ -155,8 +159,11 @@ class _Kills:
 
 def _greedy(r: int, n: int, queries: list[ConfigQuery]) -> TuranResult:
     """The leftmost descent of :func:`_branch_and_bound`: each step keeps the
-    first live candidate, which is the first colex candidate that keeps the
-    edge set admissible."""
+    first live candidate, which is the first candidate that keeps the edge
+    set admissible.  No step skips a candidate by the search's symmetry
+    rule, because the first live candidate always obeys it: moving its
+    vertices above the chosen set's top vertex down onto the next unused
+    ones gives a candidate no later in the order that is just as live."""
     t0 = time.perf_counter()
     ks = _Kills(r, n, queries)
     live, unions = ks.root_live, ks.root_unions
@@ -177,27 +184,37 @@ def _branch_and_bound(
     """Maximize the edge sets over all r-subsets of range(n) in which no
     query finds a configuration.
 
-    Candidates are taken in colex order; only sets containing the first
-    candidate are branched on (relabeling vertices maps any optimum to one
-    that contains it), with the empty set as the value-0 baseline.
+    Candidates are taken in the order of :func:`_subsets_by_top`, and the
+    children of a node, an admissible set C, are later candidates, so the
+    vertices above the top vertex M of C (M = -1 for the empty set) are
+    untouched.  Symmetry rule: a child j is branched on only if its
+    vertices above M are exactly M + 1, ..., M + h for some h >= 0; any
+    other live candidate is skipped.  So every node's chosen set spans
+    exactly {0, ..., M}, and the root's only child is candidate 0.  No
+    optimum is lost, and neither is the lexicographically first one: in a
+    set with an edge that breaks the rule, swap the top vertex of the first
+    such edge with an unused vertex below it; the relabeled set is just as
+    admissible and lexicographically earlier.  So the first relabeling of
+    any admissible set, in particular the lexicographically first optimum,
+    obeys the rule at every edge.
 
-    Each node, an admissible set C, carries its live set: the bitmask of
-    the later candidates h with C + {h} admissible.  Kill-mask lemma: when
-    a live j is chosen, a later live h stays live in the child iff no query
-    of k >= 2 edges on at most s vertices finds k - 2 edges of C spanning,
-    together with j and h, at most s vertices; every other configuration
-    in C + {j, h} lies in C + {j} or in C + {h}, both admissible already.
-    So the child's live set is the parent's later live candidates minus
-    the union, over the carried unions U of k - 2 edges of C that fit in s,
-    of ``fits(U | j, s)`` (see :class:`_Kills`).  A child extends the
-    carried unions by j only when it branches.
+    Each node carries its live set: the bitmask of the later candidates h
+    with C + {h} admissible.  Kill-mask lemma: when a live j is chosen, a
+    later live h stays live in the child iff no query of k >= 2 edges on
+    at most s vertices finds k - 2 edges of C spanning, together with j and
+    h, at most s vertices; every other configuration in C + {j, h} lies in
+    C + {j} or in C + {h}, both admissible already.  So the child's live
+    set is the parent's later live candidates minus the union, over the
+    carried unions U of k - 2 edges of C that fit in s, of
+    ``fits(U | j, s)`` (see :class:`_Kills`).  A child extends the carried
+    unions by j only when it branches.
 
-    The children are the live candidates in colex order, and the best value
-    is updated at node entry only when strictly beaten, so the witness is
-    the lexicographically first optimum.  The bound ``size + |live from
-    j on|`` counts only live candidates; it cuts a branch only when no set
-    below it can beat the best value, so the answer matches the search
-    without it.  ``nodes`` counts the nodes entered.
+    The children are visited in candidate order, and the best value is
+    updated at node entry only when strictly beaten, so the witness is the
+    lexicographically first optimum.  The bound ``size + |live from j on|``
+    counts only live candidates; it cuts a branch only when no set below
+    it can beat the best value, so the answer matches the search without
+    it.  ``nodes`` counts the nodes entered below the empty root.
     """
     ks = _Kills(r, n, queries)
     cmasks, kill, extend = ks.cmasks, ks.kill, ks.extend
@@ -206,30 +223,30 @@ def _branch_and_bound(
     nodes = 0
     chosen_idx: list[int] = []
 
-    def dfs(live: int, parent_unions: tuple, mj: int) -> None:
+    def dfs(live: int, unions: tuple, top: int) -> None:
+        """Branch below the chosen set, whose carried unions are ``unions``
+        and whose top vertex is ``top``."""
         nonlocal best_val, best_idx, nodes
-        nodes += 1
-        size = len(chosen_idx)
-        if size > best_val:
-            best_val = size
-            best_idx = tuple(chosen_idx)
-        if size + live.bit_count() <= best_val:
-            return
-        unions = extend(parent_unions, mj)
-        while size + live.bit_count() > best_val:
+        size = len(chosen_idx) + 1  # the size of each child
+        while size - 1 + live.bit_count() > best_val:
             low = live & -live
             live ^= low
             j = low.bit_length() - 1
             mj = cmasks[j]
+            hi = mj >> (top + 1)
+            if hi & (hi + 1):
+                continue
             chosen_idx.append(j)
-            dfs(live & ~kill(unions, mj), unions, mj)
+            nodes += 1
+            if size > best_val:
+                best_val = size
+                best_idx = tuple(chosen_idx)
+            child = live & ~kill(unions, mj)
+            if size + child.bit_count() > best_val:
+                dfs(child, extend(unions, mj), mj.bit_length() - 1)
             chosen_idx.pop()
 
-    # Lone edges are all alike: either none is admissible or candidate 0 is.
-    if ks.root_live:
-        m0 = cmasks[0]
-        chosen_idx.append(0)
-        dfs(ks.root_live & ~1 & ~kill(ks.root_unions, m0), ks.root_unions, m0)
+    dfs(ks.root_live, ks.root_unions, -1)
     # dfs refers to itself through its closure; emptying that cell frees the
     # memo tables now rather than at the next cyclic garbage collection.
     del dfs
@@ -355,7 +372,7 @@ def exact_turan(
         raise ValueError(f"vertex budget must be at least 1, got {s}")
     if n <= s:
         value = min(math.comb(n, r), k - 1)
-        witness = build(r, n, itertools.islice(_colex_iter(n, r), value))
+        witness = build(r, n, itertools.islice(_subsets_by_top(n, r), value))
         return TuranResult(value, witness, 0, time.perf_counter() - t0)
     return _exact("plain", r, n, [ConfigQuery(k, s)], allow_large, cache_path, t0)
 

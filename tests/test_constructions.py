@@ -120,6 +120,12 @@ class TestPeelOrder:
         H = build(3, 5, [(0, 1, 2), (0, 1, 3), (1, 3, 4)])
         assert not check_peel_order(H, [(0,), (1,), (2,)])
 
+    def test_long_matching_needs_no_recursion(self):
+        # 1,100 disjoint edges: one peel per edge, deeper than the
+        # interpreter's recursion limit.
+        G = build(3, 3300, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1100)])
+        assert diamond_peel_order(G) == [(i,) for i in range(1100)]
+
     def test_random_free_graphs_round_trip(self):
         rng = random.Random(53)
         for _ in range(30):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -25,8 +26,9 @@ from beslab import (
     to_text,
     turan_doc,
 )
+from beslab import turan
 from beslab.hypergraphs import family_queries
-from beslab.turan import _Kills
+from beslab.turan import _Kills, _branch_and_bound, _greedy, _mask, _subsets_by_top
 
 
 class TestPlain:
@@ -123,21 +125,13 @@ class TestFamily:
 
     def test_lex_min_witness(self):
         # The witness is the first index tuple of maximum size, with the
-        # candidates in colex order, whose graph avoids the whole family.
+        # candidates in the search's order, whose graph avoids the whole family.
         for r, n in ((3, 4), (3, 5), (4, 5), (4, 6)):
-            cands = sorted(itertools.combinations(range(n), r), key=lambda e: e[::-1])
+            cands = list(_subsets_by_top(n, r))
             for k in (3, 5, 6):
-                want = None
-                for size in range(len(cands), -1, -1):
-                    for idx in itertools.combinations(range(len(cands)), size):
-                        G = build(r, n, [cands[i] for i in idx])
-                        if util.naive_family_free(G, k):
-                            want = G
-                            break
-                    if want is not None:
-                        break
+                want = util.naive_first_optimum(r, n, cands, family_queries(r, k))
                 got = exact_turan_family(r, n, k)
-                assert (got.value, got.witness) == (len(want.edges), want), (r, n, k)
+                assert (got.value, got.witness) == (len(want), build(r, n, want)), (r, n, k)
 
     def test_never_exceeds_plain(self):
         for n in range(3, 8):
@@ -227,6 +221,77 @@ class TestKillMasks:
                 self._check(rng, r, n, [ConfigQuery(k, s)],
                             lambda G, k=k, s=s: util.naive_find_config(G, k, s) is None,
                             trials=4)
+
+
+class TestSymmetryRule:
+    """The search branches only on candidates whose vertices above the
+    chosen set's top vertex M are the next ones, M + 1, ..., M + h."""
+
+    def test_order_is_by_top_vertex_then_lex(self):
+        cands = list(_subsets_by_top(5, 3))
+        assert cands == sorted(itertools.combinations(range(5), 3), key=lambda e: (e[-1], e))
+        assert cands.index((0, 3, 4)) < cands.index((1, 2, 4))
+
+    def test_random_bans_match_definition(self):
+        # Value and lexicographically first optimum, in the search's own
+        # candidate order, against a powerset scan: r = 2..5, one to three
+        # bans per list, single-edge bans (k = 1) and s <= r included.
+        rng = random.Random(77)
+        for _ in range(500):
+            r = rng.randint(2, 5)
+            n = rng.choice([n for n in range(r, r + 5) if math.comb(n, r) <= 10])
+            bans = [(rng.randint(1, 4), rng.randint(1, 2 * r + 1))
+                    for _ in range(rng.randint(1, 3))]
+            want = util.naive_first_optimum(r, n, list(_subsets_by_top(n, r)), bans)
+            value, edges, _ = _branch_and_bound(r, n, [ConfigQuery(k, s) for k, s in bans])
+            assert (value, edges) == (len(want), want), (r, n, bans)
+
+    @staticmethod
+    def _spans_initial_segment(masks):
+        span = 0
+        for m in masks:
+            span |= m
+        return span & (span + 1) == 0
+
+    def test_every_node_spans_an_initial_segment(self, monkeypatch):
+        # Every node's chosen set, read off the kill step, spans exactly
+        # {0, ..., M}, and its edges come in candidate order.
+        seen: list[tuple[int, ...]] = []
+
+        class Recording(_Kills):
+            """Carries the chosen masks alongside the unions; each node
+            entered calls kill once."""
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.root_unions = ((), self.root_unions)
+
+            def kill(self, unions, mj):
+                chosen, inner = unions
+                seen.append(chosen + (mj,))
+                return super().kill(inner, mj)
+
+            def extend(self, unions, mj):
+                chosen, inner = unions
+                return (chosen + (mj,), super().extend(inner, mj))
+
+        monkeypatch.setattr(turan, "_Kills", Recording)
+        for r, n, queries in ((3, 7, family_queries(3, 6)), (4, 7, family_queries(4, 5)),
+                              (3, 7, [ConfigQuery(3, 5)]), (2, 7, [ConfigQuery(2, 3)])):
+            seen.clear()
+            nodes = _branch_and_bound(r, n, queries)[2]
+            assert len(seen) == nodes > 0, (r, n)
+            index = {_mask(e): i for i, e in enumerate(_subsets_by_top(n, r))}
+            for chosen in seen:
+                assert self._spans_initial_segment(chosen), chosen
+                idx = [index[m] for m in chosen]
+                assert idx == sorted(set(idx)), chosen
+
+    def test_greedy_descent_obeys_the_rule(self):
+        for r, n, k in ((3, 9, 5), (3, 9, 7), (4, 8, 6)):
+            masks = [_mask(e) for e in _greedy(r, n, family_queries(r, k)).witness.edges]
+            for i in range(1, len(masks) + 1):
+                assert self._spans_initial_segment(masks[:i]), (r, n, k, masks[:i])
 
 
 class TestLimits:
@@ -514,16 +579,29 @@ class TestPinnedAnswers:
             assert (res.value, res.witness.edges) == _pinned(text), (r, n, s, k)
 
     def test_larger_families(self):
-        # (n, k, witness, nodes), recorded at commit 387c457, whose search
-        # tested every live candidate with one configuration search per ban.
+        # (n, k, witness, nodes).  The witnesses were recorded at commit
+        # 387c457.  The node counts are those of the search with the symmetry
+        # rule; the search without it (commit 564fe9c) entered 5,283, 27,530
+        # and 148,575 nodes.
         for n, k, text, nodes in (
-            (7, 5, "012 013 014 015", 5283),
-            (7, 6, "012 013 014 015 016", 27530),
-            (8, 5, "012 013 014 235 467 567", 148575),
+            (7, 5, "012 013 014 015", 1272),
+            (7, 6, "012 013 014 015 016", 10264),
+            (8, 5, "012 013 014 235 467 567", 34995),
         ):
             res = exact_turan_family(3, n, k)
             assert (res.value, res.witness.edges) == _pinned(text), (n, k)
             assert res.nodes_explored == nodes, (n, k)
+
+    def test_n9_families(self):
+        # The r = 3 size cap.  Recorded at commit 564fe9c, whose search
+        # entered 11,321,652, 13,059,593 and 22,256,816 nodes for them.
+        for k, text in (
+            (5, "012 034 056 135 147 238 267 468 578"),
+            (6, "012 013 014 025 346 578 678"),
+            (7, "012 013 014 015 016 017"),
+        ):
+            res = exact_turan_family(3, 9, k)
+            assert (res.value, res.witness.edges) == _pinned(text), k
 
 
 def test_turan_doc_shape():

@@ -156,6 +156,20 @@ def naive_turan_family(r: int, n: int, k: int) -> int:
     return 0
 
 
+def naive_first_optimum(
+    r: int, n: int, cands: Sequence[tuple[int, ...]], bans: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, ...], ...]:
+    """The first largest subset of ``cands``, in itertools.combinations
+    order over the given candidate order, on which no (k, s) ban finds k
+    edges spanning at most s vertices."""
+    for size in range(len(cands), 0, -1):
+        for subset in itertools.combinations(cands, size):
+            F = build(r, n, subset)
+            if all(naive_find_config(F, k, s) is None for k, s in bans):
+                return subset
+    return ()
+
+
 def naive_enumerate_S(K: Hypergraph, e: int, d: int) -> list[tuple[int, ...]]:
     out = []
     vertex_sets = [set(x) for x in K.edges]
