@@ -453,14 +453,235 @@ def family_queries(r: int, k: int) -> list[ConfigQuery]:
 def is_family_free(G: Hypergraph, k: int) -> FreenessResult:
     """Check ``G`` against the whole forbidden family for parameter ``k``.
 
-    Queries run in a deterministic order (denser members by ascending ell,
-    then the main query), so the returned witness is reproducible.
+    Queries run in :func:`family_queries` order (denser members by
+    ascending ell, then the main query).  The answer names the first query
+    that has a configuration, with the witness :func:`find_configuration`
+    gives for it, the lexicographically first one.
+
+    **Lemma.**  Let no earlier query have a configuration, and let C be ell
+    edges on at most s vertices for the query (ell, s).  Then every edge h
+    of C meets V(C - h) in at least t = (r-2)*ell + 4 - s vertices: 2 for
+    the main query, 3 for a denser member.  More generally, for every
+    non-empty D smaller than C, the edges of C - D meet V(D) in at least t
+    vertices.  *Proof.*  A set of 1 <= j < ell edges spans at least
+    (r-2)*j + 2 vertices: for j >= 2 because the denser member with j edges
+    found nothing, for j = 1 because an edge has r vertices.  So
+    |V(D)| + |V(C - D)| >= (r-2)*ell + 4, while |V(C)| <= s.
+
+    So a configuration can be grown from its smallest edge through edges it
+    must contain (:func:`_first_anchor`), never looking at edges away from
+    what it has grown.  The search only finds the smallest edge index a
+    that starts a configuration; the witness is then ``a`` and the first
+    fitting (ell-1)-subset of the later edges, by :func:`_config_search`
+    with ``base`` the edge ``a``.  No smaller edge starts a configuration,
+    so this is the lexicographically first one.
     """
+    masks = G.edge_masks
+    incidence: dict[int, int] = {}  # vertex -> the edges through it
+    for j, e in enumerate(G.edges):
+        for v in e:
+            incidence[v] = incidence.get(v, 0) | 1 << j
     for q in family_queries(G.r, k):
-        w = find_configuration(G, q)
-        if w is not None:
-            return FreenessResult(False, w, q)
+        ell, s = q
+        a = _first_anchor(G, incidence, ell, s)
+        if a is not None:
+            rest = _config_search(masks[a + 1 :], ell - 1, s, base=masks[a])
+            assert rest is not None
+            return FreenessResult(False, (a,) + tuple(a + 1 + i for i in rest), q)
     return FreenessResult(True, None, None)
+
+
+def _peel(
+    G: Hypergraph,
+    incidence: dict[int, int],
+    degree: dict[int, int],
+    covered: list[int],
+    alive: int,
+    t: int,
+    doomed: list[int],
+) -> int:
+    """Drop the edges of ``doomed`` from the bitmask ``alive``, then, in
+    turn, every edge that meets the other live edges in fewer than t
+    vertices; returns the live edges.  ``degree[v]`` counts the live edges
+    through v, ``covered[h]`` the vertices of edge h that lie in another
+    live edge, and both are kept up to date."""
+    while doomed:
+        h = doomed.pop()
+        if not alive >> h & 1:
+            continue
+        alive ^= 1 << h
+        for v in G.edges[h]:
+            degree[v] -= 1
+            if degree[v] == 1:
+                g = (incidence[v] & alive).bit_length() - 1
+                covered[g] -= 1
+                if covered[g] < t:
+                    doomed.append(g)
+    return alive
+
+
+def _first_anchor(G: Hypergraph, incidence: dict[int, int], ell: int, s: int) -> Optional[int]:
+    """Smallest index of an edge that starts an ell-edge configuration on
+    at most s vertices, or ``None``, for a family query whose earlier
+    queries found nothing.  ``incidence[v]`` is the bitmask of the edges
+    through v.
+
+    By the lemma of :func:`is_family_free`, the edges of a configuration
+    each meet the others in at least t = (r-2)*ell + 4 - s vertices, so it
+    lies among the live edges left by peeling off the rest (:func:`_peel`).
+    Anchors are live edges taken in index order; once an anchor a has no
+    configuration, it is dropped and the peeling goes on.
+
+    For an anchor a, a node is a vertex set U of at most s vertices.  It
+    stands for D, the live edges from a on that lie inside U, and is a hit
+    once D has ell edges.  Vertex sets lose nothing: a configuration C
+    with smallest edge a lies inside V(C), and the lemma also holds for the
+    other edges inside V(C), whose vertices C covers.  A node carries
+    ``meets[i]``, the edges meeting U in at least i vertices, so the live
+    edges that still fit are those of ``meets[r - s + |U|]``.
+
+    Let U lie inside V(C) for a configuration C.  If an edge h of D meets
+    the others in c < t vertices, the edges inside V(C) but not in D cover
+    t - c of its r - c free vertices, so one of any r - t + 1 of them.  The
+    node branches on the fitting edges through the r - t + 1 free vertices
+    of h of lowest degree, for the h with the fewest such edges.  If no
+    edge is short, those edges meet U in at least t vertices, and the node
+    branches on the fitting edges through all of U but its t - 1 vertices
+    of highest degree.  Either way a child stays inside V(C), so the
+    search is complete.  A node is cut when fewer edges fit than are
+    missing, and each vertex set is entered once.  With at most two
+    vertices to spare a node is decided at once: the missing edges lie on
+    U and one or two new vertices, so it counts the fitting edges by their
+    new vertices.
+    """
+    masks = G.edge_masks
+    r = G.r
+    if s <= r or ell > len(masks):
+        return None
+    t = (r - 2) * ell + 4 - s
+    full = (1 << len(masks)) - 1
+    degree = {v: inc.bit_count() for v, inc in incidence.items()}
+    once = shared = 0  # vertices in one edge or more, in two or more
+    for mj in masks:
+        shared |= once & mj
+        once |= mj
+    covered = [(mj & shared).bit_count() for mj in masks]
+    doomed = [h for h, c in enumerate(covered) if c < t]
+    alive = _peel(G, incidence, degree, covered, full, t, doomed)
+    levels = range(r, 0, -1)
+    while alive:
+        bit = alive & -alive
+        a = bit.bit_length() - 1
+        scope = alive
+        alive ^= bit
+        if alive.bit_count() < ell - 1:
+            return None
+        meets = [full] + [0] * r
+        for v in G.edges[a]:
+            inc = incidence[v]
+            for i in levels:
+                meets[i] |= meets[i - 1] & inc
+        stack = [(masks[a], meets)]
+        seen: set[int] = set()
+        while stack:
+            union, meets = stack.pop()
+            inside = meets[r] & scope
+            missing = ell - inside.bit_count()
+            slack = s - union.bit_count()
+            fit = (meets[r - slack] if slack < r else full) & alive & ~inside
+            if fit.bit_count() < missing:
+                continue
+            if missing == 1:
+                return a
+            if slack <= 2:
+                # The rest of a configuration lies on U and at most two
+                # new vertices W: count the fitting edges outside U by
+                # their new vertices and take the best W.
+                one: dict[int, int] = {}
+                two: dict[int, int] = {}
+                rest = fit
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    w = masks[low.bit_length() - 1] & ~union
+                    if w & (w - 1):
+                        two[w] = two.get(w, 0) + 1
+                    else:
+                        one[w] = one.get(w, 0) + 1
+                best = sum(sorted(one.values(), reverse=True)[:slack])
+                for w, c in two.items():
+                    low = w & -w
+                    best = max(best, c + one.get(low, 0) + one.get(w ^ low, 0))
+                if best >= missing:
+                    return a
+                continue
+            branch = _branch_set(G, incidence, degree, inside, union, fit, t)
+            while branch:
+                low = branch & -branch
+                branch ^= low
+                e = low.bit_length() - 1
+                child = union | masks[e]
+                if child in seen:
+                    continue
+                seen.add(child)
+                grown = list(meets)
+                for v in G.edges[e]:
+                    if not union >> v & 1:
+                        inc = incidence[v]
+                        for i in levels:
+                            grown[i] |= grown[i - 1] & inc
+                if (grown[r] & scope).bit_count() >= ell:
+                    return a
+                stack.append((child, grown))
+        alive = _peel(G, incidence, degree, covered, scope, t, [a])
+    return None
+
+
+def _branch_set(
+    G: Hypergraph,
+    incidence: dict[int, int],
+    degree: dict[int, int],
+    inside: int,
+    union: int,
+    fit: int,
+    t: int,
+) -> int:
+    """The edges a node of :func:`_first_anchor` branches on: the fitting
+    edges through the vertices that the rest of a configuration must
+    reach, for the edge set ``inside`` on the vertices ``union``."""
+    masks, r = G.edge_masks, G.r
+    hs = []
+    shared = seen = 0
+    rest = inside
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        h = low.bit_length() - 1
+        hs.append(h)
+        shared |= seen & masks[h]
+        seen |= masks[h]
+    # (vertices that need cover, how many of them) for each short edge, or
+    # failing those for the whole union
+    needs = []
+    for h in hs:
+        free = masks[h] & ~shared
+        want = t - r + free.bit_count()
+        if want > 0:
+            needs.append(([v for v in G.edges[h] if free >> v & 1], want))
+    if not needs:
+        needs.append((_mask_to_list(union), t))
+    best = -1
+    for vs, want in needs:
+        if want > 1:
+            vs.sort(key=degree.__getitem__)
+            del vs[len(vs) - want + 1 :]
+        b = 0
+        for v in vs:
+            b |= incidence[v]
+        b &= fit
+        if best < 0 or b.bit_count() < best.bit_count():
+            best = b
+    return best
 
 
 def family_violation_containing(
@@ -512,67 +733,74 @@ def classify_tree(F: Hypergraph) -> TreeClass:
         return NOT_TREE
     if m == 1:
         return TreeClass.path(1)
-    masks = F.edge_masks
-    if _grows_in_order(masks, path=True):
+    holders: dict[int, int] = {}  # pair, as a vertex mask -> the edges containing it
+    for j, e in enumerate(F.edges):
+        for x, y in itertools.combinations(e, 2):
+            pair = 1 << x | 1 << y
+            holders[pair] = holders.get(pair, 0) | 1 << j
+    near = [0] * m  # the edges sharing a pair with edge j
+    for sharing in holders.values():
+        if sharing & (sharing - 1):
+            rest = sharing
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                near[low.bit_length() - 1] |= sharing ^ low
+    if _grows_in_order(F.edge_masks, holders, near, path=True):
         return TreeClass.path(m)
-    if _grows_in_order(masks, path=False):
+    if _grows_in_order(F.edge_masks, holders, near, path=False):
         return TreeClass.tree(m)
     return NOT_TREE
 
 
-def _grows_in_order(masks: Sequence[int], path: bool) -> bool:
+def _grows_in_order(
+    masks: Sequence[int], holders: dict[int, int], near: Sequence[int], path: bool
+) -> bool:
     """Can the edges be ordered so that each one after the first meets the
     union so far in exactly one pair, and that pair lies in an earlier edge
     (for ``path``: in the previous edge and in no edge before it)?
+    ``holders`` maps each pair, as a vertex mask, to the edges containing
+    it, and ``near[j]`` holds the edges sharing a pair with edge j.
 
     A depth-first search from each first edge over an explicit stack, so
     long paths cannot exhaust the interpreter's recursion limit.  A state
     (the used edges, plus the last one for ``path``) that cannot be
-    completed is remembered and never expanded again.
+    completed is remembered and never expanded again.  The next edge shares
+    its pair with an earlier edge (for ``path``: with the last one), so only
+    the edges sharing a pair with those are tried.
     """
     m = len(masks)
     full = (1 << m) - 1
     failed: set = set()
     for first in range(m):
-        # Frames [used, union, last, next index to try].
-        stack = [[1 << first, masks[first], first, 0]]
+        # Frames [used, union, last, edges near the used ones, untried edges];
+        # the untried edges are None until the frame is first entered.
+        stack = [[1 << first, masks[first], first, near[first], None]]
         while stack:
             frame = stack[-1]
-            used, union, last, j = frame
-            if j == 0:
+            used, union, last, reach, todo = frame
+            if todo is None:
                 if used == full:
                     return True
                 if ((used, last) if path else used) in failed:
                     stack.pop()
                     continue
-            while j < m:
-                if not used >> j & 1:
-                    inter = masks[j] & union
-                    if inter.bit_count() == 2 and _pair_placed(masks, used, last, inter, path):
+                todo = (near[last] if path else reach) & ~used
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                j = low.bit_length() - 1
+                inter = masks[j] & union
+                if inter.bit_count() == 2:
+                    placed = holders[inter] & used
+                    if (placed == 1 << last) if path else placed:
+                        frame[4] = todo
+                        stack.append([used | low, union | masks[j], j, reach | near[j], None])
                         break
-                j += 1
-            if j < m:
-                frame[3] = j + 1
-                stack.append([used | 1 << j, union | masks[j], j, 0])
             else:
                 failed.add((used, last) if path else used)
                 stack.pop()
     return False
-
-
-def _pair_placed(masks: Sequence[int], used: int, last: int, inter: int, path: bool) -> bool:
-    """Does the pair ``inter`` lie in a used edge (for ``path``: in edge
-    ``last`` and in no other used edge)?"""
-    if path:
-        if masks[last] & inter != inter:
-            return False
-        used ^= 1 << last
-    while used:
-        low = used & -used
-        if masks[low.bit_length() - 1] & inter == inter:
-            return not path
-        used ^= low
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,18 @@ def _make_state(
     trace: tuple[MergeEvent, ...],
     rule: MergeRule,
 ) -> _PartState:
+    if len(edges) == 1:
+        # One edge spans (r-2)*1 + 2 vertices, so it 1-claims exactly its own
+        # pairs, has no wide evidence and no 3-edge subtree: the profile
+        # claim_profile would build, in closed form (every claim_cap >= 1).
+        pair_bits = {Pair(u, v): 2 for u, v in itertools.combinations(G.edges[edges[0]], 2)}
+        prof = ClaimProfile(
+            r=G.r, n=G.n, cap=rule.claim_cap, edge_count=1, all_bits=0, vertex_bits={},
+            pair_bits=pair_bits,
+        )
+        one = frozenset(pair_bits)
+        tp = frozenset() if rule.kind == "two_plus" else None
+        return _PartState(edges=tuple(edges), trace=trace, profile=prof, one_pairs=one, tp_pairs=tp)
     part = G.subgraph(edges)
     prof = claim_profile(part, rule.claim_cap)
     one = frozenset(p for p, b in prof.pair_bits.items() if b & 2)

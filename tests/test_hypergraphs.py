@@ -25,6 +25,7 @@ from beslab import (
     claimed_pairs,
     classify_tree,
     defect,
+    f63,
     family_queries,
     family_violation_containing,
     find_configuration,
@@ -306,12 +307,89 @@ class TestConfigurations:
             for k in (5, 6, 7):
                 res = is_family_free(G, k)
                 assert bool(res) == util.naive_family_free(G, k), (G.edges, k)
-                if not res:
-                    span = set()
-                    for i in res.witness:
-                        span |= set(G.edges[i])
-                    assert len(res.witness) == res.query.edge_count
-                    assert len(span) <= res.query.max_vertices
+                assert (res.query, res.witness) == _first_violation(G, k), (G.edges, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([3, 4, 5]), st.integers(2, 7), st.data())
+    def test_freeness_witness_is_the_first(self, r, k, data):
+        # At least k edges on few vertices, so most graphs hold some member
+        # and the witness comes from the fallback scan.
+        n = data.draw(st.integers(r + 1, r + 3))
+        cands = list(itertools.combinations(range(n), r))
+        m = data.draw(st.integers(min(k, len(cands)), min(10, len(cands))))
+        picks = data.draw(st.lists(st.sampled_from(cands), min_size=m, max_size=m, unique=True))
+        G = build(r, n, picks)
+        res = is_family_free(G, k)
+        assert (res.query, res.witness) == _first_violation(G, k)
+        assert res.free == (res.witness is None)
+
+    def test_freeness_matches_the_subset_scan(self):
+        # Sparse and dense random graphs against the lexicographic scan of
+        # find_configuration, query by query; the first three graphs are
+        # ones where a search branching on too few vertices of the union
+        # misses the main-query configuration.
+        graphs = [
+            build(3, 9, [(0, 1, 4), (0, 3, 4), (2, 4, 8), (2, 5, 6), (3, 6, 8), (4, 6, 8)]),
+            build(3, 8, [(0, 2, 4), (0, 2, 7), (1, 3, 7), (1, 5, 7), (3, 4, 7)]),
+            build(3, 7, [(0, 2, 3), (0, 2, 5), (1, 4, 6), (3, 4, 6), (3, 5, 6)]),
+        ]
+        rng = random.Random(47)
+        for _ in range(600):
+            r = rng.choice([2, 3, 3, 4, 5])
+            n = rng.randint(r, r + 6)
+            graphs.append(util.random_hypergraph(rng, r, n, rng.choice([6, 10, 14])))
+        for G in graphs:
+            for k in range(2, 9):
+                want = (None, None)
+                for q in family_queries(G.r, k):
+                    w = find_configuration(G, q)
+                    if w is not None:
+                        want = (q, w)
+                        break
+                res = is_family_free(G, k)
+                assert (res.query, res.witness) == want, (G.edges, k)
+
+    def test_every_edge_of_a_first_violation_meets_the_rest(self):
+        # The lemma behind is_family_free: in the first query with a hit,
+        # every configuration's edges each meet the others in at least 2
+        # vertices (main query) or 3 (denser member), and so does every
+        # proper part of it with the rest.
+        rng = random.Random(41)
+        hits = 0
+        for _ in range(400):
+            r = rng.choice([3, 3, 4, 5])
+            G = util.random_hypergraph(rng, r, rng.randint(r + 1, r + 5), 9)
+            k = rng.randint(2, 7)
+            query, _ = _first_violation(G, k)
+            if query is None:
+                continue
+            ell, s = query
+            t = 2 if query == family_queries(r, k)[-1] else 3
+            for combo in itertools.combinations(range(len(G.edges)), ell):
+                if len(_span(G, combo)) > s:
+                    continue
+                hits += 1
+                for size in range(1, ell):
+                    for part in itertools.combinations(combo, size):
+                        rest = [i for i in combo if i not in part]
+                        shared = _span(G, part) & _span(G, rest)
+                        assert len(shared) >= t, (G.edges, k, combo, part)
+        assert hits > 300
+
+    def test_large_graph_witnesses(self):
+        # Two disjoint f63 copies, then one extra edge closing a member.
+        F = f63()
+        edges = [tuple(v + 63 * c for v in e) for c in range(2) for e in F.edges]
+        G = build(3, 127, edges)
+        assert is_family_free(G, 6) == (True, None, None)
+        found = []
+        for extra in [(0, 1, 126), (3, 4, 66), (5, 70, 126), (0, 3, 4), (1, 3, 5)]:
+            H = build(3, 127, edges + [extra])
+            res = is_family_free(H, 6)
+            query = next((q for q in family_queries(3, 6) if find_configuration(H, q)), None)
+            assert (res.query, res.witness) == (query, query and find_configuration(H, query))
+            found.append(query and query.edge_count)
+        assert found == [6, 6, None, 4, 5]
 
     def test_violation_containing(self):
         rng = random.Random(31)
@@ -340,6 +418,23 @@ class TestConfigurations:
                         for i in subset:
                             span |= set(G.edges[i])
                         assert len(span) > q.max_vertices
+
+
+def _span(G, indices) -> set[int]:
+    out: set[int] = set()
+    for i in indices:
+        out |= set(G.edges[i])
+    return out
+
+
+def _first_violation(G, k):
+    """(query, witness) of the first family query with a naive hit, in
+    query order, and the first combination that query finds."""
+    for q in family_queries(G.r, k):
+        w = util.naive_find_config(G, q.edge_count, q.max_vertices)
+        if w is not None:
+            return q, w
+    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +519,13 @@ class TestTrees:
         edges = [(i, i + 1, i + 2) for i in range(1500)]
         assert classify_tree(build(3, 1502, edges)) == TreeClass.path(1500)
         assert classify_tree(build(3, 1502, edges[::-1])) == TreeClass.path(1500)
+
+    def test_tight_path_with_a_branch_edge(self):
+        # The path search fails from every first edge here; it used to
+        # rescan all m edges at every step (21 s at m = 400).
+        m = 400
+        edges = [(i, i + 1, i + 2) for i in range(m)] + [(m // 2, m // 2 + 1, m + 2)]
+        assert classify_tree(build(3, m + 3, edges)) == TreeClass.tree(m + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import util
+from beslab import merging
 from beslab import (
     MergeRule,
     NoOrder,
@@ -16,6 +17,8 @@ from beslab import (
     RULE_2PLUS,
     RULE_3PLUS,
     build,
+    claim_profile,
+    claimed_pairs,
     composition,
     diamond_star,
     m11,
@@ -79,6 +82,24 @@ class TestRules:
 
 
 class TestStages:
+    def test_one_edge_state_in_closed_form(self):
+        # A one-edge part skips claim_profile; its state must be the one the
+        # general path builds from the part's own subgraph.
+        rng = random.Random(43)
+        rules = (RULE_11, RULE_12, RULE_2PLUS, RULE_3PLUS, MergeRule.sets({2}, {5}))
+        for _ in range(40):
+            r = rng.choice([2, 3, 4, 5])
+            G = util.random_hypergraph(rng, r, rng.randint(r, 9), 6)
+            for i in range(len(G.edges)):
+                for rule in rules:
+                    got = merging._make_state(G, (i,), (), rule)
+                    part = G.subgraph([i])
+                    assert got.profile == claim_profile(part, rule.claim_cap)
+                    assert got.one_pairs == claimed_pairs(part, 1)
+                    want_tp = tp_pair_set(part) if rule.kind == "two_plus" else None
+                    assert got.tp_pairs == want_tp
+                    assert got.edges == (i,)
+
     def test_trivial(self):
         G = DIAMOND_PLUS_EDGE
         p = trivial_partition(G)
