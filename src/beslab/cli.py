@@ -30,7 +30,7 @@ from .constructions import (
     random_packing_construction,
     single_edge,
 )
-from .errors import NoOrder, NotFree, TooLarge, Unknown
+from .errors import NotFree, TooLarge, Unknown
 from .hypergraphs import Hypergraph, from_text, graph_doc, to_text
 from .merging import STAGES, partition_report
 from .turan import (
@@ -427,7 +427,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except NotFree as exc:
         print(f"not admissible: {exc}", file=sys.stderr)
         return 1
-    except (TooLarge, NoOrder) as exc:
+    except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

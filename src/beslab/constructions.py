@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import NotFree, Unknown
 from .hypergraphs import (
@@ -105,102 +105,6 @@ def lower_bound_ratio(F: Hypergraph, k: int) -> tuple[Fraction, set[Pair]]:
         return Fraction(0), set()
     pset = pairs_claimed_upto(F, k // 2)
     return Fraction(len(F.edges), 2 * len(pset)), pset
-
-
-# ---------------------------------------------------------------------------
-# Build-sequence decomposition (single edges and pair-anchored diamonds)
-
-
-def diamond_peel_order(F: Hypergraph) -> Optional[list[tuple[int, ...]]]:
-    """Build order for ``F`` in lone-edge / anchored-diamond steps, if any.
-
-    Each step adds either one edge sharing at most one vertex with the part
-    built so far, or a diamond (two edges sharing exactly two vertices)
-    whose overlap with the built part lies inside its tip pair (the two
-    vertices not shared between its edges, for r = 3).  Found by backtracking
-    over peelings from the full graph, depth first over an explicit stack so
-    that long graphs cannot exhaust the interpreter's recursion limit;
-    returns ``None`` when stuck.  An edge set that cannot be peeled is
-    remembered and never expanded again.
-    """
-    masks = F.edge_masks
-    failed: set[frozenset[int]] = set()
-
-    def last_steps(remaining: frozenset[int]) -> Iterator[tuple[int, ...]]:
-        """The steps that may have built ``remaining`` last, in trial order."""
-        order = sorted(remaining, reverse=True)
-        # lone edges first: cheapest step, try high indices first (outer layers)
-        for i in order:
-            others = 0
-            for j in remaining:
-                if j != i:
-                    others |= masks[j]
-            if (masks[i] & others).bit_count() <= 1:
-                yield (i,)
-        for i, j in itertools.combinations(order, 2):
-            inter = masks[i] & masks[j]
-            if inter.bit_count() != 2:
-                continue
-            span = masks[i] | masks[j]
-            tips = span & ~inter
-            others = 0
-            for h in remaining:
-                if h != i and h != j:
-                    others |= masks[h]
-            overlap = span & others
-            if overlap & ~tips:
-                continue
-            yield (j, i)
-
-    full = frozenset(range(len(F.edges)))
-    # stack[d] is the edge set left after peeling path[:d].
-    stack = [(full, last_steps(full))]
-    path: list[tuple[int, ...]] = []
-    while stack:
-        remaining, steps = stack[-1]
-        if not remaining:
-            return path[::-1]
-        step = next(steps, None)
-        if step is None:
-            failed.add(remaining)
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        rest = remaining.difference(step)
-        if rest not in failed:
-            path.append(step)
-            stack.append((rest, last_steps(rest)))
-    return None
-
-
-def check_peel_order(F: Hypergraph, steps: list[tuple[int, ...]]) -> bool:
-    """Verify a build sequence produced by :func:`diamond_peel_order`."""
-    built = 0
-    seen: set[int] = set()
-    masks = F.edge_masks
-    for step in steps:
-        if any(i in seen for i in step):
-            return False
-        if len(step) == 1:
-            i = step[0]
-            if (masks[i] & built).bit_count() > 1:
-                return False
-            built |= masks[i]
-        elif len(step) == 2:
-            i, j = step
-            inter = masks[i] & masks[j]
-            if inter.bit_count() != 2:
-                return False
-            span = masks[i] | masks[j]
-            tips = span & ~inter
-            if (span & built) & ~tips:
-                return False
-            built |= span
-        else:
-            return False
-        seen.update(step)
-    return len(seen) == len(F.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,6 @@ class NotFree(BeslabError):
         self.query = query
 
 
-class NoOrder(BeslabError):
-    """No valid trimming order extends the given partial cluster."""
-
-
 class Unknown(BeslabError, LookupError):
     """The requested value lies outside the table of known results."""
 

@@ -1,5 +1,5 @@
-"""r-uniform hypergraphs: shadows, claim sets, configuration search, girth,
-defect, and tree/path classification.
+"""r-uniform hypergraphs: shadows, claim sets, configuration search, and
+tree/path classification.
 
 Vertices are dense integers ``0..n-1`` so vertex sets fit in int bitmasks;
 all values are immutable after construction.  A pair ``uv`` is *i-claimed*
@@ -62,23 +62,6 @@ class FreenessResult(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.free
-
-
-class _AboveCapType:
-    """Singleton returned by :func:`girth` when no short configuration exists."""
-
-    _instance: Optional["_AboveCapType"] = None
-
-    def __new__(cls) -> "_AboveCapType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "AboveCap"
-
-
-ABOVE_CAP = _AboveCapType()
 
 
 @dataclass(frozen=True)
@@ -696,26 +679,7 @@ def family_violation_containing(
 
 
 # ---------------------------------------------------------------------------
-# Girth, defect, trees
-
-
-def girth(G: Hypergraph, cap: int):
-    """Least ``ell`` in ``[2, cap]`` with ``ell`` edges on at most
-    ``(r-2)*ell + 2`` vertices, or :data:`ABOVE_CAP` if none exists.
-    2-uniform graphs always return :data:`ABOVE_CAP`."""
-    if cap < 2:
-        raise ValueError(f"girth cap must be at least 2, got {cap}")
-    if G.r <= 2:
-        return ABOVE_CAP
-    for ell in range(2, cap + 1):
-        if find_configuration(G, ConfigQuery(ell, (G.r - 2) * ell + 2)) is not None:
-            return ell
-    return ABOVE_CAP
-
-
-def defect(F: Hypergraph) -> int:
-    """``r * |F| - |V(F)|``: how far below the disjoint-union vertex count."""
-    return F.r * len(F.edges) - F.vertex_mask.bit_count()
+# Trees
 
 
 def classify_tree(F: Hypergraph) -> TreeClass:

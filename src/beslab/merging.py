@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .errors import NoOrder
 from .hypergraphs import (
     ClaimProfile,
     Hypergraph,
@@ -176,11 +175,6 @@ def tp_pair_set(F: Hypergraph) -> frozenset[Pair]:
                 for x, y in itertools.combinations(vs, 2):
                     out.add(Pair(x, y))
     return frozenset(out)
-
-
-def two_plus_claims(F: Hypergraph, p: Pair) -> bool:
-    """True iff some 3-edge subtree of ``F`` 2-claims the pair ``p``."""
-    return p in tp_pair_set(F)
 
 
 @dataclass
@@ -428,105 +422,6 @@ def _pair_components(F: Hypergraph) -> list[tuple[int, ...]]:
     for a in range(m):
         groups.setdefault(find(a), []).append(a)
     return [tuple(sorted(g)) for g in sorted(groups.values())]
-
-
-def _base_parts(F: Cluster, rule: MergeRule) -> list[tuple[int, ...]]:
-    """Ambient edge-index tuples of F's base parts under ``rule``.
-
-    The base partition is the one the rule merges: single edges for
-    {1}|{1}; m11 components for {1}|{2} and 2+; m12 clusters for 3+.
-    Computed on the cluster's own part, which is sound because merging
-    only ever unites parts inside the cluster.
-    """
-    part = F.part
-    idx_map = list(F.edge_indices)  # position in part -> ambient index
-    if rule == RULE_11:
-        return [(i,) for i in idx_map]
-    if rule.kind == "sets" or rule.kind == "two_plus":
-        comps = _pair_components(part)
-        return [tuple(idx_map[i] for i in comp) for comp in comps]
-    # three_plus: base is the m12 partition of the part
-    sub = m12(part)
-    out = []
-    for c in sub.clusters:
-        out.append(tuple(sorted(idx_map[i] for i in c.edge_indices)))
-    return sorted(out)
-
-
-def trimming_order(
-    F0: Union[Hypergraph, Iterable[int]],
-    F: Cluster,
-    rule: MergeRule,
-    base_parts: Optional[list[tuple[int, ...]]] = None,
-) -> list[tuple[int, ...]]:
-    """Order the base parts of ``F`` outside ``F0`` so every prefix merges.
-
-    Returns ambient edge-index tuples; each returned part is mergeable (under
-    ``rule``) with the union of ``F0`` and the parts before it.  Any greedy
-    choice extends to a full order when one exists, so the first mergeable
-    part (by smallest edge index) is always taken.  Raises :class:`NoOrder`
-    when no part can be appended.
-    """
-    if isinstance(F0, Hypergraph):
-        edge_pos = {e: i for i, e in enumerate(F.ambient.edges)}
-        try:
-            start = frozenset(edge_pos[e] for e in F0.edges)
-        except KeyError as exc:
-            raise ValueError("F0 has edges outside the ambient graph") from exc
-    else:
-        start = frozenset(F0)
-    all_edges = frozenset(F.edge_indices)
-    if not start <= all_edges:
-        raise ValueError("F0 is not contained in the cluster")
-    if not start:
-        raise ValueError("F0 must contain at least one base part")
-    parts = base_parts if base_parts is not None else _base_parts(F, rule)
-    part_sets = [frozenset(p) for p in parts]
-    covered = frozenset().union(*part_sets) if part_sets else frozenset()
-    if covered != all_edges:
-        raise ValueError("base parts do not cover the cluster")
-    inside_union: frozenset[int] = frozenset()
-    for s in part_sets:
-        if s <= start:
-            inside_union |= s
-    if inside_union != start:
-        raise ValueError("F0 is not a union of base parts")
-    remaining = sorted(
-        (p for p, s in zip(parts, part_sets) if not s <= start), key=lambda p: p[0]
-    )
-    current = set(start)
-    order: list[tuple[int, ...]] = []
-    G = F.ambient
-    while remaining:
-        cur_state = _make_state(G, tuple(sorted(current)), (), rule)
-        pick = None
-        for p in remaining:
-            ps = _make_state(G, tuple(p), (), rule)
-            if _mergeable(cur_state, ps, rule, G.n) is not None:
-                pick = p
-                break
-        if pick is None:
-            raise NoOrder(
-                f"no base part is mergeable with the current prefix "
-                f"({sorted(current)}); {len(remaining)} parts remain"
-            )
-        order.append(pick)
-        current.update(pick)
-        remaining.remove(pick)
-    return order
-
-
-def replay_trace(start: Partition, cluster: Cluster) -> frozenset[int]:
-    """Re-run a cluster's trace over the start partition; returns edge indices."""
-    pool: dict[int, frozenset[int]] = {
-        c.id: frozenset(c.edge_indices) for c in start.clusters
-    }
-    live: dict[int, frozenset[int]] = dict(pool)
-    for ev in cluster.trace:
-        left = live.pop(ev.left)
-        right = live.pop(ev.right)
-        live[ev.new_id] = left | right
-    return live[cluster.id]
 
 
 def rule_doc(rule: MergeRule) -> dict:

@@ -465,21 +465,27 @@ def consistency_sweep(
     s_main = family_queries(r, k)[-1].max_vertices
     ns = list(range(r, n_max + 1))
     catalog = _catalog(r, k, n_max)
-    if threads > 1 and len(ns) > 1:
+    # Sizes over the cap are cache hits or TooLarge refusals: settle them
+    # before any search starts.
+    big = [n for n in ns if n > size_cap(r)]
+    small = [n for n in ns if n <= size_cap(r)]
+    fam = {n: exact_turan_family(r, n, k, cache_path=cache_path) for n in big}
+    plain = {n: exact_turan(r, n, s_main, k, cache_path=cache_path) for n in big}
+    if threads > 1 and len(small) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             fam_futs = {
                 n: pool.submit(exact_turan_family, r, n, k, False, cache_path)
-                for n in ns
+                for n in small
             }
             plain_futs = {
                 n: pool.submit(exact_turan, r, n, s_main, k, False, cache_path)
-                for n in ns
+                for n in small
             }
-            fam = {n: f.result() for n, f in fam_futs.items()}
-            plain = {n: f.result() for n, f in plain_futs.items()}
+            fam.update({n: f.result() for n, f in fam_futs.items()})
+            plain.update({n: f.result() for n, f in plain_futs.items()})
     else:
-        fam = {n: exact_turan_family(r, n, k, cache_path=cache_path) for n in ns}
-        plain = {n: exact_turan(r, n, s_main, k, cache_path=cache_path) for n in ns}
+        fam.update({n: exact_turan_family(r, n, k, cache_path=cache_path) for n in small})
+        plain.update({n: exact_turan(r, n, s_main, k, cache_path=cache_path) for n in small})
     try:
         coeff: Optional[Fraction] = bound_coefficient(rule_for(r, k))
     except Unknown:

@@ -45,7 +45,8 @@ _F_TABLE: dict[frozenset[int], Fraction] = {
     frozenset({3, 4}): Fraction(1),
 }
 
-_H_TABLE: dict[frozenset[int], Fraction] = {}
+# h indexed by claim mask: bit i - 1 of the index stands for claim index i.
+_H_TABLE: list[Fraction] = []
 for _bits in range(32):
     _A = frozenset(i + 1 for i in range(5) if _bits >> i & 1)
     _best = Fraction(0)
@@ -54,15 +55,7 @@ for _bits in range(32):
             _val = _F_TABLE.get(frozenset(_sub))
             if _val is not None and _val > _best:
                 _best = _val
-    _H_TABLE[_A] = _best
-
-
-def h_value(A) -> Fraction:
-    """Monotone weight of a set of claim indices ``A`` (subset of 1..5)."""
-    fa = frozenset(A)
-    if not fa <= {1, 2, 3, 4, 5}:
-        raise ValueError(f"claim indices must lie in 1..5, got {sorted(fa)}")
-    return _H_TABLE[fa]
+    _H_TABLE.append(_best)
 
 
 @dataclass(frozen=True)
@@ -198,31 +191,15 @@ def _pair_weight_map(F: Cluster, rule: WeightRule) -> dict[Pair, Fraction]:
     prof = claim_profile(part, 5)
     out = {}
     for u, v in itertools.combinations(part.vertices(), 2):
-        members = frozenset(i for i in range(1, 6) if prof.bits(u, v) >> i & 1)
-        val = _H_TABLE[members]
+        val = _H_TABLE[prof.bits(u, v) >> 1 & 31]
         if val:
             out[Pair(u, v)] = val
     return out
 
 
-def pair_weight(F: Cluster, p: Pair, rule: WeightRule) -> Fraction:
-    """Weight the rule assigns to pair ``p`` within cluster ``F``."""
-    return _pair_weight_map(F, rule).get(p, Fraction(0))
-
-
-def cluster_weight(F: Cluster, rule: WeightRule) -> Fraction:
-    """Total weight of ``F``: sum of pair weights over pairs inside V(F)."""
-    return sum(_pair_weight_map(F, rule).values(), Fraction(0))
-
-
 def _lambda_from_weight(w: Fraction, edge_count: int, rule: WeightRule) -> Fraction:
     info = _CASES[rule.case]
     return info.lambda_scale * (w - edge_count / info.coefficient(rule.r))
-
-
-def lambda_value(F: Cluster, rule: WeightRule) -> Fraction:
-    """Slack of the cluster: weight against its edge count (>= 0 when free)."""
-    return _lambda_from_weight(cluster_weight(F, rule), len(F.part.edges), rule)
 
 
 def bound_coefficient(rule: WeightRule) -> Fraction:

@@ -26,6 +26,7 @@ from beslab import (
     single_edge,
     to_text,
 )
+from beslab import turan
 from beslab.cli import _threads_from_env, run
 
 DIAMOND_TEXT = to_text(diamond_star(1))
@@ -621,6 +622,23 @@ class TestSweep:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_over_cap_exits_1_without_searching(self, threads, monkeypatch, capsys):
+        def no_search(*args):
+            raise AssertionError("the sweep searched before refusing")
+
+        monkeypatch.setattr(turan, "_branch_and_bound", no_search)
+        monkeypatch.setenv("BESLAB_THREADS", threads)
+        code, out, err = run_cli(
+            ["sweep", "--r", "3", "--k", "7", "--n-max", "11", "--no-cache"], capsys
+        )
+        # refused at the first size over the cap, n = 10
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: exact search for n=10 exceeds the n<=9 cap for r=3; "
+            "pass allow_large to force it\n"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,9 @@ from beslab import (
     RandomParams,
     Unknown,
     build,
-    check_peel_order,
     conflict_family_ids,
     construction_doc,
     constructions,
-    diamond_peel_order,
     diamond_star,
     enumerate_conflicts,
     enumerate_S,
@@ -86,53 +84,6 @@ class TestRatio:
         bad = build(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
         with pytest.raises(NotFree):
             lower_bound_ratio(bad, 5)
-
-
-class TestPeelOrder:
-    def test_single_edge(self):
-        assert diamond_peel_order(single_edge(3)) == [(0,)]
-
-    def test_star(self):
-        G = diamond_star(2)
-        steps = diamond_peel_order(G)
-        assert steps is not None
-        assert check_peel_order(G, steps)
-        assert sorted(i for step in steps for i in step) == [0, 1, 2, 3]
-
-    def test_big_star(self, big_star):
-        steps = diamond_peel_order(big_star)
-        assert steps is not None
-        assert check_peel_order(big_star, steps)
-        # one lone-edge step (the core), thirty anchored diamonds
-        assert sorted(len(s) for s in steps) == [1] + [2] * 30
-
-    def test_tetrahedron_has_no_order(self):
-        K4 = build(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-        assert diamond_peel_order(K4) is None
-
-    def test_checker_rejects_bad_sequences(self):
-        G = diamond_star(2)
-        steps = diamond_peel_order(G)
-        assert not check_peel_order(G, steps[:-1])  # incomplete
-        assert not check_peel_order(G, steps + [steps[0]])  # reuse
-        assert not check_peel_order(G, [(0, 1)])  # not a diamond
-        # an edge overlapping the built part in two vertices is not lone
-        H = build(3, 5, [(0, 1, 2), (0, 1, 3), (1, 3, 4)])
-        assert not check_peel_order(H, [(0,), (1,), (2,)])
-
-    def test_long_matching_needs_no_recursion(self):
-        # 1,100 disjoint edges: one peel per edge, deeper than the
-        # interpreter's recursion limit.
-        G = build(3, 3300, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1100)])
-        assert diamond_peel_order(G) == [(i,) for i in range(1100)]
-
-    def test_random_free_graphs_round_trip(self):
-        rng = random.Random(53)
-        for _ in range(30):
-            G = util.random_free_graph(rng, 3, 6, rng.randint(4, 9), attempts=25)
-            steps = diamond_peel_order(G)
-            if steps is not None:
-                assert check_peel_order(G, steps), G.edges
 
 
 class TestSparseSubgraphs:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import util
 from beslab import (
-    ABOVE_CAP,
     ConfigQuery,
     DuplicateEdge,
     NOT_TREE,
@@ -24,14 +23,12 @@ from beslab import (
     claim_set,
     claimed_pairs,
     classify_tree,
-    defect,
     f63,
     family_queries,
     family_violation_containing,
     find_configuration,
     find_configuration_containing,
     from_text,
-    girth,
     graph_doc,
     is_family_free,
     one_bar_two,
@@ -438,44 +435,7 @@ def _first_violation(G, k):
 
 
 # ---------------------------------------------------------------------------
-# Girth, defect, trees
-
-
-class TestGirthDefect:
-    def test_matches_naive(self, fuzz_corpus):
-        for G in fuzz_corpus:
-            if len(G.edges) > 7:
-                continue
-            for cap in (2, 4, 6):
-                g = girth(G, cap)
-                ng = util.naive_girth(G, cap)
-                if ng == "above":
-                    assert g is ABOVE_CAP
-                else:
-                    assert g == ng
-
-    def test_two_graphs_always_above(self):
-        G = build(2, 4, [(0, 1), (1, 2), (0, 2)])
-        assert girth(G, 10) is ABOVE_CAP
-
-    def test_defect(self):
-        assert defect(build(3, 5, [])) == 0 - 0
-        assert defect(build(3, 5, [(0, 1, 2)])) == 0
-        assert defect(build(3, 4, [(0, 1, 2), (0, 1, 3)])) == 2
-
-    @settings(max_examples=80, deadline=None)
-    @given(graphs(max_m=5), st.data())
-    def test_defect_monotone_under_addition(self, G, data):
-        cands = [
-            e
-            for e in itertools.combinations(range(G.n), G.r)
-            if e not in set(G.edges)
-        ]
-        if not cands:
-            return
-        e = data.draw(st.sampled_from(cands))
-        G2 = build(G.r, G.n, list(G.edges) + [e])
-        assert defect(G2) >= defect(G)
+# Trees
 
 
 class TestTrees:

@@ -1,4 +1,4 @@
-"""Cluster-merging partitions: rules, stages, traces, trimming orders."""
+"""Cluster-merging partitions: rules, stages, traces."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import util
 from beslab import merging
 from beslab import (
     MergeRule,
-    NoOrder,
     Pair,
     RULE_11,
     RULE_12,
@@ -27,11 +26,8 @@ from beslab import (
     m3plus,
     merge,
     partition_report,
-    replay_trace,
     tp_pair_set,
-    trimming_order,
     trivial_partition,
-    two_plus_claims,
 )
 
 # Fixture graphs distinguishing the four rules.
@@ -201,8 +197,8 @@ class TestTwoPlusPairs:
 
     def test_two_plus_claims_single(self):
         G = SUNFLOWER_PLUS_EDGE
-        assert two_plus_claims(G, Pair.of(2, 3))
-        assert not two_plus_claims(G, Pair.of(0, 5))
+        assert Pair.of(2, 3) in tp_pair_set(G)
+        assert Pair.of(0, 5) not in tp_pair_set(G)
 
 
 class TestDeterminism:
@@ -224,7 +220,7 @@ class TestTraces:
             start = trivial_partition(G)
             for stage in (m11, m3plus):
                 for c in stage(G).clusters:
-                    assert replay_trace(start, c) == frozenset(c.edge_indices)
+                    assert util.replay_trace(start, c) == frozenset(c.edge_indices)
 
     def test_trace_events_have_witness_pairs(self):
         p = m3plus(DIAMOND_PLUS_123)
@@ -251,44 +247,6 @@ class TestComposition:
         # the third round adds nothing here
         assert m3plus(big_star).edge_sets() == p.edge_sets()
         assert len(m11(big_star).clusters) == 31
-
-
-class TestTrimmingOrder:
-    def test_orders_base_parts(self):
-        p = m3plus(DIAMOND_PLUS_123)
-        (c,) = p.clusters
-        order = trimming_order(frozenset({0, 1}), c, RULE_3PLUS)
-        assert order == [(2, 3, 4)]
-        # starting graph may be given as a subgraph
-        F0 = DIAMOND_PLUS_123.subgraph([0, 1])
-        assert trimming_order(F0, c, RULE_3PLUS) == [(2, 3, 4)]
-
-    def test_full_prefix_property(self, big_star):
-        p = m12(big_star)
-        big = max(p.clusters, key=lambda c: len(c.edge_indices))
-        first = min(big.edge_indices)
-        order = trimming_order(frozenset({first}), big, RULE_12)
-        seen = {first}
-        for part in order:
-            assert seen.isdisjoint(part)
-            seen.update(part)
-        assert seen == set(big.edge_indices)
-
-    def test_no_order(self):
-        p = m3plus(DIAMOND_PLUS_123)
-        (c,) = p.clusters
-        with pytest.raises(NoOrder):
-            trimming_order(frozenset({0, 1}), c, RULE_11)
-
-    def test_validation(self):
-        p = m3plus(DIAMOND_PLUS_123)
-        (c,) = p.clusters
-        with pytest.raises(ValueError):
-            trimming_order(frozenset(), c, RULE_3PLUS)
-        with pytest.raises(ValueError):
-            trimming_order(frozenset({0}), c, RULE_3PLUS)  # not a base-part union
-        with pytest.raises(ValueError):
-            trimming_order(frozenset({99}), c, RULE_3PLUS)
 
 
 class TestReports:

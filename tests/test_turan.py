@@ -479,6 +479,14 @@ class TestSweep:
         assert report.ok
         assert all(row.bound_value is None and row.bound_ok is None for row in report.rows)
 
+    def test_over_cap_answered_from_cache(self, tmp_path):
+        path = str(tmp_path / "c.jsonl")
+        exact_turan_family(4, 9, 2, allow_large=True, cache_path=path)
+        exact_turan(4, 9, 6, 2, allow_large=True, cache_path=path)
+        report = consistency_sweep(4, 2, 9, cache_path=path)
+        assert [row.n for row in report.rows] == [4, 5, 6, 7, 8, 9]
+        assert report.rows[-1].family_value == 3
+
 
 def _pinned(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(value, edges) of a pinned witness: "012 013" is 2, ((0, 1, 2), (0, 1, 3))."""

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import util
+from beslab import weights
 from beslab import (
     NotFree,
     Unknown,
@@ -16,15 +17,11 @@ from beslab import (
     build,
     bound_coefficient,
     certify,
-    cluster_weight,
     diamond_star,
     f63,
-    h_value,
-    lambda_value,
     limit_table,
     m2plus,
     m11,
-    pair_weight,
     Pair,
     report_doc,
     rule_for,
@@ -39,6 +36,11 @@ EXCEPTIONAL_K6 = build(
     12,
     [(0, 1, 3, 9), (0, 6, 8, 9), (1, 5, 6, 7), (2, 3, 6, 10), (3, 4, 8, 11)],
 )
+
+
+def h_value(A) -> Fraction:
+    """The K63 base weight h of a set of claim indices (subset of 1..5)."""
+    return weights._H_TABLE[sum(1 << (i - 1) for i in A)]
 
 
 class TestBaseTable:
@@ -58,6 +60,16 @@ class TestBaseTable:
         assert h_value(set()) == 0
         assert h_value({4}) == 0
         assert h_value({4, 5}) == 0
+
+    def test_all_32_values_are_max_of_f_over_subsets(self):
+        assert len(weights._H_TABLE) == 32
+        for bits in range(32):
+            a = frozenset(i + 1 for i in range(5) if bits >> i & 1)
+            best = max(
+                (val for sub, val in weights._F_TABLE.items() if sub <= a),
+                default=Fraction(0),
+            )
+            assert weights._H_TABLE[bits] == best, sorted(a)
 
     def test_monotone_max_over_subsets(self):
         sets = []
@@ -128,18 +140,17 @@ class TestClusterWeights:
         G = single_edge(3)
         rep = certify(G, rule_for(3, 5))
         (c,) = rep.partition.clusters
-        assert cluster_weight(c, rep.rule) == 3
-        assert lambda_value(c, rep.rule) == 1
+        assert rep.per_cluster[c.id] == (3, 1)
         assert rep.certified
 
     def test_sunflower_deficit_pair(self):
         rep = certify(SUNFLOWER, rule_for(3, 5))
         (c,) = rep.partition.clusters
         # seven shadow pairs plus one unit on the deficit pair (2,3)
-        assert cluster_weight(c, rep.rule) == 8
-        assert lambda_value(c, rep.rule) == 1
-        assert pair_weight(c, Pair.of(2, 3), rep.rule) == 1
-        assert pair_weight(c, Pair.of(2, 4), rep.rule) == 0
+        assert rep.per_cluster[c.id] == (8, 1)
+        pw = weights._pair_weight_map(c, rep.rule)
+        assert pw.get(Pair.of(2, 3), 0) == 1
+        assert pw.get(Pair.of(2, 4), 0) == 0
         assert rep.certified
 
     def test_deficit_pair_blocked_by_rest(self):
@@ -147,18 +158,19 @@ class TestClusterWeights:
         G = build(3, 6, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 5)])
         rep = certify(G, rule_for(3, 5))
         tree = rep.partition.cluster_of_edge(0)
-        assert pair_weight(tree, Pair.of(2, 3), rep.rule) == 0
-        assert pair_weight(tree, Pair.of(2, 4), rep.rule) == 1
+        pw = weights._pair_weight_map(tree, rep.rule)
+        assert pw.get(Pair.of(2, 3), 0) == 0
+        assert pw.get(Pair.of(2, 4), 0) == 1
         assert rep.certified
 
     def test_diamond_k63(self):
         G = diamond_star(1)
         rep = certify(G, rule_for(3, 6))
         (c,) = rep.partition.clusters
-        assert cluster_weight(c, rep.rule) == Fraction(330, 61)
-        assert lambda_value(c, rep.rule) == 0
-        assert pair_weight(c, Pair.of(0, 1), rep.rule) == Fraction(25, 61)
-        assert pair_weight(c, Pair.of(2, 3), rep.rule) == 1
+        assert rep.per_cluster[c.id] == (Fraction(330, 61), 0)
+        pw = weights._pair_weight_map(c, rep.rule)
+        assert pw.get(Pair.of(0, 1), 0) == Fraction(25, 61)
+        assert pw.get(Pair.of(2, 3), 0) == 1
         assert rep.certified
 
     def test_two_diamonds_share_the_tip_pair(self):
@@ -172,8 +184,7 @@ class TestClusterWeights:
         from beslab import composition
 
         assert composition(c).sizes == (2, 1, 1, 1)
-        assert cluster_weight(c, rep.rule) == 30
-        assert lambda_value(c, rep.rule) == 0
+        assert rep.per_cluster[c.id] == (30, 0)
         assert rep.certified
 
     def test_k7_half_weight_on_late_pairs(self):
@@ -181,20 +192,20 @@ class TestClusterWeights:
         rep = certify(G, rule_for(3, 7))
         (c,) = rep.partition.clusters
         # w = 7 shadow pairs + (1/2) * 3 subtree pairs; lambda = 2w - 5m
-        assert cluster_weight(c, rep.rule) == Fraction(17, 2)
-        assert lambda_value(c, rep.rule) == 2
-        assert pair_weight(c, Pair.of(2, 3), rep.rule) == Fraction(1, 2)
+        assert rep.per_cluster[c.id] == (Fraction(17, 2), 2)
+        pw = weights._pair_weight_map(c, rep.rule)
+        assert pw.get(Pair.of(2, 3), 0) == Fraction(1, 2)
         assert rep.certified
 
     def test_wrong_stage_rejected(self):
         c = m11(SUNFLOWER).clusters[0]
         with pytest.raises(WrongStage):
-            cluster_weight(c, rule_for(3, 6))
+            weights._pair_weight_map(c, rule_for(3, 6))
         c2 = m2plus(SUNFLOWER).clusters[0]
         with pytest.raises(WrongStage):
-            cluster_weight(c2, rule_for(3, 5))
+            weights._pair_weight_map(c2, rule_for(3, 5))
         with pytest.raises(WrongStage):
-            cluster_weight(m11(single_edge(4)).clusters[0], rule_for(3, 5))
+            weights._pair_weight_map(m11(single_edge(4)).clusters[0], rule_for(3, 5))
 
 
 class TestCertify:

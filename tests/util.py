@@ -14,7 +14,9 @@ import random
 from typing import Optional, Sequence
 
 from beslab import (
+    Cluster,
     Hypergraph,
+    Partition,
     build,
     family_queries,
     family_violation_containing,
@@ -61,17 +63,6 @@ def naive_family_free(F: Hypergraph, k: int) -> bool:
         if naive_find_config(F, q.edge_count, q.max_vertices) is not None:
             return False
     return True
-
-
-def naive_girth(F: Hypergraph, cap: int):
-    """Least ell in [2, cap] with ell edges on (r-2)*ell + 2 or fewer
-    vertices; the string 'above' when none exists (2-graphs always)."""
-    if F.r <= 2:
-        return "above"
-    for ell in range(2, cap + 1):
-        if naive_find_config(F, ell, (F.r - 2) * ell + 2) is not None:
-            return ell
-    return "above"
 
 
 def naive_shadow(F: Hypergraph) -> set[tuple[int, int]]:
@@ -129,6 +120,15 @@ def naive_two_plus(F: Hypergraph, u: int, v: int) -> bool:
         ):
             return True
     return False
+
+
+def replay_trace(start: Partition, cluster: Cluster) -> frozenset[int]:
+    """Edge indices a cluster's merge trace builds from ``start``: each
+    event unites two live parts under a new id."""
+    live = {c.id: frozenset(c.edge_indices) for c in start.clusters}
+    for ev in cluster.trace:
+        live[ev.new_id] = live.pop(ev.left) | live.pop(ev.right)
+    return live[cluster.id]
 
 
 # ---------------------------------------------------------------------------
