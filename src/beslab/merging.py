@@ -216,7 +216,14 @@ def _make_state(
 def _sets_witness(
     sp: _PartState, sq: _PartState, a_bits: int, b_bits: int, n: int, tags: tuple[str, str]
 ) -> Optional[tuple[Pair, str]]:
-    """Smallest (pair, direction) making the two parts mergeable, if any."""
+    """Smallest (pair, direction) making the two parts mergeable, if any.
+
+    Only pairs inside T, the vertices either profile names in
+    ``vertex_bits`` or ``pair_bits``, can have bits of their own: a pair
+    (t, w) with w outside T has the bits of (t, w0) for w0 the smallest
+    vertex outside T, and a pair with no vertex in T those of the two
+    smallest vertices outside T.  So the wide scan covers T plus those two.
+    """
     best: Optional[tuple[Pair, str]] = None
     left_tag, right_tag = tags
     pp, qp = sp.profile, sq.profile
@@ -237,7 +244,12 @@ def _sets_witness(
                 if best is None or cand < best:
                     best = cand
     else:
-        for u, v in itertools.combinations(range(n), 2):
+        named = set(pp.vertex_bits) | set(qp.vertex_bits)
+        for prof in (pp, qp):
+            for pair in prof.pair_bits:
+                named.update(pair)
+        outside = itertools.islice((w for w in range(n) if w not in named), 2)
+        for u, v in itertools.combinations(sorted(named.union(outside)), 2):
             bits_p = pp.bits(u, v)
             bits_q = qp.bits(u, v)
             pair = Pair(u, v)
@@ -301,32 +313,68 @@ def merge(
 ) -> Partition:
     """Coarsen ``start`` under ``rule`` until no two parts are mergeable.
 
-    The default schedule always merges the candidate minimizing
-    (smaller id, larger id, pair, direction); passing ``rng`` picks a random
-    candidate instead (the fixpoint partition is the same either way).
+    The default schedule always merges the candidate with the smallest
+    (smaller id, larger id); passing ``rng`` picks a random candidate
+    instead (the fixpoint partition is the same either way).
+
+    Two parts can only have a witness if they share a key pair (a pair in
+    ``profile.pair_bits``, or in ``tp_pairs`` for ``two_plus``) or one of
+    them has wide evidence, so parts are indexed by key pair and each new
+    part is checked only against the parts sharing one of its keys plus the
+    wide parts (a wide new part against all parts).  No part that
+    ``certify`` builds is wide: a wide claim at index i needs i edges on at
+    most (r-2)*i + 1 vertices, which one edge (r vertices) never fits and
+    which for 2 <= i < k is a denser member of the family the graph is free
+    of, and every ``rule_for`` case merges with claim caps at most k - 1.
     """
     if start.ambient != G:
         raise ValueError("start partition does not belong to this graph")
-    states: dict[int, _PartState] = {
-        c.id: _make_state(G, c.edge_indices, c.trace, rule) for c in start.clusters
-    }
-    next_id = max(states, default=-1) + 1
+    states: dict[int, _PartState] = {}
+    holders: dict[Pair, set[int]] = {}
+    wide: set[int] = set()
     cands: dict[tuple[int, int], tuple[Pair, str]] = {}
-    ids = sorted(states)
-    for pos, i in enumerate(ids):
-        for j in ids[pos + 1 :]:
-            w = _mergeable(states[i], states[j], rule, G.n)
+
+    def file(new: int, st: _PartState) -> None:
+        # ``new`` exceeds every filed id, so candidate keys stay (smaller, larger).
+        found: set[int] = set(wide)
+        for pairs in (st.profile.pair_bits, st.tp_pairs or ()):
+            for pair in pairs:
+                ids = holders.get(pair)
+                if ids is None:
+                    holders[pair] = {new}
+                else:
+                    found |= ids
+                    ids.add(new)
+        if st.profile.has_wide_evidence:
+            found = set(states)
+            wide.add(new)
+        found.discard(new)  # a pair in both key sets already holds ``new``
+        for other in found:
+            w = _mergeable(states[other], st, rule, G.n)
             if w is not None:
-                cands[(i, j)] = w
+                cands[(other, new)] = w
+        states[new] = st
+
+    def unfile(old: int) -> _PartState:
+        st = states.pop(old)
+        for pairs in (st.profile.pair_bits, st.tp_pairs or ()):
+            for pair in pairs:
+                holders[pair].discard(old)
+        wide.discard(old)
+        return st
+
+    for c in sorted(start.clusters, key=lambda c: c.id):
+        file(c.id, _make_state(G, c.edge_indices, c.trace, rule))
+    next_id = max(states, default=-1) + 1
     while cands:
         if rng is None:
-            key = min(cands, key=lambda k: (k[0], k[1], cands[k][0], cands[k][1]))
+            key = min(cands)
         else:
             keys = sorted(cands)
             key = keys[rng.randrange(len(keys))]
         i, j = key
         pair, direction = cands[key]
-        si, sj = states.pop(i), states.pop(j)
+        si, sj = unfile(i), unfile(j)
         for other_key in [k for k in cands if i in k or j in k]:
             del cands[other_key]
         event = MergeEvent(next_id, i, j, pair, direction)
@@ -336,13 +384,7 @@ def merge(
             si.trace + sj.trace + (event,),
             rule,
         )
-        states[next_id] = merged
-        for other in sorted(states):
-            if other == next_id:
-                continue
-            w = _mergeable(states[other], merged, rule, G.n)
-            if w is not None:
-                cands[(other, next_id)] = w
+        file(next_id, merged)
         next_id += 1
     rule_stack = start.rule_stack + (rule,)
     stage = _STAGE_NAMES.get(rule_stack, "custom")

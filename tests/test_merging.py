@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
 from beslab import merging
 from beslab import (
+    ClaimProfile,
     MergeRule,
     Pair,
     RULE_11,
@@ -16,6 +21,7 @@ from beslab import (
     RULE_2PLUS,
     RULE_3PLUS,
     build,
+    certify,
     claim_profile,
     claimed_pairs,
     composition,
@@ -26,6 +32,7 @@ from beslab import (
     m3plus,
     merge,
     partition_report,
+    rule_for,
     tp_pair_set,
     trivial_partition,
 )
@@ -261,3 +268,134 @@ class TestReports:
             assert len(c["trace"]) == 1
             ev = c["trace"][0]
             assert set(ev) == {"new", "left", "right", "pair", "direction"}
+
+
+def _random_profile(rng: random.Random, n: int, named: list[int]) -> ClaimProfile:
+    """Claim bits 1..4 on random vertices and pairs among ``named``."""
+    vertex_bits = {v: rng.randrange(2, 32, 2) for v in named if rng.random() < 0.3}
+    pair_bits = {
+        Pair(u, v): rng.randrange(2, 32, 2)
+        for u, v in itertools.combinations(named, 2)
+        if rng.random() < 0.3
+    }
+    all_bits = rng.choice([0, 0, rng.randrange(2, 32, 2)])
+    return ClaimProfile(
+        r=3, n=n, cap=4, edge_count=0, all_bits=all_bits, vertex_bits=vertex_bits,
+        pair_bits=pair_bits,
+    )
+
+
+def _state(prof: ClaimProfile) -> merging._PartState:
+    return merging._PartState(edges=(), trace=(), profile=prof, one_pairs=frozenset(), tp_pairs=None)
+
+
+class TestSetsWitness:
+    def test_matches_full_scan(self):
+        # T (the named vertices) ranges from a few vertices to all but one
+        # (n = |T| + 1) and all of them; every pair of claim masks is tried.
+        rng = random.Random(47)
+        tried_wide = 0
+        for trial in range(48):
+            n = rng.randint(2, 9)
+            spare = trial % 3  # vertices left outside T: 0, 1 or more
+            size = n - spare if spare < 2 else rng.randint(0, n - 2)
+            named = sorted(rng.sample(range(n), size))
+            sp = _state(_random_profile(rng, n, named))
+            sq = _state(_random_profile(rng, n, named))
+            tried_wide += sp.profile.has_wide_evidence or sq.profile.has_wide_evidence
+            for a_bits in range(2, 32, 2):
+                for b_bits in range(2, 32, 2):
+                    args = (sp, sq, a_bits, b_bits, n, ("left", "right"))
+                    assert merging._sets_witness(*args) == util.naive_sets_witness(*args), (
+                        n, named, sp.profile, sq.profile, a_bits, b_bits,
+                    )
+        assert tried_wide > 30
+
+    def test_wide_probe_scan_ignores_unused_vertices(self, monkeypatch):
+        # The probe partitions the same at n = 12 and n = 800 and reads the
+        # same number of claim bits: the full scan read two per vertex pair.
+        reads = 0
+        inner = ClaimProfile.bits
+
+        def counted(self, u, v):
+            nonlocal reads
+            reads += 1
+            return inner(self, u, v)
+
+        monkeypatch.setattr(ClaimProfile, "bits", counted)
+        for tail in (2, 4):
+            docs, counts = [], []
+            for n in (12, 800):
+                reads = 0
+                docs.append(partition_report(m3plus(util.wide_probe(n, tail)))["clusters"])
+                counts.append(reads)
+            assert docs[0] == docs[1]
+            assert [c["edges"] for c in docs[0]] == [list(range(4 + tail))]
+            assert 0 < counts[0] == counts[1], counts
+
+
+class TestMergeIndex:
+    def _graphs(self, fuzz_corpus):
+        # The last graph files a narrow merged part after a wide merge.
+        shifted = [tuple(v + 7 for v in e) for e in DIAMOND_PLUS_123.edges]
+        return list(fuzz_corpus) + [
+            util.f63_copies(2),
+            diamond_star(8),
+            util.wide_probe(12, 2),
+            util.wide_probe(12, 4),
+            build(3, 14, list(util.wide_probe(14).edges) + shifted),
+        ]
+
+    def test_reports_match_all_pairs_merge(self, fuzz_corpus):
+        for G in self._graphs(fuzz_corpus):
+            for stage, run in merging.STAGES.items():
+                for seed in (None, 5):
+                    rng = None if seed is None else random.Random(seed)
+                    naive_rng = None if seed is None else random.Random(seed)
+                    got = json.dumps(partition_report(run(G, rng=rng)))
+                    want = json.dumps(partition_report(util.naive_stage(G, stage, naive_rng)))
+                    assert got == want, (G.edges, stage, seed)
+
+    @pytest.mark.parametrize(
+        "G, k", [(diamond_star(128), 5), (util.f63_copies(8), 6)], ids=["ds128", "f63x8"]
+    )
+    def test_certify_checks_linearly_many_pairs(self, G, k, monkeypatch):
+        # All-pairs checking made 57,024 and 267,996 calls on these graphs.
+        calls = 0
+        inner = merging._mergeable
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return inner(*args)
+
+        monkeypatch.setattr(merging, "_mergeable", counted)
+        assert certify(G, rule_for(3, k)).certified
+        assert 0 < calls <= 2 * len(G.edges)
+
+
+# (r, k) pairs reaching every rule_for case: K5R3, K5High, K63, K6High, K7.
+RULE_CASES = [(3, 5), (4, 5), (3, 6), (4, 6), (3, 7), (4, 7)]
+
+
+class TestNoWideEvidenceOnFreeGraphs:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(RULE_CASES), st.integers(0, 2**32), st.data())
+    def test_free_graph_profiles_are_narrow(self, case, seed, data):
+        # A wide claim at index i needs i edges on at most (r-2)i + 1
+        # vertices, a denser family member for 2 <= i < k, and no stage's
+        # claim cap reaches k.  Claims only grow with the edge set, so the
+        # whole graph's profile bounds every part's.
+        r, k = case
+        n = data.draw(st.integers(r + 1, 12))
+        G = util.random_free_graph(random.Random(seed), r, k, n, attempts=80)
+        rule = rule_for(r, k)
+        every = tuple(range(len(G.edges)))
+        for merge_rule in util.NAIVE_STAGE_RULES[rule.stage]:
+            assert merge_rule.claim_cap <= k - 1
+            state = merging._make_state(G, every, (), merge_rule)
+            assert not state.profile.has_wide_evidence, (G.edges, merge_rule)
+        last = util.NAIVE_STAGE_RULES[rule.stage][-1]
+        for c in merging.STAGES[rule.stage](G).clusters:
+            state = merging._make_state(G, c.edge_indices, (), last)
+            assert not state.profile.has_wide_evidence, (G.edges, c.edge_indices)

@@ -14,12 +14,21 @@ import random
 from typing import Optional, Sequence
 
 from beslab import (
+    RULE_11,
+    RULE_12,
+    RULE_2PLUS,
+    RULE_3PLUS,
     Cluster,
     Hypergraph,
+    MergeRule,
+    Pair,
     Partition,
     build,
+    f63,
     family_queries,
     family_violation_containing,
+    merging,
+    trivial_partition,
 )
 
 
@@ -129,6 +138,105 @@ def replay_trace(start: Partition, cluster: Cluster) -> frozenset[int]:
     for ev in cluster.trace:
         live[ev.new_id] = live.pop(ev.left) | live.pop(ev.right)
     return live[cluster.id]
+
+
+def naive_sets_witness(sp, sq, a_bits: int, b_bits: int, n: int, tags: tuple[str, str]):
+    """``merging._sets_witness`` by scanning every vertex pair below ``n``."""
+    best = None
+    left_tag, right_tag = tags
+    for u, v in itertools.combinations(range(n), 2):
+        bits_p = sp.profile.bits(u, v)
+        bits_q = sq.profile.bits(u, v)
+        if bits_p & a_bits == a_bits and bits_q & b_bits == b_bits:
+            cand = (Pair(u, v), left_tag)
+            if best is None or cand < best:
+                best = cand
+        if bits_p & b_bits == b_bits and bits_q & a_bits == a_bits:
+            cand = (Pair(u, v), right_tag)
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def naive_merge(G: Hypergraph, start: Partition, rule: MergeRule, rng=None) -> Partition:
+    """``merging.merge`` checking every pair of parts up front and every
+    new part against all others, with no index."""
+    states = {c.id: merging._make_state(G, c.edge_indices, c.trace, rule) for c in start.clusters}
+    next_id = max(states, default=-1) + 1
+    cands = {}
+    ids = sorted(states)
+    for pos, i in enumerate(ids):
+        for j in ids[pos + 1 :]:
+            w = merging._mergeable(states[i], states[j], rule, G.n)
+            if w is not None:
+                cands[(i, j)] = w
+    while cands:
+        if rng is None:
+            key = min(cands, key=lambda k: (k[0], k[1], cands[k][0], cands[k][1]))
+        else:
+            keys = sorted(cands)
+            key = keys[rng.randrange(len(keys))]
+        i, j = key
+        pair, direction = cands[key]
+        si, sj = states.pop(i), states.pop(j)
+        for other_key in [k for k in cands if i in k or j in k]:
+            del cands[other_key]
+        event = merging.MergeEvent(next_id, i, j, pair, direction)
+        merged = merging._make_state(
+            G, tuple(sorted(si.edges + sj.edges)), si.trace + sj.trace + (event,), rule
+        )
+        states[next_id] = merged
+        for other in sorted(states):
+            if other != next_id:
+                w = merging._mergeable(states[other], merged, rule, G.n)
+                if w is not None:
+                    cands[(other, next_id)] = w
+        next_id += 1
+    rule_stack = start.rule_stack + (rule,)
+    stage = merging._STAGE_NAMES.get(rule_stack, "custom")
+    ordered = sorted(states.items(), key=lambda kv: kv[1].edges[0] if kv[1].edges else -1)
+    clusters = tuple(
+        Cluster(cid, st.edges, G.subgraph(st.edges), st.trace, stage, G) for cid, st in ordered
+    )
+    return Partition(G, clusters, rule_stack, stage)
+
+
+# Each stage's rules on top of its base stage, as ``merging.STAGES`` runs them.
+NAIVE_STAGE_RULES = {
+    "m11": (RULE_11,),
+    "m12": (RULE_11, RULE_12),
+    "m2plus": (RULE_11, RULE_2PLUS),
+    "m3plus": (RULE_11, RULE_12, RULE_3PLUS),
+}
+
+
+def naive_stage(G: Hypergraph, stage: str, rng=None) -> Partition:
+    """A stage of ``merging.STAGES`` built with :func:`naive_merge`; only the
+    last round gets ``rng``, as in the library."""
+    rules = NAIVE_STAGE_RULES[stage]
+    p = trivial_partition(G)
+    for pos, rule in enumerate(rules):
+        p = naive_merge(G, p, rule, rng if pos == len(rules) - 1 else None)
+    return p
+
+
+def f63_copies(c: int) -> Hypergraph:
+    """``c`` vertex-disjoint copies of ``f63()``."""
+    F = f63()
+    return build(3, F.n * c, [tuple(v + F.n * i for v in e) for i in range(c) for e in F.edges])
+
+
+def wide_probe(n: int, tail: int = 2) -> Hypergraph:
+    """K4^(3) on {0, 1, 2, 3} plus a tight path of ``tail`` edges
+    (3, 4, 5), (4, 5, 6), ... on ``n`` vertices.
+
+    At ``m3plus`` the K4^(3) part 3-claims every pair at its vertices and
+    4-claims every pair (wide evidence).  The path part shares no key pair
+    with it, yet they merge through (3, 4).  The K4^(3) part enters
+    ``m3plus`` with the larger id for ``tail`` = 2 and the smaller for 4.
+    """
+    k4 = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    return build(3, n, k4 + [(3 + i, 4 + i, 5 + i) for i in range(tail)])
 
 
 # ---------------------------------------------------------------------------
