@@ -115,6 +115,13 @@ class Hypergraph:
         return tuple(out)
 
     @cached_property
+    def incidence(self) -> dict[int, int]:
+        """:func:`_incidence`, kept for callers that read it once per
+        cluster.  One-shot callers build their own, so that the graphs a
+        caller holds do not all keep one."""
+        return _incidence(self)
+
+    @cached_property
     def vertex_mask(self) -> int:
         m = 0
         for em in self.edge_masks:
@@ -132,6 +139,15 @@ class Hypergraph:
         """The sub-hypergraph on the given edge indices (same r and n)."""
         idx = sorted(set(indices))
         return Hypergraph(self.r, self.n, tuple(self.edges[i] for i in idx))
+
+
+def _incidence(G: Hypergraph) -> dict[int, int]:
+    """Vertex -> the bitmask of the edges through it, for covered vertices."""
+    out: dict[int, int] = {}
+    for j, e in enumerate(G.edges):
+        for v in e:
+            out[v] = out.get(v, 0) | 1 << j
+    return out
 
 
 def _mask_to_list(mask: int) -> list[int]:
@@ -190,40 +206,23 @@ def shadow(F: Hypergraph) -> set[Pair]:
 def claim_set(F: Hypergraph, p: Pair, cap: int) -> ClaimSet:
     """Exact claim set of pair ``p`` against ``F`` for indices ``0..cap``.
 
-    ``p``'s vertices need not lie in ``V(F)``; 0 is always a member.
+    ``p``'s vertices need not lie in ``V(F)``; 0 is always a member.  Index
+    i holds when the configuration search finds i edges that fit, together
+    with ``p``'s vertices, in (r-2)*i + 2 vertices; a vertex of ``p`` outside
+    ``0..n-1`` lies in no edge, so it takes one vertex off the budget.
     """
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
+    base = extra = 0
+    for w in (p.u, p.v):
+        if 0 <= w < F.n:
+            base |= 1 << w
+        else:
+            extra += 1
     members = {0}
-    r, m = F.r, len(F.edges)
-    eff = min(cap, m)
-    if eff >= 1:
-        base_mask = 0
-        extra = 0
-        for w in (p.u, p.v):
-            if 0 <= w < F.n:
-                base_mask |= 1 << w
-            else:
-                extra += 1
-        masks = F.edge_masks
-        budget = (r - 2) * eff + 2 - extra
-        found = 0
-
-        def rec(start: int, union: int, size: int) -> None:
-            nonlocal found
-            nxt = size + 1
-            for j in range(start, m):
-                u2 = union | masks[j]
-                cnt = u2.bit_count()
-                if cnt > budget:
-                    continue
-                if cnt <= (r - 2) * nxt + 2 - extra:
-                    found |= 1 << nxt
-                if nxt < eff:
-                    rec(j + 1, u2, nxt)
-
-        rec(0, base_mask, 0)
-        members.update(i for i in range(1, eff + 1) if found >> i & 1)
+    for i in range(1, min(cap, len(F.edges)) + 1):
+        if _config_search(F.edge_masks, i, (F.r - 2) * i + 2 - extra, base=base) is not None:
+            members.add(i)
     return ClaimSet(cap=cap, members=frozenset(members))
 
 
@@ -248,10 +247,6 @@ class ClaimProfile:
         b = self.all_bits | self.vertex_bits.get(u, 0) | self.vertex_bits.get(v, 0)
         key = Pair(u, v) if u < v else Pair(v, u)
         return b | self.pair_bits.get(key, 0)
-
-    def claim_members(self, u: int, v: int) -> frozenset[int]:
-        b = self.bits(u, v)
-        return frozenset({0} | {i for i in range(1, self.cap + 1) if b >> i & 1})
 
     @property
     def has_wide_evidence(self) -> bool:
@@ -460,10 +455,7 @@ def is_family_free(G: Hypergraph, k: int) -> FreenessResult:
     so this is the lexicographically first one.
     """
     masks = G.edge_masks
-    incidence: dict[int, int] = {}  # vertex -> the edges through it
-    for j, e in enumerate(G.edges):
-        for v in e:
-            incidence[v] = incidence.get(v, 0) | 1 << j
+    incidence = _incidence(G)
     for q in family_queries(G.r, k):
         ell, s = q
         a = _first_anchor(G, incidence, ell, s)

@@ -8,18 +8,20 @@ merge order; the default schedule is deterministic so traces reproduce.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .hypergraphs import (
     ClaimProfile,
     Hypergraph,
     Pair,
+    _incidence,
     _mask_to_list,
     claim_profile,
-    classify_tree,
 )
 
 
@@ -54,6 +56,20 @@ class MergeRule:
     @staticmethod
     def three_plus() -> "MergeRule":
         return MergeRule("three_plus")
+
+    @cached_property
+    def clauses(self) -> tuple[tuple[int, int, tuple[str, str]], ...]:
+        """(A bits, B bits, direction tags) of each claim-set clause the rule
+        tests, with bit i for claim index i; none for ``two_plus``."""
+        if self.kind == "sets":
+            a, b = (sum(1 << i for i in s) for s in (self.A, self.B))
+            return ((a, b, ("left_A", "right_A")),)
+        if self.kind == "three_plus":  # {1}|{3,4} and {1,2}|{3}
+            return (
+                (0b10, 0b11000, ("left_1_34", "right_1_34")),
+                (0b110, 0b1000, ("left_12_3", "right_12_3")),
+            )
+        return ()
 
     @property
     def claim_cap(self) -> int:
@@ -151,29 +167,41 @@ def trivial_partition(G: Hypergraph) -> Partition:
 def tp_pair_set(F: Hypergraph) -> frozenset[Pair]:
     """Pairs 2-claimed by some 3-edge subtree of ``F``.
 
-    Inside a valid 3-edge tree, 2-claims come exactly from its diamonds
-    (edge pairs sharing two vertices), covering the pairs in their span.
+    Two edges of a 3-edge tree span 2r - 2 vertices when they share two
+    (a diamond) and more otherwise, so the tree 2-claims exactly the pairs
+    spanned by its diamonds.
+
+    **Lemma.**  Let edges a and b share exactly two vertices.  Then
+    {a, b, c} is a 3-edge tree exactly when c meets V(a) | V(b) in two
+    vertices that lie both in a or both in b.  *Proof.*  If so, the order
+    a, b, c grows the tree.  Conversely, a 3-edge tree spans 3r - 4
+    vertices and a, b span 2r - 2, so c meets them in two vertices.  If c
+    is the last edge of a growing order, the tree rule puts those two in a
+    or in b.  If not, c shares exactly two vertices with the edge next to
+    it in the order, which is a or b, and those are all of c's two.
+
+    So the 2+ pairs are the pairs spanned by the diamonds that have such a
+    third edge.
     """
-    m = len(F.edges)
-    if m < 3:
-        return frozenset()
     masks = F.edge_masks
-    r = F.r
-    want_vertices = 3 * (r - 2) + 2
+    incidence = _incidence(F)
     out: set[Pair] = set()
-    for combo in itertools.combinations(range(m), 3):
-        union = masks[combo[0]] | masks[combo[1]] | masks[combo[2]]
-        if union.bit_count() != want_vertices:
-            continue
-        sub = F.subgraph(combo)
-        if not classify_tree(sub).is_tree:
-            continue
-        for a, b in itertools.combinations(combo, 2):
-            inter = masks[a] & masks[b]
-            if inter.bit_count() == 2:
-                vs = _mask_to_list(masks[a] | masks[b])
-                for x, y in itertools.combinations(vs, 2):
-                    out.add(Pair(x, y))
+    for a, ma in enumerate(masks):
+        near = 0
+        for v in F.edges[a]:
+            near |= incidence[v]
+        for b in _mask_to_list(near & -(2 << a)):  # the later edges that meet a
+            mb = masks[b]
+            if (ma & mb).bit_count() != 2:
+                continue
+            union = ma | mb
+            vs = _mask_to_list(union)
+            reach = 0
+            for v in vs:
+                reach |= incidence[v]
+            meets = (masks[c] & union for c in _mask_to_list(reach & ~(1 << a | 1 << b)))
+            if any(t.bit_count() == 2 and (t & ma == t or t & mb == t) for t in meets):
+                out.update(Pair(x, y) for x, y in itertools.combinations(vs, 2))
     return frozenset(out)
 
 
@@ -224,85 +252,45 @@ def _sets_witness(
     vertex outside T, and a pair with no vertex in T those of the two
     smallest vertices outside T.  So the wide scan covers T plus those two.
     """
-    best: Optional[tuple[Pair, str]] = None
-    left_tag, right_tag = tags
     pp, qp = sp.profile, sq.profile
     if not (pp.has_wide_evidence or qp.has_wide_evidence):
         small, big = (pp, qp) if len(pp.pair_bits) <= len(qp.pair_bits) else (qp, pp)
-        small_is_p = small is pp
-        for pair, sb in small.pair_bits.items():
-            bb = big.pair_bits.get(pair)
-            if bb is None:
-                continue
-            bits_p, bits_q = (sb, bb) if small_is_p else (bb, sb)
-            if bits_p & a_bits == a_bits and bits_q & b_bits == b_bits:
-                cand = (pair, left_tag)
-                if best is None or cand < best:
-                    best = cand
-            if bits_p & b_bits == b_bits and bits_q & a_bits == a_bits:
-                cand = (pair, right_tag)
-                if best is None or cand < best:
-                    best = cand
+        rows = [
+            (pair, pp.pair_bits[pair], qp.pair_bits[pair])
+            for pair in small.pair_bits
+            if pair in big.pair_bits
+        ]
     else:
         named = set(pp.vertex_bits) | set(qp.vertex_bits)
         for prof in (pp, qp):
             for pair in prof.pair_bits:
                 named.update(pair)
         outside = itertools.islice((w for w in range(n) if w not in named), 2)
-        for u, v in itertools.combinations(sorted(named.union(outside)), 2):
-            bits_p = pp.bits(u, v)
-            bits_q = qp.bits(u, v)
-            pair = Pair(u, v)
-            if bits_p & a_bits == a_bits and bits_q & b_bits == b_bits:
-                cand = (pair, left_tag)
-                if best is None or cand < best:
-                    best = cand
-            if bits_p & b_bits == b_bits and bits_q & a_bits == a_bits:
-                cand = (pair, right_tag)
-                if best is None or cand < best:
-                    best = cand
-    return best
-
-
-def _claim_bits(indices: Iterable[int]) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << i
-    return out
+        rows = [
+            (Pair(u, v), pp.bits(u, v), qp.bits(u, v))
+            for u, v in itertools.combinations(sorted(named.union(outside)), 2)
+        ]
+    left_tag, right_tag = tags
+    found = []
+    for pair, bits_p, bits_q in rows:
+        if bits_p & a_bits == a_bits and bits_q & b_bits == b_bits:
+            found.append((pair, left_tag))
+        if bits_p & b_bits == b_bits and bits_q & a_bits == a_bits:
+            found.append((pair, right_tag))
+    return min(found, default=None)
 
 
 def _mergeable(
     sp: _PartState, sq: _PartState, rule: MergeRule, n: int
 ) -> Optional[tuple[Pair, str]]:
     """Witness (pair, direction) if the two parts merge under ``rule``."""
-    if rule.kind == "sets":
-        return _sets_witness(
-            sp, sq, _claim_bits(rule.A), _claim_bits(rule.B), n, ("left_A", "right_A")
-        )
     if rule.kind == "two_plus":
-        best: Optional[tuple[Pair, str]] = None
         assert sp.tp_pairs is not None and sq.tp_pairs is not None
-        for pair in sp.one_pairs & sq.tp_pairs:
-            cand = (pair, "left_1")
-            if best is None or cand < best:
-                best = cand
-        for pair in sq.one_pairs & sp.tp_pairs:
-            cand = (pair, "right_1")
-            if best is None or cand < best:
-                best = cand
-        return best
-    # three_plus: {1}|{3,4} or {1,2}|{3}, either orientation
-    w1 = _sets_witness(
-        sp, sq, _claim_bits({1}), _claim_bits({3, 4}), n, ("left_1_34", "right_1_34")
-    )
-    w2 = _sets_witness(
-        sp, sq, _claim_bits({1, 2}), _claim_bits({3}), n, ("left_12_3", "right_12_3")
-    )
-    if w1 is None:
-        return w2
-    if w2 is None:
-        return w1
-    return min(w1, w2)
+        found = [(pair, "left_1") for pair in sp.one_pairs & sq.tp_pairs]
+        found += [(pair, "right_1") for pair in sq.one_pairs & sp.tp_pairs]
+    else:
+        found = [_sets_witness(sp, sq, a, b, n, tags) for a, b, tags in rule.clauses]
+    return min((w for w in found if w is not None), default=None)
 
 
 def merge(
@@ -315,7 +303,9 @@ def merge(
 
     The default schedule always merges the candidate with the smallest
     (smaller id, larger id); passing ``rng`` picks a random candidate
-    instead (the fixpoint partition is the same either way).
+    instead (the fixpoint partition is the same either way).  Candidates
+    wait in a heap, and one that names an already merged part is dropped
+    when it comes up.
 
     Two parts can only have a witness if they share a key pair (a pair in
     ``profile.pair_bits``, or in ``tp_pairs`` for ``two_plus``) or one of
@@ -332,7 +322,7 @@ def merge(
     states: dict[int, _PartState] = {}
     holders: dict[Pair, set[int]] = {}
     wide: set[int] = set()
-    cands: dict[tuple[int, int], tuple[Pair, str]] = {}
+    cands: list[tuple[int, int, Pair, str]] = []  # a heap of (i, j, pair, direction)
 
     def file(new: int, st: _PartState) -> None:
         # ``new`` exceeds every filed id, so candidate keys stay (smaller, larger).
@@ -352,7 +342,7 @@ def merge(
         for other in found:
             w = _mergeable(states[other], st, rule, G.n)
             if w is not None:
-                cands[(other, new)] = w
+                heapq.heappush(cands, (other, new) + w)
         states[new] = st
 
     def unfile(old: int) -> _PartState:
@@ -366,17 +356,19 @@ def merge(
     for c in sorted(start.clusters, key=lambda c: c.id):
         file(c.id, _make_state(G, c.edge_indices, c.trace, rule))
     next_id = max(states, default=-1) + 1
-    while cands:
+    while True:
         if rng is None:
-            key = min(cands)
+            while cands and not (cands[0][0] in states and cands[0][1] in states):
+                heapq.heappop(cands)
+            if not cands:
+                break
+            i, j, pair, direction = heapq.heappop(cands)
         else:
-            keys = sorted(cands)
-            key = keys[rng.randrange(len(keys))]
-        i, j = key
-        pair, direction = cands[key]
+            cands = sorted(c for c in cands if c[0] in states and c[1] in states)
+            if not cands:
+                break
+            i, j, pair, direction = cands[rng.randrange(len(cands))]
         si, sj = unfile(i), unfile(j)
-        for other_key in [k for k in cands if i in k or j in k]:
-            del cands[other_key]
         event = MergeEvent(next_id, i, j, pair, direction)
         merged = _make_state(
             G,

@@ -18,6 +18,7 @@ from .errors import NotFree, Unknown, WrongStage
 from .hypergraphs import (
     Hypergraph,
     Pair,
+    _mask_to_list,
     claim_profile,
     claim_set,
     classify_tree,
@@ -140,6 +141,11 @@ def _deficit_pair(F: Cluster) -> Optional[Pair]:
     The lexicographically smallest 2-not-1-claimed pair of the cluster whose
     claim set against the rest of the ambient graph misses both 1 and 2.
     Returns ``None`` when no pair qualifies.
+
+    Only the rest edges that meet p can claim p at index 1 or 2, so only
+    those are handed to :func:`claim_set`.  Index 1 needs an edge e with
+    p inside e.  Index 2 needs edges c, d with |c | d | p| <= 4, and an
+    edge d that misses p already has |d | p| = r + 2 = 5.
     """
     part = F.part
     if len(part.edges) not in (3, 4):
@@ -149,10 +155,11 @@ def _deficit_pair(F: Cluster) -> Optional[Pair]:
     candidates = sorted(one_bar_two(part))
     if not candidates:
         return None
+    G = F.ambient
     own = set(F.edge_indices)
-    rest = F.ambient.subgraph(i for i in range(len(F.ambient.edges)) if i not in own)
     for p in candidates:
-        cs = claim_set(rest, p, 2)
+        through = _mask_to_list(G.incidence[p.u] | G.incidence[p.v])
+        cs = claim_set(G.subgraph(i for i in through if i not in own), p, 2)
         if 1 not in cs.members and 2 not in cs.members:
             return p
     return None

@@ -202,6 +202,27 @@ class TestTwoPlusPairs:
                         v,
                     )
 
+    def test_matches_naive_on_dense_graphs(self):
+        # r = 5 and graphs that are not free: edges grown on two vertices
+        # of an earlier edge make many triples span exactly 3r - 4 vertices.
+        rng = random.Random(31)
+        for _ in range(30):
+            r = rng.choice([3, 4, 5])
+            n = 3 * r - 3
+            size = rng.randint(3, 7)
+            edges = {tuple(sorted(rng.sample(range(n), r)))}
+            while len(edges) < size:
+                if rng.random() < 0.7:
+                    pair = rng.sample(sorted(rng.choice(sorted(edges))), 2)
+                    rest = rng.sample([v for v in range(n) if v not in pair], r - 2)
+                    edges.add(tuple(sorted(pair + rest)))
+                else:
+                    edges.add(tuple(sorted(rng.sample(range(n), r))))
+            G = build(r, n, edges)
+            got = tp_pair_set(G)
+            for u, v in itertools.combinations(G.vertices(), 2):
+                assert (Pair(u, v) in got) == util.naive_two_plus(G, u, v), (G.edges, u, v)
+
     def test_two_plus_claims_single(self):
         G = SUNFLOWER_PLUS_EDGE
         assert Pair.of(2, 3) in tp_pair_set(G)
@@ -355,6 +376,20 @@ class TestMergeIndex:
                     got = json.dumps(partition_report(run(G, rng=rng)))
                     want = json.dumps(partition_report(util.naive_stage(G, stage, naive_rng)))
                     assert got == want, (G.edges, stage, seed)
+
+    def test_tree_copies_match_all_pairs_merge(self):
+        # Copies of the tree {012, 013, 124}, disjoint or sharing a vertex
+        # with the next copy, leave many parts and candidates in flight.
+        trees = [(0, 1, 2), (0, 1, 3), (1, 2, 4)]
+        for step in (5, 4):
+            G = build(3, 12 * step + 1, [tuple(v + step * i for v in e) for i in range(12) for e in trees])
+            for stage, run in merging.STAGES.items():
+                for seed in (None, 2):
+                    rng = None if seed is None else random.Random(seed)
+                    naive_rng = None if seed is None else random.Random(seed)
+                    got = json.dumps(partition_report(run(G, rng=rng)))
+                    want = json.dumps(partition_report(util.naive_stage(G, stage, naive_rng)))
+                    assert got == want, (step, stage, seed)
 
     @pytest.mark.parametrize(
         "G, k", [(diamond_star(128), 5), (util.f63_copies(8), 6)], ids=["ds128", "f63x8"]

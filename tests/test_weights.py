@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,9 +20,11 @@ from beslab import (
     certify,
     diamond_star,
     f63,
+    family_violation_containing,
     limit_table,
     m2plus,
     m11,
+    one_bar_two,
     Pair,
     report_doc,
     rule_for,
@@ -206,6 +209,79 @@ class TestClusterWeights:
             weights._pair_weight_map(c2, rule_for(3, 5))
         with pytest.raises(WrongStage):
             weights._pair_weight_map(m11(single_edge(4)).clusters[0], rule_for(3, 5))
+
+
+def _tree_with_rest(seed: int, free: bool = True):
+    """A 3-edge tree on 0..4 plus random edges through its vertices; with
+    ``free``, an edge is kept only while the graph stays free for k = 5."""
+    rng = random.Random(seed)
+    tree = [(0, 1, 2), (0, 1, 3), (0, 1, 4)] if seed % 2 else [(0, 1, 2), (0, 1, 3), (1, 2, 4)]
+    extra = [e for e in itertools.combinations(range(9), 3) if min(e) <= 4 and e not in tree]
+    rng.shuffle(extra)
+    if not free:
+        return build(3, 9, tree + extra[: rng.randint(1, 8)])
+    edges = list(tree)
+    for e in extra[:40]:
+        trial = sorted(edges + [e])
+        if family_violation_containing(build(3, 9, trial), 5, trial.index(e)) is None:
+            edges = trial
+    return build(3, 9, edges)
+
+
+def _tree_copies(c: int):
+    """``c`` copies of the tree {012, 013, 124}, copy i shifted by 4i, so
+    consecutive copies share one vertex."""
+    trees = [(0, 1, 2), (0, 1, 3), (1, 2, 4)]
+    return build(3, 4 * c + 1, [tuple(v + 4 * i for v in e) for i in range(c) for e in trees])
+
+
+class TestDeficitPair:
+    def _check(self, G):
+        for c in m11(G).clusters:
+            assert weights._deficit_pair(c) == util.naive_deficit_pair(c), (G.edges, c.edge_indices)
+
+    def test_matches_naive_on_exhaustive_corpus(self, corpus_k5):
+        for G in corpus_k5:
+            self._check(G)
+
+    def test_matches_naive_with_rest_edges_through_the_pair(self):
+        blocked = 0
+        for seed in range(80):
+            G = _tree_with_rest(seed)
+            self._check(G)
+            tree = m11(G).cluster_of_edge(G.edges.index((0, 1, 2)))
+            if weights._deficit_pair(tree) != min(one_bar_two(tree.part), default=None):
+                blocked += 1
+        assert blocked > 0
+
+    def test_matches_naive_on_graphs_that_are_not_free(self):
+        # The restriction to edges through p uses only r = 3, not freeness;
+        # here rest edges often 2-claim a candidate pair with one edge
+        # through each of its vertices.
+        for seed in range(200):
+            self._check(_tree_with_rest(seed, free=False))
+        rng = random.Random(5)
+        for _ in range(60):
+            self._check(util.random_hypergraph(rng, 3, rng.randint(4, 8), 10))
+
+    def test_claim_checks_see_only_edges_through_the_pair(self, monkeypatch):
+        G = _tree_copies(60)
+        handed = []
+        inner = weights.claim_set
+
+        def counted(F, p, cap):
+            handed.append((F, p))
+            return inner(F, p, cap)
+
+        monkeypatch.setattr(weights, "claim_set", counted)
+        rule = rule_for(3, 5)
+        for c in m11(G).clusters:
+            weights._pair_weight_map(c, rule)
+        assert len(handed) >= 60
+        for F, p in handed:
+            through = [e for e in G.edges if p.u in e or p.v in e]
+            assert len(F.edges) <= len(through)
+            assert all(p.u in e or p.v in e for e in F.edges)
 
 
 class TestCertify:

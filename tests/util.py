@@ -131,6 +131,24 @@ def naive_two_plus(F: Hypergraph, u: int, v: int) -> bool:
     return False
 
 
+def naive_deficit_pair(c: Cluster) -> Optional[Pair]:
+    """``weights._deficit_pair`` from the definitions: for a 3- or 4-edge
+    tree cluster, the smallest pair of V(F) that F 2-claims but does not
+    1-claim and that the whole rest of the ambient graph neither 1- nor
+    2-claims."""
+    part = c.part
+    if len(part.edges) not in (3, 4) or naive_tree_kind(part) == "none":
+        return None
+    G = c.ambient
+    rest = G.subgraph(i for i in range(len(G.edges)) if i not in c.edge_indices)
+    for u, v in itertools.combinations(part.vertices(), 2):
+        if naive_claim_set(part, u, v, 2) & {1, 2} != {2}:
+            continue
+        if not naive_claim_set(rest, u, v, 2) & {1, 2}:
+            return Pair(u, v)
+    return None
+
+
 def replay_trace(start: Partition, cluster: Cluster) -> frozenset[int]:
     """Edge indices a cluster's merge trace builds from ``start``: each
     event unites two live parts under a new id."""
