@@ -8,6 +8,7 @@ merge order; the default schedule is deterministic so traces reproduce.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import random
@@ -220,24 +221,30 @@ def _make_state(
     trace: tuple[MergeEvent, ...],
     rule: MergeRule,
 ) -> _PartState:
-    if len(edges) == 1:
+    if len(edges) == 1 or rule.claim_cap == 1:
         # One edge spans (r-2)*1 + 2 vertices, so it 1-claims exactly its own
-        # pairs, has no wide evidence and no 3-edge subtree: the profile
-        # claim_profile would build, in closed form (every claim_cap >= 1).
-        pair_bits = {Pair(u, v): 2 for u, v in itertools.combinations(G.edges[edges[0]], 2)}
+        # pairs, and no edge is wide.  So a one-edge part, or any part under a
+        # cap-1 rule, has the profile of its shadow at index 1 (bit 1), the
+        # one claim_profile would build.  A 3-edge subtree needs three edges.
+        pair_bits = {
+            Pair(u, v): 2 for i in edges for u, v in itertools.combinations(G.edges[i], 2)
+        }
         prof = ClaimProfile(
-            r=G.r, n=G.n, cap=rule.claim_cap, edge_count=1, all_bits=0, vertex_bits={},
-            pair_bits=pair_bits,
+            r=G.r, n=G.n, cap=rule.claim_cap, edge_count=len(edges), all_bits=0,
+            vertex_bits={}, pair_bits=pair_bits,
         )
         one = frozenset(pair_bits)
-        tp = frozenset() if rule.kind == "two_plus" else None
-        return _PartState(edges=tuple(edges), trace=trace, profile=prof, one_pairs=one, tp_pairs=tp)
+        tp = None
+        if rule.kind == "two_plus":
+            tp = tp_pair_set(G.subgraph(edges)) if len(edges) >= 3 else frozenset()
+        return _PartState(
+            edges=tuple(sorted(edges)), trace=trace, profile=prof, one_pairs=one, tp_pairs=tp
+        )
     part = G.subgraph(edges)
     prof = claim_profile(part, rule.claim_cap)
     one = frozenset(p for p, b in prof.pair_bits.items() if b & 2)
-    tp = tp_pair_set(part) if rule.kind == "two_plus" else None
     return _PartState(
-        edges=tuple(sorted(edges)), trace=trace, profile=prof, one_pairs=one, tp_pairs=tp
+        edges=tuple(sorted(edges)), trace=trace, profile=prof, one_pairs=one, tp_pairs=None
     )
 
 
@@ -305,7 +312,9 @@ def merge(
     (smaller id, larger id); passing ``rng`` picks a random candidate
     instead (the fixpoint partition is the same either way).  Candidates
     wait in a heap, and one that names an already merged part is dropped
-    when it comes up.
+    when it comes up.  The random schedule keeps only the live candidates,
+    in one sorted list, and drops a merged part's entries through an index
+    of the entries that name each part.
 
     Two parts can only have a witness if they share a key pair (a pair in
     ``profile.pair_bits``, or in ``tp_pairs`` for ``two_plus``) or one of
@@ -322,7 +331,9 @@ def merge(
     states: dict[int, _PartState] = {}
     holders: dict[Pair, set[int]] = {}
     wide: set[int] = set()
-    cands: list[tuple[int, int, Pair, str]] = []  # a heap of (i, j, pair, direction)
+    # (i, j, pair, direction) entries: a heap, or with ``rng`` a sorted list
+    cands: list[tuple[int, int, Pair, str]] = []
+    naming: dict[int, list[tuple[int, int, Pair, str]]] = {}  # part -> its entries
 
     def file(new: int, st: _PartState) -> None:
         # ``new`` exceeds every filed id, so candidate keys stay (smaller, larger).
@@ -341,8 +352,15 @@ def merge(
         found.discard(new)  # a pair in both key sets already holds ``new``
         for other in found:
             w = _mergeable(states[other], st, rule, G.n)
-            if w is not None:
-                heapq.heappush(cands, (other, new) + w)
+            if w is None:
+                continue
+            entry = (other, new) + w
+            if rng is None:
+                heapq.heappush(cands, entry)
+            else:
+                bisect.insort(cands, entry)
+                naming.setdefault(other, []).append(entry)
+                naming.setdefault(new, []).append(entry)
         states[new] = st
 
     def unfile(old: int) -> _PartState:
@@ -364,10 +382,13 @@ def merge(
                 break
             i, j, pair, direction = heapq.heappop(cands)
         else:
-            cands = sorted(c for c in cands if c[0] in states and c[1] in states)
             if not cands:
                 break
             i, j, pair, direction = cands[rng.randrange(len(cands))]
+            for entry in naming.pop(i) + naming.pop(j):
+                at = bisect.bisect_left(cands, entry)
+                if at < len(cands) and cands[at] == entry:
+                    del cands[at]
         si, sj = unfile(i), unfile(j)
         event = MergeEvent(next_id, i, j, pair, direction)
         merged = _make_state(

@@ -4,12 +4,16 @@ Each rule assigns fractions to vertex pairs of a cluster so that the total
 weight is large against the edge count (slack ``lambda >= 0``) while every
 pair collects total weight at most 1 across the partition.  Together these
 certify an edge bound of ``coefficient * n*(n-1)/2`` for the ambient graph.
-All arithmetic uses :class:`fractions.Fraction`; nothing is floated.
+Nothing is floated.  Weights are :class:`fractions.Fraction` values;
+:func:`certify` sums them as integer numerators over D, the lcm of the
+denominators the weights of that call carry, so every sum is exact and
+each reported ``Fraction`` is built once from its integer numerator.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -57,6 +61,9 @@ for _bits in range(32):
             if _val is not None and _val > _best:
                 _best = _val
     _H_TABLE.append(_best)
+
+_ONE = Fraction(1)
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -171,26 +178,22 @@ def _pair_weight_map(F: Cluster, rule: WeightRule) -> dict[Pair, Fraction]:
     part = F.part
     case = rule.case
     if case == "K5R3":
-        out = {p: Fraction(1) for p in shadow(part)}
+        out = dict.fromkeys(shadow(part), _ONE)
         extra = _deficit_pair(F)
         if extra is not None:
-            out[extra] = Fraction(1)
+            out[extra] = _ONE
         return out
     if case in ("K5High", "K7"):
         p1 = shadow(part)
-        out = {p: Fraction(1) for p in p1}
-        late = Fraction(1) if case == "K5High" else Fraction(1, 2)
+        out = dict.fromkeys(p1, _ONE)
+        late = _ONE if case == "K5High" else _HALF
         for p in tp_pair_set(part) - p1:
             out[p] = late
         return out
     if case == "K6High":
         p1 = shadow(part)
-        out = {p: Fraction(1) for p in p1}
-        late = (
-            Fraction(1)
-            if composition(F).sizes == (2, 1, 1, 1)
-            else Fraction(1, 2)
-        )
+        out = dict.fromkeys(p1, _ONE)
+        late = _ONE if composition(F).sizes == (2, 1, 1, 1) else _HALF
         for p in one_bar_two(part):
             out[p] = late
         return out
@@ -202,11 +205,6 @@ def _pair_weight_map(F: Cluster, rule: WeightRule) -> dict[Pair, Fraction]:
         if val:
             out[Pair(u, v)] = val
     return out
-
-
-def _lambda_from_weight(w: Fraction, edge_count: int, rule: WeightRule) -> Fraction:
-    info = _CASES[rule.case]
-    return info.lambda_scale * (w - edge_count / info.coefficient(rule.r))
 
 
 def bound_coefficient(rule: WeightRule) -> Fraction:
@@ -249,22 +247,29 @@ def certify(G: Hypergraph, rule: WeightRule) -> WeightReport:
             res.query,
         )
     part = STAGES[rule.stage](G)
-    per_cluster: dict[int, tuple[Fraction, Fraction]] = {}
-    per_pair: dict[Pair, Fraction] = {}
-    for c in part.clusters:
-        pw = _pair_weight_map(c, rule)
-        w = sum(pw.values(), Fraction(0))
-        lam = _lambda_from_weight(w, len(c.part.edges), rule)
-        per_cluster[c.id] = (w, lam)
-        for p, val in pw.items():
-            per_pair[p] = per_pair.get(p, Fraction(0)) + val
+    maps = [(c, _pair_weight_map(c, rule)) for c in part.clusters]
+    D = math.lcm(*{val.denominator for _, pw in maps for val in pw.values()})
+    # lambda = scale * (W/D - e*b/a) for coefficient a/b and integer weight W
     coeff = bound_coefficient(rule)
+    a, b = coeff.numerator, coeff.denominator
+    scale = _CASES[rule.case].lambda_scale
+    certified = True
+    per_cluster: dict[int, tuple[Fraction, Fraction]] = {}
+    totals: dict[Pair, int] = {}
+    for c, pw in maps:
+        W = 0
+        for p, val in pw.items():
+            num = val.numerator * (D // val.denominator)  # D is a multiple: exact
+            W += num
+            totals[p] = totals.get(p, 0) + num
+        slack = W * a - len(c.part.edges) * b * D
+        certified = certified and slack >= 0
+        per_cluster[c.id] = (Fraction(W, D), Fraction(scale * slack, D * a))
+    certified = certified and all(t <= D for t in totals.values())
+    shared = {t: Fraction(t, D) for t in set(totals.values())}
+    per_pair = {p: shared[t] for p, t in totals.items()}
     edge_bound = coeff * Fraction(G.n * (G.n - 1), 2)
-    certified = (
-        all(lam >= 0 for _, lam in per_cluster.values())
-        and all(total <= 1 for total in per_pair.values())
-        and len(G.edges) <= edge_bound
-    )
+    certified = certified and len(G.edges) <= edge_bound
     return WeightReport(
         rule=rule,
         per_cluster=per_cluster,

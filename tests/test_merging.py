@@ -86,8 +86,9 @@ class TestRules:
 
 class TestStages:
     def test_one_edge_state_in_closed_form(self):
-        # A one-edge part skips claim_profile; its state must be the one the
-        # general path builds from the part's own subgraph.
+        # A one-edge part, and any part under a cap-1 rule, skips
+        # claim_profile; its state must be the one the general path builds
+        # from the part's own subgraph.
         rng = random.Random(43)
         rules = (RULE_11, RULE_12, RULE_2PLUS, RULE_3PLUS, MergeRule.sets({2}, {5}))
         for _ in range(40):
@@ -102,6 +103,17 @@ class TestStages:
                     want_tp = tp_pair_set(part) if rule.kind == "two_plus" else None
                     assert got.tp_pairs == want_tp
                     assert got.edges == (i,)
+            # Under a cap-1 rule every part takes the closed form.
+            for _ in range(3 if len(G.edges) >= 2 else 0):
+                edges = tuple(rng.sample(range(len(G.edges)), rng.randint(2, len(G.edges))))
+                part = G.subgraph(edges)
+                for rule in (RULE_11, RULE_2PLUS):
+                    got = merging._make_state(G, edges, (), rule)
+                    assert got.profile == claim_profile(part, 1)
+                    assert got.one_pairs == claimed_pairs(part, 1)
+                    want_tp = tp_pair_set(part) if rule is RULE_2PLUS else None
+                    assert got.tp_pairs == want_tp
+                    assert got.edges == tuple(sorted(edges))
 
     def test_trivial(self):
         G = DIAMOND_PLUS_EDGE

@@ -326,6 +326,46 @@ class TestCertify:
             assert rep.certified, G.edges
             assert len(G.edges) <= rep.edge_bound
 
+    @staticmethod
+    def assert_matches_naive(G, rule):
+        rep = certify(G, rule)
+        want = util.naive_certify(G, rule)
+        got = (rep.per_cluster, rep.per_pair, rep.edge_bound, rep.certified)
+        assert got == want, (rule.case, G.edges)
+        assert list(rep.per_pair) == list(want[1]), (rule.case, G.edges)
+        values = [v for wl in rep.per_cluster.values() for v in wl]
+        assert all(type(v) is Fraction for v in values + list(rep.per_pair.values()))
+        return rep
+
+    def test_matches_fraction_accumulation(self):
+        rng = random.Random(59)
+        for r, k in ((3, 5), (4, 5), (3, 6), (4, 6), (3, 7)):
+            rule = rule_for(r, k)
+            for _ in range(10):
+                G = util.random_free_graph(rng, r, k, rng.randint(6, 10), attempts=40)
+                assert self.assert_matches_naive(G, rule).certified, (r, k, G.edges)
+        fixed = ((f63(), 6), (diamond_star(8), 5), (EXCEPTIONAL_K6, 6), (build(3, 6, []), 7))
+        for G, k in fixed:
+            assert self.assert_matches_naive(G, rule_for(G.r, k)).certified
+
+    @pytest.mark.parametrize(
+        "factor",
+        [Fraction(2), Fraction(1, 2), Fraction(6, 7)],
+        ids=["double", "half", "six_sevenths"],
+    )
+    def test_matches_fraction_accumulation_under_other_tables(
+        self, monkeypatch, corpus_k6, factor
+    ):
+        # Doubled weights overfill pairs, halved ones leave lambda < 0, and
+        # a factor 6/7 puts a 7 into every denominator: D must follow it.
+        monkeypatch.setattr(weights, "_H_TABLE", [v * factor for v in weights._H_TABLE])
+        rule = rule_for(3, 6)
+        reports = [self.assert_matches_naive(G, rule) for G in corpus_k6[::3] + [f63()]]
+        assert not all(rep.certified for rep in reports)
+        if factor == Fraction(6, 7):
+            totals = [t for rep in reports for t in rep.per_pair.values()]
+            assert Fraction(330, 427) in totals  # h({1}) * 6/7 = (55/61)(6/7)
+
     def test_report_doc_shape(self):
         rep = certify(diamond_star(2), rule_for(3, 6))
         doc = report_doc(rep)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from beslab import (
@@ -29,6 +30,7 @@ from beslab import (
     family_violation_containing,
     merging,
     trivial_partition,
+    weights,
 )
 
 
@@ -236,6 +238,29 @@ def naive_stage(G: Hypergraph, stage: str, rng=None) -> Partition:
     for pos, rule in enumerate(rules):
         p = naive_merge(G, p, rule, rng if pos == len(rules) - 1 else None)
     return p
+
+
+def naive_certify(G: Hypergraph, rule: weights.WeightRule) -> tuple:
+    """``weights.certify`` on a free graph, summing its pair weights in
+    ``Fraction`` arithmetic one addition at a time: (per_cluster,
+    per_pair, edge_bound, certified)."""
+    info = weights._CASES[rule.case]
+    coeff = info.coefficient(rule.r)
+    per_cluster: dict = {}
+    per_pair: dict = {}
+    for c in merging.STAGES[rule.stage](G).clusters:
+        pw = weights._pair_weight_map(c, rule)
+        w = sum(pw.values(), Fraction(0))
+        per_cluster[c.id] = (w, info.lambda_scale * (w - len(c.part.edges) / coeff))
+        for p, val in pw.items():
+            per_pair[p] = per_pair.get(p, Fraction(0)) + val
+    edge_bound = coeff * Fraction(G.n * (G.n - 1), 2)
+    certified = (
+        all(lam >= 0 for _, lam in per_cluster.values())
+        and all(total <= 1 for total in per_pair.values())
+        and len(G.edges) <= edge_bound
+    )
+    return per_cluster, per_pair, edge_bound, certified
 
 
 def f63_copies(c: int) -> Hypergraph:
