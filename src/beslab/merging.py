@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from .hypergraphs import (
     ClaimProfile,
@@ -72,7 +72,7 @@ class MergeRule:
             )
         return ()
 
-    @property
+    @cached_property
     def claim_cap(self) -> int:
         if self.kind == "sets":
             return max(max(self.A), max(self.B))
@@ -208,19 +208,12 @@ def tp_pair_set(F: Hypergraph) -> frozenset[Pair]:
 
 @dataclass
 class _PartState:
-    edges: tuple[int, ...]
-    trace: tuple[MergeEvent, ...]
     profile: ClaimProfile
     one_pairs: frozenset[Pair]
     tp_pairs: Optional[frozenset[Pair]]
 
 
-def _make_state(
-    G: Hypergraph,
-    edges: tuple[int, ...],
-    trace: tuple[MergeEvent, ...],
-    rule: MergeRule,
-) -> _PartState:
+def _make_state(G: Hypergraph, edges: tuple[int, ...], rule: MergeRule) -> _PartState:
     if len(edges) == 1 or rule.claim_cap == 1:
         # One edge spans (r-2)*1 + 2 vertices, so it 1-claims exactly its own
         # pairs, and no edge is wide.  So a one-edge part, or any part under a
@@ -233,19 +226,13 @@ def _make_state(
             r=G.r, n=G.n, cap=rule.claim_cap, edge_count=len(edges), all_bits=0,
             vertex_bits={}, pair_bits=pair_bits,
         )
-        one = frozenset(pair_bits)
         tp = None
         if rule.kind == "two_plus":
             tp = tp_pair_set(G.subgraph(edges)) if len(edges) >= 3 else frozenset()
-        return _PartState(
-            edges=tuple(sorted(edges)), trace=trace, profile=prof, one_pairs=one, tp_pairs=tp
-        )
-    part = G.subgraph(edges)
-    prof = claim_profile(part, rule.claim_cap)
+        return _PartState(profile=prof, one_pairs=frozenset(pair_bits), tp_pairs=tp)
+    prof = claim_profile(G.subgraph(edges), rule.claim_cap)
     one = frozenset(p for p, b in prof.pair_bits.items() if b & 2)
-    return _PartState(
-        edges=tuple(sorted(edges)), trace=trace, profile=prof, one_pairs=one, tp_pairs=None
-    )
+    return _PartState(profile=prof, one_pairs=one, tp_pairs=None)
 
 
 def _sets_witness(
@@ -300,6 +287,103 @@ def _mergeable(
     return min((w for w in found if w is not None), default=None)
 
 
+# A rule's candidate finder is given the start parts (id -> sorted edges) and
+# ``push(i, j, witness)`` for i < j.  It pushes every mergeable pair of start
+# parts and returns ``join(i, j, new, edges)``, which, once parts i and j
+# have become ``new`` (the largest id yet) with ``edges``, pushes every
+# live part mergeable with ``new``.  The aliases exist for type checkers
+# only: built at run time, typing's cache would keep every re-import's
+# classes (and modules) alive.
+if TYPE_CHECKING:
+    _Push = Callable[[int, int, tuple[Pair, str]], None]
+    _Join = Callable[[int, int, int, tuple[int, ...]], None]
+
+
+def _by_claims(
+    G: Hypergraph, parts: dict[int, tuple[int, ...]], rule: MergeRule, push: _Push
+) -> _Join:
+    """Candidates by ``_mergeable``, against the parts sharing a key pair."""
+    states: dict[int, _PartState] = {}
+    holders: dict[Pair, set[int]] = {}
+    wide: set[int] = set()
+
+    def file(new: int, edges: tuple[int, ...]) -> None:
+        st = _make_state(G, edges, rule)
+        found: set[int] = set(wide)
+        for pairs in (st.profile.pair_bits, st.tp_pairs or ()):
+            for pair in pairs:
+                ids = holders.get(pair)
+                if ids is None:
+                    holders[pair] = {new}
+                else:
+                    found |= ids
+                    ids.add(new)
+        if st.profile.has_wide_evidence:
+            found = set(states)
+            wide.add(new)
+        found.discard(new)  # a pair in both key sets already holds ``new``
+        for other in found:
+            w = _mergeable(states[other], st, rule, G.n)
+            if w is not None:
+                push(other, new, w)
+        states[new] = st
+
+    def unfile(old: int) -> None:
+        st = states.pop(old)
+        for pairs in (st.profile.pair_bits, st.tp_pairs or ()):
+            for pair in pairs:
+                holders[pair].discard(old)
+        wide.discard(old)
+
+    def join(i: int, j: int, new: int, edges: tuple[int, ...]) -> None:
+        unfile(i)
+        unfile(j)
+        file(new, edges)
+
+    for cid in sorted(parts):
+        file(cid, parts[cid])
+    return join
+
+
+def _by_contraction(G: Hypergraph, parts: dict[int, tuple[int, ...]], push: _Push) -> _Join:
+    """Candidates under ``RULE_11`` from the neighbour maps of the two halves."""
+    holders: dict[tuple[int, int], list[int]] = {}  # shadow pair -> parts, ascending
+    for cid in sorted(parts):
+        for i in parts[cid]:
+            for uv in itertools.combinations(G.edges[i], 2):
+                ids = holders.get(uv)
+                if ids is None:
+                    holders[uv] = [cid]
+                elif ids[-1] != cid:
+                    ids.append(cid)
+    near: dict[int, dict[int, Pair]] = {cid: {} for cid in parts}  # part -> neighbour -> witness
+    for uv in sorted(uv for uv, ids in holders.items() if len(ids) > 1):
+        pair = Pair(*uv)
+        for a, b in itertools.combinations(holders[uv], 2):  # a < b
+            if b not in near[a]:  # pairs come in order, so the first is the witness
+                near[a][b] = near[b][a] = pair
+                push(a, b, (pair, "left_A"))
+
+    def join(i: int, j: int, new: int, edges: tuple[int, ...]) -> None:
+        row, other = near.pop(i), near.pop(j)
+        del row[j], other[i]
+        if len(row) < len(other):
+            row, other = other, row
+        for o, pair in other.items():
+            kept = row.get(o)
+            if kept is None or pair < kept:
+                row[o] = pair
+        for o, pair in row.items():
+            there = near[o]
+            there.pop(i, None)
+            there.pop(j, None)
+            there[new] = pair
+            push(o, new, (pair, "left_A"))
+        near[new] = row
+
+    return join
+
+
 def merge(
     G: Hypergraph,
     start: Partition,
@@ -318,65 +402,50 @@ def merge(
 
     Two parts can only have a witness if they share a key pair (a pair in
     ``profile.pair_bits``, or in ``tp_pairs`` for ``two_plus``) or one of
-    them has wide evidence, so parts are indexed by key pair and each new
-    part is checked only against the parts sharing one of its keys plus the
-    wide parts (a wide new part against all parts).  No part that
+    them has wide evidence, so under every rule but ``RULE_11`` parts are
+    indexed by key pair and each new part is checked only against the parts
+    sharing one of its keys plus the wide parts (a wide new part against
+    all parts).  No part that
     ``certify`` builds is wide: a wide claim at index i needs i edges on at
     most (r-2)*i + 1 vertices, which one edge (r vertices) never fits and
     which for 2 <= i < k is a denser member of the family the graph is free
     of, and every ``rule_for`` case merges with claim caps at most k - 1.
+
+    **Contraction lemma.**  Under ``RULE_11`` a part's claims are exactly
+    its shadow (its state at cap 1), and shadow(P | Q) = shadow(P) |
+    shadow(Q).  So a part O can merge with P | Q exactly when it can merge
+    with P or with Q, and the witness, the smallest shared pair, is the
+    smaller of those two witnesses.  Both orientations hold for every
+    shared pair, so the direction is always ``left_A``.  Under ``RULE_11``
+    each live part therefore keeps a map from each neighbour to their
+    witness, and a merge combines the two halves' maps, with no part state
+    and no ``_mergeable`` call.
     """
     if start.ambient != G:
         raise ValueError("start partition does not belong to this graph")
-    states: dict[int, _PartState] = {}
-    holders: dict[Pair, set[int]] = {}
-    wide: set[int] = set()
+    parts = {c.id: (tuple(sorted(c.edge_indices)), c.trace) for c in start.clusters}
     # (i, j, pair, direction) entries: a heap, or with ``rng`` a sorted list
     cands: list[tuple[int, int, Pair, str]] = []
     naming: dict[int, list[tuple[int, int, Pair, str]]] = {}  # part -> its entries
 
-    def file(new: int, st: _PartState) -> None:
-        # ``new`` exceeds every filed id, so candidate keys stay (smaller, larger).
-        found: set[int] = set(wide)
-        for pairs in (st.profile.pair_bits, st.tp_pairs or ()):
-            for pair in pairs:
-                ids = holders.get(pair)
-                if ids is None:
-                    holders[pair] = {new}
-                else:
-                    found |= ids
-                    ids.add(new)
-        if st.profile.has_wide_evidence:
-            found = set(states)
-            wide.add(new)
-        found.discard(new)  # a pair in both key sets already holds ``new``
-        for other in found:
-            w = _mergeable(states[other], st, rule, G.n)
-            if w is None:
-                continue
-            entry = (other, new) + w
-            if rng is None:
-                heapq.heappush(cands, entry)
-            else:
-                bisect.insort(cands, entry)
-                naming.setdefault(other, []).append(entry)
-                naming.setdefault(new, []).append(entry)
-        states[new] = st
+    def push(i: int, j: int, w: tuple[Pair, str]) -> None:
+        entry = (i, j) + w
+        if rng is None:
+            heapq.heappush(cands, entry)
+        else:
+            bisect.insort(cands, entry)
+            naming.setdefault(i, []).append(entry)
+            naming.setdefault(j, []).append(entry)
 
-    def unfile(old: int) -> _PartState:
-        st = states.pop(old)
-        for pairs in (st.profile.pair_bits, st.tp_pairs or ()):
-            for pair in pairs:
-                holders[pair].discard(old)
-        wide.discard(old)
-        return st
-
-    for c in sorted(start.clusters, key=lambda c: c.id):
-        file(c.id, _make_state(G, c.edge_indices, c.trace, rule))
-    next_id = max(states, default=-1) + 1
+    start_edges = {cid: edges for cid, (edges, _) in parts.items()}
+    if rule == RULE_11:
+        join = _by_contraction(G, start_edges, push)
+    else:
+        join = _by_claims(G, start_edges, rule, push)
+    next_id = max(parts, default=-1) + 1
     while True:
         if rng is None:
-            while cands and not (cands[0][0] in states and cands[0][1] in states):
+            while cands and not (cands[0][0] in parts and cands[0][1] in parts):
                 heapq.heappop(cands)
             if not cands:
                 break
@@ -389,29 +458,24 @@ def merge(
                 at = bisect.bisect_left(cands, entry)
                 if at < len(cands) and cands[at] == entry:
                     del cands[at]
-        si, sj = unfile(i), unfile(j)
-        event = MergeEvent(next_id, i, j, pair, direction)
-        merged = _make_state(
-            G,
-            tuple(sorted(si.edges + sj.edges)),
-            si.trace + sj.trace + (event,),
-            rule,
-        )
-        file(next_id, merged)
+        (ei, ti), (ej, tj) = parts.pop(i), parts.pop(j)
+        edges = tuple(sorted(ei + ej))
+        parts[next_id] = (edges, ti + tj + (MergeEvent(next_id, i, j, pair, direction),))
+        join(i, j, next_id, edges)
         next_id += 1
     rule_stack = start.rule_stack + (rule,)
     stage = _STAGE_NAMES.get(rule_stack, "custom")
-    ordered = sorted(states.items(), key=lambda kv: kv[1].edges[0] if kv[1].edges else -1)
+    ordered = sorted(parts.items(), key=lambda kv: kv[1][0][0] if kv[1][0] else -1)
     clusters = tuple(
         Cluster(
             id=cid,
-            edge_indices=st.edges,
-            part=G.subgraph(st.edges),
-            trace=st.trace,
+            edge_indices=edges,
+            part=G.subgraph(edges),
+            trace=trace,
             stage=stage,
             ambient=G,
         )
-        for cid, st in ordered
+        for cid, (edges, trace) in ordered
     )
     return Partition(G, clusters, rule_stack, stage)
 

@@ -96,24 +96,22 @@ class TestStages:
             G = util.random_hypergraph(rng, r, rng.randint(r, 9), 6)
             for i in range(len(G.edges)):
                 for rule in rules:
-                    got = merging._make_state(G, (i,), (), rule)
+                    got = merging._make_state(G, (i,), rule)
                     part = G.subgraph([i])
                     assert got.profile == claim_profile(part, rule.claim_cap)
                     assert got.one_pairs == claimed_pairs(part, 1)
                     want_tp = tp_pair_set(part) if rule.kind == "two_plus" else None
                     assert got.tp_pairs == want_tp
-                    assert got.edges == (i,)
             # Under a cap-1 rule every part takes the closed form.
             for _ in range(3 if len(G.edges) >= 2 else 0):
                 edges = tuple(rng.sample(range(len(G.edges)), rng.randint(2, len(G.edges))))
                 part = G.subgraph(edges)
                 for rule in (RULE_11, RULE_2PLUS):
-                    got = merging._make_state(G, edges, (), rule)
+                    got = merging._make_state(G, edges, rule)
                     assert got.profile == claim_profile(part, 1)
                     assert got.one_pairs == claimed_pairs(part, 1)
                     want_tp = tp_pair_set(part) if rule is RULE_2PLUS else None
                     assert got.tp_pairs == want_tp
-                    assert got.edges == tuple(sorted(edges))
 
     def test_trivial(self):
         G = DIAMOND_PLUS_EDGE
@@ -319,7 +317,7 @@ def _random_profile(rng: random.Random, n: int, named: list[int]) -> ClaimProfil
 
 
 def _state(prof: ClaimProfile) -> merging._PartState:
-    return merging._PartState(edges=(), trace=(), profile=prof, one_pairs=frozenset(), tp_pairs=None)
+    return merging._PartState(profile=prof, one_pairs=frozenset(), tp_pairs=None)
 
 
 class TestSetsWitness:
@@ -404,10 +402,14 @@ class TestMergeIndex:
                     assert got == want, (step, stage, seed)
 
     @pytest.mark.parametrize(
-        "G, k", [(diamond_star(128), 5), (util.f63_copies(8), 6)], ids=["ds128", "f63x8"]
+        "G, k, stage",
+        [(diamond_star(128), 5, "m11"), (util.f63_copies(8), 6, "m3plus")],
+        ids=["ds128", "f63x8"],
     )
-    def test_certify_checks_linearly_many_pairs(self, G, k, monkeypatch):
+    def test_certify_checks_linearly_many_pairs(self, G, k, stage, monkeypatch):
         # All-pairs checking made 57,024 and 267,996 calls on these graphs.
+        # m11 merges by contraction, with no _mergeable call, so K5R3 (which
+        # certifies at m11) makes none and K63 makes them only after m11.
         calls = 0
         inner = merging._mergeable
 
@@ -417,8 +419,69 @@ class TestMergeIndex:
             return inner(*args)
 
         monkeypatch.setattr(merging, "_mergeable", counted)
-        assert certify(G, rule_for(3, k)).certified
-        assert 0 < calls <= 2 * len(G.edges)
+        rule = rule_for(3, k)
+        assert rule.stage == stage
+        assert certify(G, rule).certified
+        if stage == "m11":
+            assert calls == 0
+        else:
+            assert 0 < calls <= 2 * len(G.edges)
+
+
+def _grouped_start(rng: random.Random, G) -> merging.Partition:
+    """Random clusters of 1-3 edges (edge order shuffled) under random,
+    non-contiguous ids, with empty traces."""
+    order = list(range(len(G.edges)))
+    rng.shuffle(order)
+    groups = []
+    while order:
+        cut = rng.randint(1, 3)
+        groups.append(tuple(order[:cut]))
+        order = order[cut:]
+    ids = rng.sample(range(4 * len(groups) + 3), len(groups))
+    clusters = tuple(
+        merging.Cluster(cid, edges, G.subgraph(edges), (), "custom", G)
+        for cid, edges in zip(ids, groups)
+    )
+    return merging.Partition(G, clusters, (), "custom")
+
+
+class TestContraction:
+    """``merge`` under RULE_11 finds a merged part's candidates from its two
+    halves' neighbour maps; the all-pairs merge must agree byte for byte."""
+
+    def _graphs(self, fuzz_corpus):
+        rng = random.Random(53)
+        non_free = [util.random_hypergraph(rng, rng.choice([3, 4]), rng.randint(5, 9), 14) for _ in range(30)]
+        trees = [(0, 1, 2), (0, 1, 3), (1, 2, 4)]
+        return list(fuzz_corpus) + non_free + [
+            util.f63_copies(2),
+            diamond_star(8),
+            util.wide_probe(12, 4),
+            build(3, 41, [tuple(v + 4 * i for v in e) for i in range(10) for e in trees]),
+        ]
+
+    def _starts(self, G, rng: random.Random):
+        yield "trivial", trivial_partition(G)
+        yield "grouped", _grouped_start(rng, G)
+        # Traces already present, and ids past the edge count.
+        yield "after_12", util.naive_merge(G, trivial_partition(G), RULE_12)
+        yield "after_grouped_12", util.naive_merge(G, _grouped_start(rng, G), RULE_12)
+        yield "m11", m11(G)
+
+    def test_matches_all_pairs_merge(self, fuzz_corpus):
+        rng = random.Random(59)
+        merged = 0
+        for G in self._graphs(fuzz_corpus):
+            for name, start in self._starts(G, rng):
+                for seed in (None, 1, 2, 3):
+                    got = merge(G, start, RULE_11, None if seed is None else random.Random(seed))
+                    want = util.naive_merge(G, start, RULE_11, None if seed is None else random.Random(seed))
+                    assert json.dumps(partition_report(got)) == json.dumps(partition_report(want)), (
+                        G.edges, name, seed,
+                    )
+                    merged += len(start.clusters) - len(got.clusters)
+        assert merged > 1000
 
 
 # (r, k) pairs reaching every rule_for case: K5R3, K5High, K63, K6High, K7.
@@ -440,9 +503,9 @@ class TestNoWideEvidenceOnFreeGraphs:
         every = tuple(range(len(G.edges)))
         for merge_rule in util.NAIVE_STAGE_RULES[rule.stage]:
             assert merge_rule.claim_cap <= k - 1
-            state = merging._make_state(G, every, (), merge_rule)
+            state = merging._make_state(G, every, merge_rule)
             assert not state.profile.has_wide_evidence, (G.edges, merge_rule)
         last = util.NAIVE_STAGE_RULES[rule.stage][-1]
         for c in merging.STAGES[rule.stage](G).clusters:
-            state = merging._make_state(G, c.edge_indices, (), last)
+            state = merging._make_state(G, c.edge_indices, last)
             assert not state.profile.has_wide_evidence, (G.edges, c.edge_indices)

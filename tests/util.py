@@ -181,7 +181,8 @@ def naive_sets_witness(sp, sq, a_bits: int, b_bits: int, n: int, tags: tuple[str
 def naive_merge(G: Hypergraph, start: Partition, rule: MergeRule, rng=None) -> Partition:
     """``merging.merge`` checking every pair of parts up front and every
     new part against all others, with no index."""
-    states = {c.id: merging._make_state(G, c.edge_indices, c.trace, rule) for c in start.clusters}
+    parts = {c.id: (tuple(sorted(c.edge_indices)), c.trace) for c in start.clusters}
+    states = {cid: merging._make_state(G, edges, rule) for cid, (edges, _) in parts.items()}
     next_id = max(states, default=-1) + 1
     cands = {}
     ids = sorted(states)
@@ -198,14 +199,14 @@ def naive_merge(G: Hypergraph, start: Partition, rule: MergeRule, rng=None) -> P
             key = keys[rng.randrange(len(keys))]
         i, j = key
         pair, direction = cands[key]
-        si, sj = states.pop(i), states.pop(j)
+        (ei, ti), (ej, tj) = parts.pop(i), parts.pop(j)
+        del states[i], states[j]
         for other_key in [k for k in cands if i in k or j in k]:
             del cands[other_key]
         event = merging.MergeEvent(next_id, i, j, pair, direction)
-        merged = merging._make_state(
-            G, tuple(sorted(si.edges + sj.edges)), si.trace + sj.trace + (event,), rule
-        )
-        states[next_id] = merged
+        edges = tuple(sorted(ei + ej))
+        parts[next_id] = (edges, ti + tj + (event,))
+        merged = states[next_id] = merging._make_state(G, edges, rule)
         for other in sorted(states):
             if other != next_id:
                 w = merging._mergeable(states[other], merged, rule, G.n)
@@ -214,9 +215,9 @@ def naive_merge(G: Hypergraph, start: Partition, rule: MergeRule, rng=None) -> P
         next_id += 1
     rule_stack = start.rule_stack + (rule,)
     stage = merging._STAGE_NAMES.get(rule_stack, "custom")
-    ordered = sorted(states.items(), key=lambda kv: kv[1].edges[0] if kv[1].edges else -1)
+    ordered = sorted(parts.items(), key=lambda kv: kv[1][0][0] if kv[1][0] else -1)
     clusters = tuple(
-        Cluster(cid, st.edges, G.subgraph(st.edges), st.trace, stage, G) for cid, st in ordered
+        Cluster(cid, edges, G.subgraph(edges), trace, stage, G) for cid, (edges, trace) in ordered
     )
     return Partition(G, clusters, rule_stack, stage)
 
