@@ -23,6 +23,8 @@ from .hypergraphs import (
     Hypergraph,
     Pair,
     _config_search,
+    _fitting_subsets,
+    _mask,
     build,
     find_configuration,
     graph_doc,
@@ -115,38 +117,16 @@ def enumerate_S(K: Hypergraph, e: int, d: int) -> list[tuple[int, ...]]:
     """All e-edge subgraphs of the packing ``K`` with defect exactly ``d``.
 
     Defect ``u*|S| - |V(S)|`` (``u`` = K's uniformity) never decreases as
-    edges are added, so branches exceeding ``d`` are cut; branches that
-    cannot reach ``d`` with the edges left are cut too.
+    edges are added, so an answer spans exactly ``u*e - d`` vertices and
+    each of its prefixes at most that many: the answers are the e-subsets
+    within that budget whose union has exactly ``u*e - d`` vertices.
     """
     if e < 1:
         raise ValueError(f"need at least one edge, got e={e}")
     if d < 0:
         raise ValueError(f"defect must be non-negative, got d={d}")
-    u = K.r
-    masks = K.edge_masks
-    m = len(masks)
-    out: list[tuple[int, ...]] = []
-
-    def rec(start: int, chosen: list[int], union: int, def_now: int) -> None:
-        size = len(chosen)
-        if size == e:
-            if def_now == d:
-                out.append(tuple(chosen))
-            return
-        remaining = e - size
-        if def_now + remaining * u < d:
-            return
-        for j in range(start, m - remaining + 1):
-            u2 = union | masks[j]
-            d2 = u * (size + 1) - u2.bit_count()
-            if d2 > d:
-                continue
-            chosen.append(j)
-            rec(j + 1, chosen, u2, d2)
-            chosen.pop()
-
-    rec(0, [], 0, 0)
-    return out
+    size = K.r * e - d
+    return [S for S, union in _fitting_subsets(K.edge_masks, e, size) if union.bit_count() == size]
 
 
 def _has_isolated_edge(masks: Sequence[int], subset: Iterable[int]) -> bool:
@@ -197,11 +177,11 @@ def enumerate_conflicts(H: PackingPairGraph, family: str) -> list[tuple[tuple[in
     host sets are enumerated only over cliques with a partner in ``H``:
     the defect ``u*|S| - |V(S)|`` depends on S alone, so these are exactly
     the (e2, d2) sets all of whose members can be matched.  Each injective
-    pick of partners is then extended by a search over the remaining
-    cliques of the other packing.  Adding clique K to union U changes the
-    defect by ``u - |K - U| >= 0``, so the defect never falls: a branch
-    above d1, or one that cannot reach d1 even if every clique still to
-    add brought u, holds no extension, and cutting it loses none.
+    pick of partners is then extended by the other packing's remaining
+    cliques.  Adding clique K to union U changes the defect by
+    ``u - |K - U| >= 0``, so the defect never falls: an extension spans
+    exactly ``u*e1 - d1`` vertices with the picks, and so the search asks
+    for the subsets within that budget whose union has exactly that many.
     """
     if family not in _CONFLICT_FAMILIES:
         raise Unknown(f"unknown conflict family {family!r}")
@@ -217,23 +197,11 @@ def enumerate_conflicts(H: PackingPairGraph, family: str) -> list[tuple[tuple[in
         other = H.k2 if host_is_k1 else H.k1
         adj = adj1 if host_is_k1 else adj2
         u = other.r
-        if math.comb(u * e1 - d1, u) < e1:
+        size = u * e1 - d1
+        if math.comb(size, u) < e1:
             continue  # e1 distinct u-cliques do not fit on u*e1 - d1 vertices
         masks = other.edge_masks
         extends: dict[frozenset[int], bool] = {}
-
-        def grow(chosen: list[int], union: int, start: int, picks: frozenset[int]) -> bool:
-            size = len(chosen)
-            def_now = u * size - union.bit_count()
-            if def_now > d1 or def_now + (e1 - size) * u < d1:
-                return False
-            if size == e1:
-                return not (no_isolated and _has_isolated_edge(masks, chosen))
-            for j in range(start, len(masks)):
-                if j not in picks and grow(chosen + [j], union | masks[j], j + 1, picks):
-                    return True
-            return False
-
         active = sorted(adj)
         for S in enumerate_S(host.subgraph(active), e2, d2):
             members = [active[i] for i in S]
@@ -242,10 +210,15 @@ def enumerate_conflicts(H: PackingPairGraph, family: str) -> list[tuple[tuple[in
                 if len(key) < e2:
                     continue
                 if key not in extends:
-                    union = 0
+                    base = 0
                     for c in key:
-                        union |= masks[c]
-                    extends[key] = grow(list(key), union, 0, key)
+                        base |= masks[c]
+                    extends[key] = any(
+                        union.bit_count() == size
+                        and key.isdisjoint(T)
+                        and not (no_isolated and _has_isolated_edge(masks, key.union(T)))
+                        for T, union in _fitting_subsets(masks, e1 - e2, size, base)
+                    )
                 if extends[key]:
                     pairs = zip(members, picks) if host_is_k1 else zip(picks, members)
                     found.add(frozenset(pairs))
@@ -377,9 +350,7 @@ def random_packing_construction(params: RandomParams) -> ConstructionReport:
         kp = set(itertools.combinations(K, 2))
         if kp & used_pairs:
             continue
-        kmask = 0
-        for v in K:
-            kmask |= 1 << v
+        kmask = _mask(K)
         if not _packing_girth_ok(packing_masks, kmask, u, params.girth_cap):
             continue
         packing.append(K)

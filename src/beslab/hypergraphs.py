@@ -150,6 +150,14 @@ def _incidence(G: Hypergraph) -> dict[int, int]:
     return out
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    """The bitmask of a vertex set."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
 def _mask_to_list(mask: int) -> list[int]:
     out = []
     while mask:
@@ -255,50 +263,36 @@ class ClaimProfile:
 
 
 def claim_profile(F: Hypergraph, cap: int) -> ClaimProfile:
-    """Scan all edge subsets of size <= cap once, bucketing claims for reuse.
+    """Scan the edge subsets of each size 1..cap once, bucketing claims for
+    reuse.
 
     A subset ``S`` of size ``i`` with union ``U`` claims: every pair when
     ``|U| <= (r-2)i``, every pair touching ``U`` when ``|U| = (r-2)i + 1``,
-    and exactly the pairs inside ``U`` when ``|U| = (r-2)i + 2``.  Subsets
-    with ``|U| > (r-2)*cap + 2`` cannot contribute at any reachable size.
+    and exactly the pairs inside ``U`` when ``|U| = (r-2)i + 2``.  So size
+    ``i`` walks only the subsets within that last budget,
+    ``(r-2)i + 2`` vertices.  Nothing is lost: a subset that claims fits
+    it, and so does every prefix on the way to it, whose union is smaller.
     """
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
     r, m = F.r, len(F.edges)
-    eff = min(cap, m)
     all_bits = 0
     vertex_bits: dict[int, int] = {}
     pair_bits: dict[Pair, int] = {}
-    if eff >= 1:
-        masks = F.edge_masks
-        budget = (r - 2) * eff + 2
-
-        def rec(start: int, union: int, size: int) -> None:
-            nonlocal all_bits
-            nxt = size + 1
-            for j in range(start, m):
-                u2 = union | masks[j]
-                cnt = u2.bit_count()
-                if cnt > budget:
-                    continue
-                slack = (r - 2) * nxt + 2 - cnt
-                if slack >= 2:
-                    all_bits |= 1 << nxt
-                elif slack == 1:
-                    bit = 1 << nxt
-                    for v in _mask_to_list(u2):
-                        vertex_bits[v] = vertex_bits.get(v, 0) | bit
-                elif slack == 0:
-                    bit = 1 << nxt
-                    vs = _mask_to_list(u2)
-                    for ai in range(len(vs)):
-                        for bi in range(ai + 1, len(vs)):
-                            key = Pair(vs[ai], vs[bi])
-                            pair_bits[key] = pair_bits.get(key, 0) | bit
-                if nxt < eff:
-                    rec(j + 1, u2, nxt)
-
-        rec(0, 0, 0)
+    for i in range(1, min(cap, m) + 1):
+        bit = 1 << i
+        budget = (r - 2) * i + 2
+        for _, union in _fitting_subsets(F.edge_masks, i, budget):
+            slack = budget - union.bit_count()
+            if slack >= 2:
+                all_bits |= bit
+            elif slack == 1:
+                for v in _mask_to_list(union):
+                    vertex_bits[v] = vertex_bits.get(v, 0) | bit
+            else:
+                for a, b in itertools.combinations(_mask_to_list(union), 2):
+                    key = Pair(a, b)
+                    pair_bits[key] = pair_bits.get(key, 0) | bit
     return ClaimProfile(
         r=r,
         n=F.n,
@@ -352,21 +346,50 @@ def one_bar_two(F: Hypergraph) -> set[Pair]:
 # Configuration search
 
 
-def _config_rec(
-    masks: Sequence[int], cands: list[int], union: int, need: int, s: int
-) -> Optional[tuple[int, ...]]:
-    # Every candidate fits within s vertices together with ``union``.
-    if need == 1:
-        return (cands[0],) if cands else None
-    for idx in range(len(cands) - need + 1):
-        j = cands[idx]
-        u2 = union | masks[j]
-        tail = [h for h in cands[idx + 1 :] if (u2 | masks[h]).bit_count() <= s]
-        if len(tail) >= need - 1:
-            rest = _config_rec(masks, tail, u2, need - 1, s)
-            if rest is not None:
-                return (j,) + rest
-    return None
+def _fitting_subsets(
+    masks: Sequence[int], k: int, s: int, base: int = 0
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every k-subset of ``masks`` whose vertices together with the vertex
+    mask ``base`` number at most s, as (index tuple, vertex union with
+    ``base``), in lexicographic order.
+
+    The one walk over edge subsets under a vertex budget.  Every prefix of
+    a fitting subset fits too, so a frame keeps only the candidates that
+    still fit with its union, and a frame with fewer of them left than
+    edges missing is never entered.  Frames (candidates, union, chosen,
+    next position) sit on an explicit stack, so k is not bounded by the
+    interpreter's recursion limit.  The last edge takes no frame: the
+    candidates that still fit are the answers.
+    """
+    if k > len(masks) or base.bit_count() > s:
+        return
+    if k == 0:
+        yield (), base
+        return
+    if k == 1:
+        for j, mj in enumerate(masks):
+            union = base | mj
+            if union.bit_count() <= s:
+                yield (j,), union
+        return
+    cands = [j for j, mj in enumerate(masks) if (base | mj).bit_count() <= s]
+    stack = [(cands, base, (), 0)]
+    while stack:
+        cands, union, chosen, pos = stack.pop()
+        need = k - len(chosen)
+        last = len(cands) - need
+        while pos <= last:
+            j = cands[pos]
+            pos += 1
+            u2 = union | masks[j]
+            tail = [h for h in cands[pos:] if (u2 | masks[h]).bit_count() <= s]
+            if need == 2:
+                for h in tail:
+                    yield chosen + (j, h), u2 | masks[h]
+            elif len(tail) >= need - 1:
+                stack.append((cands, union, chosen, pos))
+                stack.append((tail, u2, chosen + (j,), 0))
+                break
 
 
 def _config_search(
@@ -379,12 +402,9 @@ def _config_search(
     kept outside ``masks``; with ``k == 0`` the answer is ``()`` when
     ``base`` alone fits.
     """
-    if k > len(masks) or base.bit_count() > s:
-        return None
-    if k == 0:
-        return ()
-    cands = [j for j, mj in enumerate(masks) if (base | mj).bit_count() <= s]
-    return _config_rec(masks, cands, base, k, s)
+    for subset, _ in _fitting_subsets(masks, k, s, base):
+        return subset
+    return None
 
 
 def find_configuration(G: Hypergraph, q: ConfigQuery) -> Optional[tuple[int, ...]]:

@@ -116,10 +116,14 @@ class Cluster:
 
     id: int
     edge_indices: tuple[int, ...]
-    part: Hypergraph
     trace: tuple[MergeEvent, ...]
     stage: str
     ambient: Hypergraph
+
+    @cached_property
+    def part(self) -> Hypergraph:
+        """The cluster's edges as a graph of their own (same r and n)."""
+        return self.ambient.subgraph(self.edge_indices)
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,6 @@ def trivial_partition(G: Hypergraph) -> Partition:
         Cluster(
             id=i,
             edge_indices=(i,),
-            part=G.subgraph([i]),
             trace=(),
             stage="trivial",
             ambient=G,
@@ -470,7 +473,6 @@ def merge(
         Cluster(
             id=cid,
             edge_indices=edges,
-            part=G.subgraph(edges),
             trace=trace,
             stage=stage,
             ambient=G,

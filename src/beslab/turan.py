@@ -27,6 +27,7 @@ from .errors import TooLarge, Unknown
 from .hypergraphs import (
     ConfigQuery,
     Hypergraph,
+    _mask,
     build,
     family_queries,
     find_configuration,
@@ -67,13 +68,6 @@ def _subsets_by_top(n: int, r: int) -> Iterator[tuple[int, ...]]:
     for top in range(r - 1, n):
         for rest in itertools.combinations(range(top), r - 1):
             yield rest + (top,)
-
-
-def _mask(edge: tuple[int, ...]) -> int:
-    m = 0
-    for v in edge:
-        m |= 1 << v
-    return m
 
 
 def _validate(r: int, n: int, k: int) -> None:

@@ -108,6 +108,12 @@ class TestSparseSubgraphs:
         assert enumerate_S(K, 2, 1) == [(0, 1), (0, 2), (1, 2)]
         assert enumerate_S(K, 2, 0) == []
 
+    def test_long_tight_path_needs_no_recursion(self):
+        # Defect 3*1200 - 1202: the whole path, deeper than the
+        # interpreter's recursion limit.
+        K = build(3, 1202, [(i, i + 1, i + 2) for i in range(1200)])
+        assert enumerate_S(K, 1200, 2398) == [tuple(range(1200))]
+
 
 class TestConflicts:
     def test_family_ids(self):

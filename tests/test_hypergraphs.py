@@ -223,6 +223,35 @@ class TestClaimSet:
         assert a == b
 
 
+class TestClaimProfile:
+    @staticmethod
+    def _graphs(fuzz_corpus, big_star):
+        # (graph, largest cap checked): f63 stops at 4, where the naive scan
+        # already walks C(61, 4) subsets.
+        return [(G, 5) for G in fuzz_corpus] + [(util.wide_probe(12), 5), (big_star, 4)]
+
+    def test_matches_naive(self, fuzz_corpus, big_star):
+        for G, top in self._graphs(fuzz_corpus, big_star):
+            for cap in range(top + 1):
+                assert claim_profile(G, cap) == util.naive_claim_profile(G, cap), (G.edges, cap)
+
+    def test_lower_cap_drops_the_top_bit(self, fuzz_corpus, big_star):
+        def without(prof, i):
+            keep = ~(1 << i)
+            return (
+                prof.all_bits & keep,
+                {v: b & keep for v, b in prof.vertex_bits.items() if b & keep},
+                {p: b & keep for p, b in prof.pair_bits.items() if b & keep},
+            )
+
+        for G, _ in self._graphs(fuzz_corpus, big_star):
+            for cap in range(6):
+                low = claim_profile(G, cap)
+                assert (low.all_bits, low.vertex_bits, low.pair_bits) == without(
+                    claim_profile(G, cap + 1), cap + 1
+                ), (G.edges, cap)
+
+
 # ---------------------------------------------------------------------------
 # Configuration search and the banned family
 
@@ -415,6 +444,13 @@ class TestConfigurations:
                         for i in subset:
                             span |= set(G.edges[i])
                         assert len(span) > q.max_vertices
+
+    def test_long_tight_path_needs_no_recursion(self):
+        # 1,200 edges on 1,202 vertices: deeper than the interpreter's
+        # recursion limit.
+        G = build(3, 1202, [(i, i + 1, i + 2) for i in range(1200)])
+        assert find_configuration(G, ConfigQuery(1200, 1202)) == tuple(range(1200))
+        assert find_configuration(G, ConfigQuery(1200, 1201)) is None
 
 
 def _span(G, indices) -> set[int]:

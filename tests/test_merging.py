@@ -440,7 +440,7 @@ def _grouped_start(rng: random.Random, G) -> merging.Partition:
         order = order[cut:]
     ids = rng.sample(range(4 * len(groups) + 3), len(groups))
     clusters = tuple(
-        merging.Cluster(cid, edges, G.subgraph(edges), (), "custom", G)
+        merging.Cluster(cid, edges, (), "custom", G)
         for cid, edges in zip(ids, groups)
     )
     return merging.Partition(G, clusters, (), "custom")

@@ -27,8 +27,8 @@ from beslab import (
     turan_doc,
 )
 from beslab import turan
-from beslab.hypergraphs import family_queries
-from beslab.turan import _Kills, _branch_and_bound, _greedy, _mask, _subsets_by_top
+from beslab.hypergraphs import _mask, family_queries
+from beslab.turan import _Kills, _branch_and_bound, _greedy, _subsets_by_top
 
 
 class TestPlain:

@@ -19,6 +19,7 @@ from beslab import (
     RULE_12,
     RULE_2PLUS,
     RULE_3PLUS,
+    ClaimProfile,
     Cluster,
     Hypergraph,
     MergeRule,
@@ -54,6 +55,31 @@ def naive_claim_set(F: Hypergraph, u: int, v: int, cap: int) -> set[int]:
                 out.add(i)
                 break
     return out
+
+
+def naive_claim_profile(F: Hypergraph, cap: int) -> ClaimProfile:
+    """``claim_profile`` from every subset of at most ``cap`` edges: i edges
+    spanning (r-2)*i + 2 - slack vertices claim every pair for slack >= 2,
+    every pair at one of their vertices for slack 1, and every pair among
+    their vertices for slack 0."""
+    all_bits = 0
+    vertex_bits: dict[int, int] = {}
+    pair_bits: dict[Pair, int] = {}
+    vertex_sets = [set(e) for e in F.edges]
+    for i in range(1, cap + 1):
+        bit = 1 << i
+        for subset in itertools.combinations(vertex_sets, i):
+            span = set().union(*subset)
+            slack = (F.r - 2) * i + 2 - len(span)
+            if slack >= 2:
+                all_bits |= bit
+            elif slack == 1:
+                for v in span:
+                    vertex_bits[v] = vertex_bits.get(v, 0) | bit
+            elif slack == 0:
+                for a, b in itertools.combinations(sorted(span), 2):
+                    pair_bits[Pair(a, b)] = pair_bits.get(Pair(a, b), 0) | bit
+    return ClaimProfile(F.r, F.n, cap, len(F.edges), all_bits, vertex_bits, pair_bits)
 
 
 def naive_find_config(F: Hypergraph, k: int, s: int) -> Optional[tuple[int, ...]]:
@@ -217,7 +243,7 @@ def naive_merge(G: Hypergraph, start: Partition, rule: MergeRule, rng=None) -> P
     stage = merging._STAGE_NAMES.get(rule_stack, "custom")
     ordered = sorted(parts.items(), key=lambda kv: kv[1][0][0] if kv[1][0] else -1)
     clusters = tuple(
-        Cluster(cid, edges, G.subgraph(edges), trace, stage, G) for cid, (edges, trace) in ordered
+        Cluster(cid, edges, trace, stage, G) for cid, (edges, trace) in ordered
     )
     return Partition(G, clusters, rule_stack, stage)
 
