@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DuplicateEdge, VertexOutOfRange, WrongArity
@@ -181,15 +181,11 @@ def build(r: int, n: int, raw_edges: Iterable[Iterable[int]]) -> Hypergraph:
     seen: set[tuple[int, ...]] = set()
     edges: list[tuple[int, ...]] = []
     for raw in raw_edges:
-        vs = list(raw)
-        distinct = sorted(set(vs))
-        if len(vs) != len(distinct) or len(distinct) != r:
-            raise WrongArity(
-                f"edge {sorted(vs)!r} does not have exactly {r} distinct vertices"
-            )
-        if distinct[0] < 0 or distinct[-1] >= n:
-            raise VertexOutOfRange(f"edge {distinct!r} has vertices outside [0, {n})")
-        e = tuple(distinct)
+        e = tuple(sorted(raw))
+        if len(e) != r or len(set(e)) != r:
+            raise WrongArity(f"edge {list(e)!r} does not have exactly {r} distinct vertices")
+        if e[0] < 0 or e[-1] >= n:
+            raise VertexOutOfRange(f"edge {list(e)!r} has vertices outside [0, {n})")
         if e in seen:
             raise DuplicateEdge(f"edge {e!r} appears more than once")
         seen.add(e)
@@ -358,8 +354,8 @@ def _fitting_subsets(
     still fit with its union, and a frame with fewer of them left than
     edges missing is never entered.  Frames (candidates, union, chosen,
     next position) sit on an explicit stack, so k is not bounded by the
-    interpreter's recursion limit.  The last edge takes no frame: the
-    candidates that still fit are the answers.
+    interpreter's recursion limit.  The last edge takes no frame and no
+    list: each candidate that still fits is yielded as soon as it is found.
     """
     if k > len(masks) or base.bit_count() > s:
         return
@@ -382,11 +378,13 @@ def _fitting_subsets(
             j = cands[pos]
             pos += 1
             u2 = union | masks[j]
-            tail = [h for h in cands[pos:] if (u2 | masks[h]).bit_count() <= s]
             if need == 2:
-                for h in tail:
-                    yield chosen + (j, h), u2 | masks[h]
-            elif len(tail) >= need - 1:
+                for h in cands[pos:]:
+                    if (u3 := u2 | masks[h]).bit_count() <= s:
+                        yield chosen + (j, h), u3
+                continue
+            tail = [h for h in cands[pos:] if (u2 | masks[h]).bit_count() <= s]
+            if len(tail) >= need - 1:
                 stack.append((cands, union, chosen, pos))
                 stack.append((tail, u2, chosen + (j,), 0))
                 break
@@ -425,16 +423,25 @@ def find_configuration_containing(
     containing edge index ``forced`` (for incremental freeness checks)."""
     if q.edge_count < 1:
         raise ValueError(f"edge_count must be at least 1, got {q.edge_count}")
+    hit = _first_containing(G, (q,), forced)
+    return hit and hit[0]
+
+
+def _first_containing(G: Hypergraph, queries: Sequence[ConfigQuery], forced: int):
+    """(witness, query) for the first of ``queries`` with a configuration
+    containing edge ``forced``, else ``None``.  One view serves them all:
+    the other edges' masks, with the forced edge as ``base``."""
     if not 0 <= forced < len(G.edges):
         raise IndexError(f"edge index {forced} out of range")
     masks = G.edge_masks
-    others = masks[:forced] + masks[forced + 1 :]
-    found = _config_search(others, q.edge_count - 1, q.max_vertices, base=masks[forced])
-    if found is None:
-        return None
-    # Index i of ``others`` is edge i, or i + 1 past the forced edge.  Adding
-    # one edge to every subset keeps their lexicographic order.
-    return tuple(sorted([forced] + [i + (i >= forced) for i in found]))
+    base, others = masks[forced], masks[:forced] + masks[forced + 1 :]
+    for q in queries:
+        found = _config_search(others, q.edge_count - 1, q.max_vertices, base)
+        if found is not None:
+            # Index i of ``others`` is edge i, or i + 1 past the forced edge.
+            # Adding one edge to every subset keeps their lexicographic order.
+            return tuple(sorted([forced] + [i + (i >= forced) for i in found])), q
+    return None
 
 
 def family_queries(r: int, k: int) -> list[ConfigQuery]:
@@ -446,6 +453,9 @@ def family_queries(r: int, k: int) -> list[ConfigQuery]:
     out = [ConfigQuery(ell, r * ell - 2 * ell + 1) for ell in range(2, k)]
     out.append(ConfigQuery(k, r * k - 2 * k + 2))
     return out
+
+
+_family = lru_cache(maxsize=64)(lambda r, k: tuple(family_queries(r, k)))  # memo per (r, k)
 
 
 def is_family_free(G: Hypergraph, k: int) -> FreenessResult:
@@ -682,12 +692,10 @@ def _branch_set(
 def family_violation_containing(
     G: Hypergraph, k: int, forced: int
 ) -> Optional[tuple[tuple[int, ...], ConfigQuery]]:
-    """First family violation that uses edge ``forced``, else ``None``."""
-    for q in family_queries(G.r, k):
-        w = find_configuration_containing(G, q, forced)
-        if w is not None:
-            return w, q
-    return None
+    """First family violation that uses edge ``forced``, else ``None``: the
+    first query in :func:`family_queries` order with such a configuration,
+    and its lexicographically first one."""
+    return _first_containing(G, _family(G.r, k), forced)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,40 @@ class TestBuild:
         b = build(3, 5, [[2, 1, 0]])
         assert a == b and hash(a) == hash(b)
 
+    def test_matches_naive_build(self):
+        # The first fault in edge order decides, and within an edge the
+        # arity comes before the range: same class and message as the
+        # edge-by-edge reference, and equal graphs on valid input.
+        cases = [
+            (3, 5, [(0, 1, 2), (2, 1, 0), (0, 1, 9)]),  # duplicate, then out of range
+            (3, 5, [(0, 1, 9), (0, 1, 2), (2, 1, 0)]),  # out of range, then duplicate
+            (3, 5, [(0, 1, 2), (1, 0, 2), (0, 1)]),  # duplicate, then wrong arity
+            (3, 5, [(0, 1), (0, 1, 2), (1, 0, 2)]),  # wrong arity, then duplicate
+            (3, 5, [(4, 4, 9)]),  # repeated vertex out of range
+            (3, 5, [(-1, 2, 1)]),
+            (3, 5, [()]),
+            (3, 5, [(3, 2, 1, 0)]),
+            (1, 5, [(0,)]),
+            (3, -1, [(0, 1, 2)]),
+            (3, 0, []),
+            (2, 5, [[4, 0], (3, 1), range(0, 3, 2)]),
+        ]
+        rng = random.Random(53)
+        for _ in range(300):
+            r = rng.choice([2, 3, 4])
+            n = rng.randint(r - 1, r + 4)
+            edges = []
+            for _ in range(rng.randint(0, 6)):
+                size = r if rng.random() < 0.85 else rng.choice([r - 1, r + 1])
+                edges.append([rng.randint(-1 if rng.random() < 0.05 else 0, n) for _ in range(size)])
+            cases.append((r, n, edges))
+        valid = 0
+        for r, n, edges in cases:
+            got, want = _outcome(build, r, n, edges), _outcome(util.naive_build, r, n, edges)
+            assert got == want, (r, n, edges)
+            valid += not isinstance(got, tuple)
+        assert valid > 30
+
 
 class TestPair:
     def test_normalized(self):
@@ -417,33 +451,36 @@ class TestConfigurations:
             found.append(query and query.edge_count)
         assert found == [6, 6, None, 4, 5]
 
-    def test_violation_containing(self):
-        rng = random.Random(31)
-        for _ in range(60):
-            G = util.random_hypergraph(rng, 3, rng.randint(4, 7), 7)
-            if not G.edges:
-                continue
-            forced = rng.randrange(len(G.edges))
-            got = family_violation_containing(G, 6, forced)
-            if got is not None:
-                w, q = got
-                assert forced in w
-                span = set()
-                for i in w:
-                    span |= set(G.edges[i])
-                assert len(span) <= q.max_vertices and len(w) == q.edge_count
-            else:
-                # no violation through the forced edge, in any family query
-                for q in family_queries(3, 6):
-                    for subset in itertools.combinations(
-                        range(len(G.edges)), q.edge_count
-                    ):
-                        if forced not in subset:
-                            continue
-                        span = set()
-                        for i in subset:
-                            span |= set(G.edges[i])
-                        assert len(span) > q.max_vertices
+    def test_violation_containing(self, fuzz_corpus):
+        # The first query with a configuration through the forced edge, and
+        # the lexicographically first such configuration.
+        rng = random.Random(59)
+        cases = [(G, k) for G in fuzz_corpus for k in range(2, 8)]
+        graphs = 0
+        while graphs < 200:
+            r = rng.choice([3, 4, 5])
+            G = util.random_hypergraph(rng, r, rng.randint(r + 1, r + 3), 8)
+            k = rng.randint(2, 7)
+            if not is_family_free(G, k):
+                cases.append((G, k))
+                graphs += 1
+        answers = []
+        for G, k in cases:
+            for forced in range(len(G.edges)):
+                got = family_violation_containing(G, k, forced)
+                assert got == util.naive_violation_containing(G, k, forced), (G.edges, k, forced)
+                answers.append(got is None)
+        assert answers.count(False) > 1000 and answers.count(True) > 200
+
+    def test_violation_containing_refuses_like_naive(self):
+        G = build(3, 5, [(0, 1, 2), (0, 1, 3)])
+        for fn in (family_violation_containing, util.naive_violation_containing):
+            for forced in (-1, 2):
+                with pytest.raises(IndexError):
+                    fn(G, 5, forced)
+            for k in (1, 0):
+                with pytest.raises(ValueError):
+                    fn(G, k, 0)
 
     def test_long_tight_path_needs_no_recursion(self):
         # 1,200 edges on 1,202 vertices: deeper than the interpreter's
@@ -451,6 +488,14 @@ class TestConfigurations:
         G = build(3, 1202, [(i, i + 1, i + 2) for i in range(1200)])
         assert find_configuration(G, ConfigQuery(1200, 1202)) == tuple(range(1200))
         assert find_configuration(G, ConfigQuery(1200, 1201)) is None
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the class and message it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def _span(G, indices) -> set[int]:

@@ -20,6 +20,7 @@ from beslab import (
     exact_turan_family,
     find_configuration,
     ConfigQuery,
+    from_text,
     is_family_free,
     size_cap,
     sweep_doc,
@@ -469,10 +470,19 @@ class TestSweep:
 
     def test_threads_match_serial(self, tmp_path):
         serial = sweep_doc(consistency_sweep(3, 5, 5))
-        threaded = sweep_doc(
-            consistency_sweep(3, 5, 5, cache_path=str(tmp_path / "c.jsonl"), threads=2)
-        )
+        path = tmp_path / "c.jsonl"
+        threaded = sweep_doc(consistency_sweep(3, 5, 5, cache_path=str(path), threads=2))
         assert serial == threaded
+        # The workers append at the same time: every line is one whole
+        # record, and each search left exactly one.
+        keys = []
+        for line in path.read_text().splitlines():
+            obj = json.loads(line)
+            witness = from_text(obj["witness"])
+            assert (witness.r, witness.n, len(witness.edges)) == (obj["r"], obj["n"], obj["value"])
+            keys.append((obj["kind"], obj["r"], obj["n"], obj["s"], obj["k"]))
+        # Plain values for n <= s = 7 are closed form, with no search.
+        assert sorted(keys) == [("family", 3, n, 7, 5) for n in (3, 4, 5)]
 
     def test_unknown_rule_leaves_bound_empty(self):
         report = consistency_sweep(3, 3, 5)

@@ -21,10 +21,14 @@ from beslab import (
     RULE_3PLUS,
     ClaimProfile,
     Cluster,
+    ConfigQuery,
+    DuplicateEdge,
     Hypergraph,
     MergeRule,
     Pair,
     Partition,
+    VertexOutOfRange,
+    WrongArity,
     build,
     f63,
     family_queries,
@@ -95,11 +99,59 @@ def naive_find_config(F: Hypergraph, k: int, s: int) -> Optional[tuple[int, ...]
     return None
 
 
+def naive_violation_containing(
+    F: Hypergraph, k: int, forced: int
+) -> Optional[tuple[tuple[int, ...], ConfigQuery]]:
+    """(witness, query): the first query, in ``family_queries`` order,
+    with a configuration that contains edge ``forced``, and the first such
+    configuration in itertools.combinations order; None when no query has
+    one."""
+    queries = family_queries(F.r, k)
+    if not 0 <= forced < len(F.edges):
+        raise IndexError(f"edge index {forced} out of range")
+    vertex_sets = [set(e) for e in F.edges]
+    for q in queries:
+        for subset in itertools.combinations(range(len(vertex_sets)), q.edge_count):
+            if forced not in subset:
+                continue
+            if len(set().union(*(vertex_sets[i] for i in subset))) <= q.max_vertices:
+                return subset, q
+    return None
+
+
 def naive_family_free(F: Hypergraph, k: int) -> bool:
     for q in family_queries(F.r, k):
         if naive_find_config(F, q.edge_count, q.max_vertices) is not None:
             return False
     return True
+
+
+def naive_build(r: int, n: int, raw_edges) -> Hypergraph:
+    """Reference for ``build``'s checks, their order and their messages:
+    edges in the given order, each checked for arity, then range, then
+    repetition, with its distinct vertices sorted."""
+    if r < 2:
+        raise WrongArity(f"uniformity must be at least 2, got {r}")
+    if n < 0:
+        raise VertexOutOfRange(f"vertex count must be non-negative, got {n}")
+    seen: set[tuple[int, ...]] = set()
+    edges: list[tuple[int, ...]] = []
+    for raw in raw_edges:
+        vs = list(raw)
+        distinct = sorted(set(vs))
+        if len(vs) != len(distinct) or len(distinct) != r:
+            raise WrongArity(
+                f"edge {sorted(vs)!r} does not have exactly {r} distinct vertices"
+            )
+        if distinct[0] < 0 or distinct[-1] >= n:
+            raise VertexOutOfRange(f"edge {distinct!r} has vertices outside [0, {n})")
+        e = tuple(distinct)
+        if e in seen:
+            raise DuplicateEdge(f"edge {e!r} appears more than once")
+        seen.add(e)
+        edges.append(e)
+    edges.sort()
+    return Hypergraph(r=r, n=n, edges=tuple(edges))
 
 
 def naive_shadow(F: Hypergraph) -> set[tuple[int, int]]:
