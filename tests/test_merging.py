@@ -509,3 +509,45 @@ class TestNoWideEvidenceOnFreeGraphs:
         for c in merging.STAGES[rule.stage](G).clusters:
             state = merging._make_state(G, c.edge_indices, last)
             assert not state.profile.has_wide_evidence, (G.edges, c.edge_indices)
+
+
+class TestWitnessDefinitions:
+    """Every merge event's witness is the one the claim definitions give its
+    two parts, and no two final parts of a round have one."""
+
+    def _graphs(self, fuzz_corpus):
+        rng = random.Random(61)
+        free = [
+            util.random_free_graph(rng, r, k, rng.randint(r + 3, 12), attempts=100)
+            for r, k in RULE_CASES
+            for _ in range(25)
+        ]
+        return list(fuzz_corpus) + free
+
+    def test_events_match_naive_witness(self, fuzz_corpus):
+        # The rounds of every stage: m11 on the trivial partition, m12 and
+        # m2plus on m11, m3plus on m12.
+        rounds = [(None, RULE_11), (RULE_11, RULE_12), (RULE_11, RULE_2PLUS), (RULE_12, RULE_3PLUS)]
+        counts = {rule: 0 for _, rule in rounds}
+        for G in self._graphs(fuzz_corpus):
+            for seed in (None, 3):
+                rng = None if seed is None else random.Random(seed)
+                starts = {None: trivial_partition(G)}
+                starts[RULE_11] = merge(G, starts[None], RULE_11, rng)
+                starts[RULE_12] = merge(G, starts[RULE_11], RULE_12, rng)
+                for base, rule in rounds:
+                    start = starts[base]
+                    end = starts[rule] if rule in starts else merge(G, start, rule, rng)
+                    live = {c.id: c.edge_indices for c in start.clusters}
+                    old = {ev for c in start.clusters for ev in c.trace}
+                    new = sorted({ev for c in end.clusters for ev in c.trace} - old)
+                    for ev in new:
+                        left, right = live.pop(ev.left), live.pop(ev.right)
+                        want = util.naive_witness(G, left, right, rule)
+                        assert (ev.pair, ev.direction) == want, (G.edges, rule, seed, ev)
+                        live[ev.new_id] = tuple(sorted(left + right))
+                    counts[rule] += len(new)
+                    assert live == {c.id: c.edge_indices for c in end.clusters}
+                    for (_, p), (_, q) in itertools.combinations(sorted(live.items()), 2):
+                        assert util.naive_witness(G, p, q, rule) is None, (G.edges, rule, p, q)
+        assert all(counts.values()), counts

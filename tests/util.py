@@ -9,6 +9,7 @@ fast implementations against these on small inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -236,6 +237,58 @@ def replay_trace(start: Partition, cluster: Cluster) -> frozenset[int]:
     for ev in cluster.trace:
         live[ev.new_id] = live.pop(ev.left) | live.pop(ev.right)
     return live[cluster.id]
+
+
+@functools.lru_cache(maxsize=4096)
+def _naive_claims(F: Hypergraph, cap: int) -> dict[Pair, frozenset[int]]:
+    """``naive_claim_set`` of every pair below ``F.n``."""
+    return {
+        Pair(u, v): frozenset(naive_claim_set(F, u, v, cap))
+        for u, v in itertools.combinations(range(F.n), 2)
+    }
+
+
+@functools.lru_cache(maxsize=4096)
+def _naive_two_plus(F: Hypergraph, pair: Pair) -> bool:
+    return naive_two_plus(F, pair.u, pair.v)
+
+
+def naive_witness(
+    G: Hypergraph, P: Sequence[int], Q: Sequence[int], rule: MergeRule
+) -> Optional[tuple[Pair, str]]:
+    """The smallest (pair, direction) letting parts P and Q (edge indices
+    of G) merge under ``rule``, from the claim definitions, over every pair
+    below n; None when no pair does.
+
+    The rules as the paper states them: ``sets`` wants the pair A-claimed
+    by one part and B-claimed by the other; ``two_plus`` wants it 1-claimed
+    by one part and 2-claimed by a 3-edge subtree of the other;
+    ``three_plus`` wants {1}|{3,4} or {1,2}|{3}.  ``left`` means P holds
+    the first half of the rule.
+    """
+    FP, FQ = G.subgraph(P), G.subgraph(Q)
+    found = []
+    if rule.kind == "two_plus":
+        cp, cq = _naive_claims(FP, 1), _naive_claims(FQ, 1)
+        for pair in cp:
+            if 1 in cp[pair] and _naive_two_plus(FQ, pair):
+                found.append((pair, "left_1"))
+            if 1 in cq[pair] and _naive_two_plus(FP, pair):
+                found.append((pair, "right_1"))
+        return min(found, default=None)
+    if rule.kind == "sets":
+        halves = [(rule.A, rule.B, "A")]
+    else:
+        halves = [({1}, {3, 4}, "1_34"), ({1, 2}, {3}, "12_3")]
+    cap = max(max(a | b) for a, b, _ in halves)
+    cp, cq = _naive_claims(FP, cap), _naive_claims(FQ, cap)
+    for pair in cp:
+        for a, b, tag in halves:
+            if a <= cp[pair] and b <= cq[pair]:
+                found.append((pair, "left_" + tag))
+            if b <= cp[pair] and a <= cq[pair]:
+                found.append((pair, "right_" + tag))
+    return min(found, default=None)
 
 
 def naive_sets_witness(sp, sq, a_bits: int, b_bits: int, n: int, tags: tuple[str, str]):
