@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import NotFree, Unknown
+from .errors import Unknown
 from .hypergraphs import (
     ConfigQuery,
     FreenessResult,
@@ -25,10 +25,10 @@ from .hypergraphs import (
     _config_search,
     _fitting_subsets,
     _mask,
+    _require_free,
     build,
     find_configuration,
     graph_doc,
-    is_family_free,
     pairs_claimed_upto,
     shadow,
 )
@@ -95,14 +95,7 @@ def lower_bound_ratio(F: Hypergraph, k: int) -> tuple[Fraction, set[Pair]]:
     Verifies freeness first and raises :class:`NotFree` otherwise; the
     returned pair set is the denominator's support.
     """
-    res = is_family_free(F, k)
-    if not res.free:
-        raise NotFree(
-            f"graph contains {res.query.edge_count} edges on at most "
-            f"{res.query.max_vertices} vertices",
-            res.witness,
-            res.query,
-        )
+    _require_free(F, k)
     if not F.edges:
         return Fraction(0), set()
     pset = pairs_claimed_upto(F, k // 2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import DuplicateEdge, VertexOutOfRange, WrongArity
+from .errors import DuplicateEdge, NotFree, VertexOutOfRange, WrongArity
 
 
 class Pair(NamedTuple):
@@ -416,17 +416,6 @@ def find_configuration(G: Hypergraph, q: ConfigQuery) -> Optional[tuple[int, ...
     return _config_search(G.edge_masks, q.edge_count, q.max_vertices)
 
 
-def find_configuration_containing(
-    G: Hypergraph, q: ConfigQuery, forced: int
-) -> Optional[tuple[int, ...]]:
-    """Like :func:`find_configuration`, restricted to configurations
-    containing edge index ``forced`` (for incremental freeness checks)."""
-    if q.edge_count < 1:
-        raise ValueError(f"edge_count must be at least 1, got {q.edge_count}")
-    hit = _first_containing(G, (q,), forced)
-    return hit and hit[0]
-
-
 def _first_containing(G: Hypergraph, queries: Sequence[ConfigQuery], forced: int):
     """(witness, query) for the first of ``queries`` with a configuration
     containing edge ``forced``, else ``None``.  One view serves them all:
@@ -494,6 +483,15 @@ def is_family_free(G: Hypergraph, k: int) -> FreenessResult:
             assert rest is not None
             return FreenessResult(False, (a,) + tuple(a + 1 + i for i in rest), q)
     return FreenessResult(True, None, None)
+
+
+def _require_free(G: Hypergraph, k: int) -> None:
+    """Raise :class:`NotFree`, with the witness, unless ``G`` is free for ``k``."""
+    res = is_family_free(G, k)
+    if not res.free:
+        q = res.query
+        msg = f"graph contains {q.edge_count} edges on at most {q.max_vertices} vertices"
+        raise NotFree(msg, res.witness, q)
 
 
 def _peel(

@@ -34,7 +34,8 @@ class MergeRule:
     B-claimed by the other (either orientation).  ``two_plus()``: one side
     1-claims the pair, the other has a 3-edge subtree 2-claiming it.
     ``three_plus()``: the pair is {1}|{3,4}- or {1,2}|{3}-claimed across the
-    two sides (either orientation of either variant).
+    two sides (either orientation of either variant).  Each rule is a list
+    of such claim-bit clauses over the parts' states (see ``_make_state``).
     """
 
     kind: str  # "sets" | "two_plus" | "three_plus"
@@ -61,23 +62,24 @@ class MergeRule:
     @cached_property
     def clauses(self) -> tuple[tuple[int, int, tuple[str, str]], ...]:
         """(A bits, B bits, direction tags) of each claim-set clause the rule
-        tests, with bit i for claim index i; none for ``two_plus``."""
+        tests, with bit i for claim index i.  For ``two_plus`` bit 2 stands
+        for the 2+ pairs (see ``_make_state``)."""
         if self.kind == "sets":
             a, b = (sum(1 << i for i in s) for s in (self.A, self.B))
             return ((a, b, ("left_A", "right_A")),)
-        if self.kind == "three_plus":  # {1}|{3,4} and {1,2}|{3}
-            return (
-                (0b10, 0b11000, ("left_1_34", "right_1_34")),
-                (0b110, 0b1000, ("left_12_3", "right_12_3")),
-            )
-        return ()
+        if self.kind == "two_plus":
+            return ((0b10, 0b100, ("left_1", "right_1")),)
+        return (  # {1}|{3,4} and {1,2}|{3}
+            (0b10, 0b11000, ("left_1_34", "right_1_34")),
+            (0b110, 0b1000, ("left_12_3", "right_12_3")),
+        )
 
     @cached_property
     def claim_cap(self) -> int:
         if self.kind == "sets":
             return max(max(self.A), max(self.B))
         if self.kind == "two_plus":
-            return 1  # the 2+ side uses subtree evidence, not the profile
+            return 1  # bit 2 holds the 2+ pairs, not 2-claims
         return 4
 
 
@@ -209,37 +211,34 @@ def tp_pair_set(F: Hypergraph) -> frozenset[Pair]:
     return frozenset(out)
 
 
-@dataclass
-class _PartState:
-    profile: ClaimProfile
-    one_pairs: frozenset[Pair]
-    tp_pairs: Optional[frozenset[Pair]]
+def _make_state(G: Hypergraph, edges: tuple[int, ...], rule: MergeRule) -> ClaimProfile:
+    """The part's claim profile up to ``rule.claim_cap``, which is all that
+    ``rule``'s clauses read.
 
+    One edge spans (r-2)*1 + 2 vertices, so it 1-claims exactly its own
+    pairs, and no edge is wide.  So a one-edge part, or any part under a
+    cap-1 rule, has the profile of its shadow at index 1 (bit 1), the one
+    ``claim_profile`` would build.
 
-def _make_state(G: Hypergraph, edges: tuple[int, ...], rule: MergeRule) -> _PartState:
-    if len(edges) == 1 or rule.claim_cap == 1:
-        # One edge spans (r-2)*1 + 2 vertices, so it 1-claims exactly its own
-        # pairs, and no edge is wide.  So a one-edge part, or any part under a
-        # cap-1 rule, has the profile of its shadow at index 1 (bit 1), the
-        # one claim_profile would build.  A 3-edge subtree needs three edges.
-        pair_bits = {
-            Pair(u, v): 2 for i in edges for u, v in itertools.combinations(G.edges[i], 2)
-        }
-        prof = ClaimProfile(
-            r=G.r, n=G.n, cap=rule.claim_cap, edge_count=len(edges), all_bits=0,
-            vertex_bits={}, pair_bits=pair_bits,
-        )
-        tp = None
-        if rule.kind == "two_plus":
-            tp = tp_pair_set(G.subgraph(edges)) if len(edges) >= 3 else frozenset()
-        return _PartState(profile=prof, one_pairs=frozenset(pair_bits), tp_pairs=tp)
-    prof = claim_profile(G.subgraph(edges), rule.claim_cap)
-    one = frozenset(p for p, b in prof.pair_bits.items() if b & 2)
-    return _PartState(profile=prof, one_pairs=one, tp_pairs=None)
+    Under ``two_plus`` (cap 1) bit 2 marks the 2+ pairs, ``tp_pair_set`` of
+    the part, and no others.  It never claims too much: two edges of the
+    3-edge subtree fit with such a pair in 2r - 2 vertices, so the part does
+    2-claim it.  A 3-edge subtree needs three edges.
+    """
+    if len(edges) > 1 and rule.claim_cap > 1:
+        return claim_profile(G.subgraph(edges), rule.claim_cap)
+    pair_bits = {Pair(u, v): 2 for i in edges for u, v in itertools.combinations(G.edges[i], 2)}
+    if rule.kind == "two_plus" and len(edges) >= 3:
+        for pair in tp_pair_set(G.subgraph(edges)):
+            pair_bits[pair] = pair_bits.get(pair, 0) | 4
+    return ClaimProfile(
+        r=G.r, n=G.n, cap=rule.claim_cap, edge_count=len(edges), all_bits=0,
+        vertex_bits={}, pair_bits=pair_bits,
+    )
 
 
 def _sets_witness(
-    sp: _PartState, sq: _PartState, a_bits: int, b_bits: int, n: int, tags: tuple[str, str]
+    pp: ClaimProfile, qp: ClaimProfile, a_bits: int, b_bits: int, n: int, tags: tuple[str, str]
 ) -> Optional[tuple[Pair, str]]:
     """Smallest (pair, direction) making the two parts mergeable, if any.
 
@@ -249,7 +248,6 @@ def _sets_witness(
     vertex outside T, and a pair with no vertex in T those of the two
     smallest vertices outside T.  So the wide scan covers T plus those two.
     """
-    pp, qp = sp.profile, sq.profile
     if not (pp.has_wide_evidence or qp.has_wide_evidence):
         small, big = (pp, qp) if len(pp.pair_bits) <= len(qp.pair_bits) else (qp, pp)
         rows = [
@@ -278,15 +276,10 @@ def _sets_witness(
 
 
 def _mergeable(
-    sp: _PartState, sq: _PartState, rule: MergeRule, n: int
+    pp: ClaimProfile, qp: ClaimProfile, rule: MergeRule, n: int
 ) -> Optional[tuple[Pair, str]]:
     """Witness (pair, direction) if the two parts merge under ``rule``."""
-    if rule.kind == "two_plus":
-        assert sp.tp_pairs is not None and sq.tp_pairs is not None
-        found = [(pair, "left_1") for pair in sp.one_pairs & sq.tp_pairs]
-        found += [(pair, "right_1") for pair in sq.one_pairs & sp.tp_pairs]
-    else:
-        found = [_sets_witness(sp, sq, a, b, n, tags) for a, b, tags in rule.clauses]
+    found = [_sets_witness(pp, qp, a, b, n, tags) for a, b, tags in rule.clauses]
     return min((w for w in found if w is not None), default=None)
 
 
@@ -306,25 +299,23 @@ def _by_claims(
     G: Hypergraph, parts: dict[int, tuple[int, ...]], rule: MergeRule, push: _Push
 ) -> _Join:
     """Candidates by ``_mergeable``, against the parts sharing a key pair."""
-    states: dict[int, _PartState] = {}
+    states: dict[int, ClaimProfile] = {}
     holders: dict[Pair, set[int]] = {}
     wide: set[int] = set()
 
     def file(new: int, edges: tuple[int, ...]) -> None:
         st = _make_state(G, edges, rule)
         found: set[int] = set(wide)
-        for pairs in (st.profile.pair_bits, st.tp_pairs or ()):
-            for pair in pairs:
-                ids = holders.get(pair)
-                if ids is None:
-                    holders[pair] = {new}
-                else:
-                    found |= ids
-                    ids.add(new)
-        if st.profile.has_wide_evidence:
+        for pair in st.pair_bits:
+            ids = holders.get(pair)
+            if ids is None:
+                holders[pair] = {new}
+            else:
+                found |= ids
+                ids.add(new)
+        if st.has_wide_evidence:
             found = set(states)
             wide.add(new)
-        found.discard(new)  # a pair in both key sets already holds ``new``
         for other in found:
             w = _mergeable(states[other], st, rule, G.n)
             if w is not None:
@@ -332,10 +323,8 @@ def _by_claims(
         states[new] = st
 
     def unfile(old: int) -> None:
-        st = states.pop(old)
-        for pairs in (st.profile.pair_bits, st.tp_pairs or ()):
-            for pair in pairs:
-                holders[pair].discard(old)
+        for pair in states.pop(old).pair_bits:
+            holders[pair].discard(old)
         wide.discard(old)
 
     def join(i: int, j: int, new: int, edges: tuple[int, ...]) -> None:
@@ -404,8 +393,7 @@ def merge(
     of the entries that name each part.
 
     Two parts can only have a witness if they share a key pair (a pair in
-    ``profile.pair_bits``, or in ``tp_pairs`` for ``two_plus``) or one of
-    them has wide evidence, so under every rule but ``RULE_11`` parts are
+    their profiles' ``pair_bits``) or one of them has wide evidence, so under every rule but ``RULE_11`` parts are
     indexed by key pair and each new part is checked only against the parts
     sharing one of its keys plus the wide parts (a wide new part against
     all parts).  No part that

@@ -16,17 +16,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
-from .errors import NotFree, Unknown, WrongStage
+from .errors import Unknown, WrongStage
 from .hypergraphs import (
     Hypergraph,
     Pair,
     _mask_to_list,
+    _require_free,
     claim_profile,
     claim_set,
     classify_tree,
-    is_family_free,
     one_bar_two,
     shadow,
 )
@@ -70,26 +70,48 @@ _HALF = Fraction(1, 2)
 class _Case:
     """One weighting case: the k it certifies, the merging stage its
     clusters come from, the uniformities it covers, its edge-bound
-    coefficient at r, and the scale in
-    ``lambda = lambda_scale * (weight - edges / coefficient)``."""
+    coefficient at r, the scale in
+    ``lambda = lambda_scale * (weight - edges / coefficient)``, and its
+    weights.  ``late(F)`` gives the pairs a cluster weights beyond its
+    shadow, whose pairs weigh 1, and the one weight they all get.  A case
+    without ``late`` weights every pair by h of its claim set (the (3,6)
+    rule)."""
 
     k: int
     stage: str
     applies: Callable[[int], bool]
     coefficient: Callable[[int], Fraction]
     lambda_scale: int
+    late: Optional[Callable[[Cluster], tuple[Iterable[Pair], Fraction]]] = None
+
+
+def _deficit_late(F: Cluster) -> tuple[Iterable[Pair], Fraction]:
+    return [p for p in (_deficit_pair(F),) if p is not None], _ONE
+
+
+def _one_bar_two_late(F: Cluster) -> tuple[Iterable[Pair], Fraction]:
+    return one_bar_two(F.part), _ONE if composition(F).sizes == (2, 1, 1, 1) else _HALF
 
 
 # For each k the r = 3 case precedes the case for larger r: rule_for falls
 # back to the last case of its k, whose check then names the rejected r.
+# The late pairs: K5R3's deficit pair at 1, the 2+ pairs at 1 (K5High) or
+# 1/2 (K7), and K6High's 2-not-1-claimed pairs at 1 when the cluster's
+# composition is (2, 1, 1, 1) and 1/2 otherwise.
 _CASES: dict[str, _Case] = {
-    "K5R3": _Case(5, "m11", lambda r: r == 3, lambda r: Fraction(2, 5), 2),
+    "K5R3": _Case(5, "m11", lambda r: r == 3, lambda r: Fraction(2, 5), 2, _deficit_late),
     "K5High": _Case(
-        5, "m2plus", lambda r: r >= 4, lambda r: Fraction(2, r * r - r - 1), 2
+        5, "m2plus", lambda r: r >= 4, lambda r: Fraction(2, r * r - r - 1), 2,
+        lambda F: (tp_pair_set(F.part), _ONE),
     ),
     "K63": _Case(6, "m3plus", lambda r: r == 3, lambda r: Fraction(61, 165), 1),
-    "K6High": _Case(6, "m12", lambda r: r >= 4, lambda r: Fraction(2, r * (r - 1)), 2),
-    "K7": _Case(7, "m2plus", lambda r: r >= 3, lambda r: Fraction(2, r * r - r - 1), 2),
+    "K6High": _Case(
+        6, "m12", lambda r: r >= 4, lambda r: Fraction(2, r * (r - 1)), 2, _one_bar_two_late
+    ),
+    "K7": _Case(
+        7, "m2plus", lambda r: r >= 3, lambda r: Fraction(2, r * r - r - 1), 2,
+        lambda F: (tp_pair_set(F.part), _HALF),
+    ),
 }
 
 
@@ -109,13 +131,6 @@ class WeightRule:
             raise ValueError(f"{self.case} certifies k={info.k}, not k={self.k}")
         if not info.applies(self.r):
             raise ValueError(f"{self.case} does not apply at uniformity r={self.r}")
-
-    @staticmethod
-    def for_case(case: str, r: int) -> "WeightRule":
-        info = _CASES.get(case)
-        if info is None:
-            raise ValueError(f"unknown weighting case {case!r}")
-        return WeightRule(case, r, info.k)
 
     @property
     def stage(self) -> str:
@@ -176,34 +191,19 @@ def _pair_weight_map(F: Cluster, rule: WeightRule) -> dict[Pair, Fraction]:
     """Nonzero pair weights of a cluster (support lies inside V(F))."""
     _check_cluster(F, rule)
     part = F.part
-    case = rule.case
-    if case == "K5R3":
-        out = dict.fromkeys(shadow(part), _ONE)
-        extra = _deficit_pair(F)
-        if extra is not None:
-            out[extra] = _ONE
+    late = _CASES[rule.case].late
+    if late is None:  # h of the claim set, over all pairs inside V(F)
+        prof = claim_profile(part, 5)
+        out = {}
+        for u, v in itertools.combinations(part.vertices(), 2):
+            val = _H_TABLE[prof.bits(u, v) >> 1 & 31]
+            if val:
+                out[Pair(u, v)] = val
         return out
-    if case in ("K5High", "K7"):
-        p1 = shadow(part)
-        out = dict.fromkeys(p1, _ONE)
-        late = _ONE if case == "K5High" else _HALF
-        for p in tp_pair_set(part) - p1:
-            out[p] = late
-        return out
-    if case == "K6High":
-        p1 = shadow(part)
-        out = dict.fromkeys(p1, _ONE)
-        late = _ONE if composition(F).sizes == (2, 1, 1, 1) else _HALF
-        for p in one_bar_two(part):
-            out[p] = late
-        return out
-    # K63: h of the claim set, over all pairs inside V(F)
-    prof = claim_profile(part, 5)
-    out = {}
-    for u, v in itertools.combinations(part.vertices(), 2):
-        val = _H_TABLE[prof.bits(u, v) >> 1 & 31]
-        if val:
-            out[Pair(u, v)] = val
+    out = dict.fromkeys(shadow(part), _ONE)
+    pairs, weight = late(F)
+    for p in pairs:
+        out.setdefault(p, weight)
     return out
 
 
@@ -238,14 +238,7 @@ def certify(G: Hypergraph, rule: WeightRule) -> WeightReport:
     """
     if G.r != rule.r:
         raise ValueError(f"rule {rule.case} is for r={rule.r}, graph has r={G.r}")
-    res = is_family_free(G, rule.k)
-    if not res.free:
-        raise NotFree(
-            f"graph contains {res.query.edge_count} edges on at most "
-            f"{res.query.max_vertices} vertices",
-            res.witness,
-            res.query,
-        )
+    _require_free(G, rule.k)
     part = STAGES[rule.stage](G)
     maps = [(c, _pair_weight_map(c, rule)) for c in part.clusters]
     D = math.lcm(*{val.denominator for _, pw in maps for val in pw.values()})

@@ -27,7 +27,6 @@ from beslab import (
     family_queries,
     family_violation_containing,
     find_configuration,
-    find_configuration_containing,
     from_text,
     graph_doc,
     is_family_free,
@@ -36,6 +35,13 @@ from beslab import (
     shadow,
     to_text,
 )
+from beslab.hypergraphs import _first_containing
+
+
+def containing(G, q, forced):
+    """The first configuration for ``q`` that contains edge ``forced``."""
+    hit = _first_containing(G, (q,), forced)
+    return hit and hit[0]
 
 
 @st.composite
@@ -314,7 +320,7 @@ class TestConfigurations:
             forced = rng.randrange(len(G.edges))
             k = rng.randint(1, 3)
             s = rng.randint(2, 9)
-            got = find_configuration_containing(G, ConfigQuery(k, s), forced)
+            got = containing(G, ConfigQuery(k, s), forced)
             naive = None
             for subset in itertools.combinations(range(len(G.edges)), k):
                 if forced not in subset:
@@ -331,11 +337,11 @@ class TestConfigurations:
         # Three edges on the four vertices 0..3, and one edge apart.
         G = build(3, 6, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (3, 4, 5)])
         q = ConfigQuery(3, 4)
-        assert [find_configuration_containing(G, q, f) for f in range(5)] == [
+        assert [containing(G, q, f) for f in range(5)] == [
             (0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 1, 3), None
         ]
-        assert find_configuration_containing(G, ConfigQuery(1, 3), 2) == (2,)
-        assert find_configuration_containing(G, ConfigQuery(2, 5), 4) == (1, 4)
+        assert containing(G, ConfigQuery(1, 3), 2) == (2,)
+        assert containing(G, ConfigQuery(2, 5), 4) == (1, 4)
 
     def test_family_queries_shape(self):
         qs = family_queries(3, 5)

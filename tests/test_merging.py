@@ -88,7 +88,8 @@ class TestStages:
     def test_one_edge_state_in_closed_form(self):
         # A one-edge part, and any part under a cap-1 rule, skips
         # claim_profile; its state must be the one the general path builds
-        # from the part's own subgraph.
+        # from the part's own subgraph, with bit 2 on the 2+ pairs under
+        # RULE_2PLUS.
         rng = random.Random(43)
         rules = (RULE_11, RULE_12, RULE_2PLUS, RULE_3PLUS, MergeRule.sets({2}, {5}))
         for _ in range(40):
@@ -98,20 +99,20 @@ class TestStages:
                 for rule in rules:
                     got = merging._make_state(G, (i,), rule)
                     part = G.subgraph([i])
-                    assert got.profile == claim_profile(part, rule.claim_cap)
-                    assert got.one_pairs == claimed_pairs(part, 1)
-                    want_tp = tp_pair_set(part) if rule.kind == "two_plus" else None
-                    assert got.tp_pairs == want_tp
+                    assert got == claim_profile(part, rule.claim_cap)
+                    assert set(got.pair_bits) == claimed_pairs(part, 1)
             # Under a cap-1 rule every part takes the closed form.
             for _ in range(3 if len(G.edges) >= 2 else 0):
                 edges = tuple(rng.sample(range(len(G.edges)), rng.randint(2, len(G.edges))))
                 part = G.subgraph(edges)
                 for rule in (RULE_11, RULE_2PLUS):
                     got = merging._make_state(G, edges, rule)
-                    assert got.profile == claim_profile(part, 1)
-                    assert got.one_pairs == claimed_pairs(part, 1)
-                    want_tp = tp_pair_set(part) if rule is RULE_2PLUS else None
-                    assert got.tp_pairs == want_tp
+                    want = claim_profile(part, 1)
+                    assert {p for p, b in got.pair_bits.items() if b & 4} == (
+                        tp_pair_set(part) if rule is RULE_2PLUS else set()
+                    )
+                    assert {p: b & 2 for p, b in got.pair_bits.items() if b & 2} == want.pair_bits
+                    assert (got.all_bits, got.vertex_bits, got.cap) == (0, {}, 1)
 
     def test_trivial(self):
         G = DIAMOND_PLUS_EDGE
@@ -316,10 +317,6 @@ def _random_profile(rng: random.Random, n: int, named: list[int]) -> ClaimProfil
     )
 
 
-def _state(prof: ClaimProfile) -> merging._PartState:
-    return merging._PartState(profile=prof, one_pairs=frozenset(), tp_pairs=None)
-
-
 class TestSetsWitness:
     def test_matches_full_scan(self):
         # T (the named vertices) ranges from a few vertices to all but one
@@ -331,14 +328,14 @@ class TestSetsWitness:
             spare = trial % 3  # vertices left outside T: 0, 1 or more
             size = n - spare if spare < 2 else rng.randint(0, n - 2)
             named = sorted(rng.sample(range(n), size))
-            sp = _state(_random_profile(rng, n, named))
-            sq = _state(_random_profile(rng, n, named))
-            tried_wide += sp.profile.has_wide_evidence or sq.profile.has_wide_evidence
+            sp = _random_profile(rng, n, named)
+            sq = _random_profile(rng, n, named)
+            tried_wide += sp.has_wide_evidence or sq.has_wide_evidence
             for a_bits in range(2, 32, 2):
                 for b_bits in range(2, 32, 2):
                     args = (sp, sq, a_bits, b_bits, n, ("left", "right"))
                     assert merging._sets_witness(*args) == util.naive_sets_witness(*args), (
-                        n, named, sp.profile, sq.profile, a_bits, b_bits,
+                        n, named, sp, sq, a_bits, b_bits,
                     )
         assert tried_wide > 30
 
@@ -504,11 +501,11 @@ class TestNoWideEvidenceOnFreeGraphs:
         for merge_rule in util.NAIVE_STAGE_RULES[rule.stage]:
             assert merge_rule.claim_cap <= k - 1
             state = merging._make_state(G, every, merge_rule)
-            assert not state.profile.has_wide_evidence, (G.edges, merge_rule)
+            assert not state.has_wide_evidence, (G.edges, merge_rule)
         last = util.NAIVE_STAGE_RULES[rule.stage][-1]
         for c in merging.STAGES[rule.stage](G).clusters:
             state = merging._make_state(G, c.edge_indices, last)
-            assert not state.profile.has_wide_evidence, (G.edges, c.edge_indices)
+            assert not state.has_wide_evidence, (G.edges, c.edge_indices)
 
 
 class TestWitnessDefinitions:

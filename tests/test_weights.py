@@ -112,7 +112,7 @@ class TestRuleSelection:
             WeightRule("K63", 3, 5)
         with pytest.raises(ValueError):
             WeightRule("Nope", 3, 5)
-        assert WeightRule.for_case("K7", 3) == WeightRule("K7", 3, 7)
+        assert rule_for(3, 7) == WeightRule("K7", 3, 7)
         for k, case in ((5, "K5High"), (6, "K6High"), (7, "K7")):
             with pytest.raises(ValueError, match=f"^{case} does not apply at uniformity r=2$"):
                 rule_for(2, k)

@@ -296,8 +296,8 @@ def naive_sets_witness(sp, sq, a_bits: int, b_bits: int, n: int, tags: tuple[str
     best = None
     left_tag, right_tag = tags
     for u, v in itertools.combinations(range(n), 2):
-        bits_p = sp.profile.bits(u, v)
-        bits_q = sq.profile.bits(u, v)
+        bits_p = sp.bits(u, v)
+        bits_q = sq.bits(u, v)
         if bits_p & a_bits == a_bits and bits_q & b_bits == b_bits:
             cand = (Pair(u, v), left_tag)
             if best is None or cand < best:
