@@ -282,7 +282,7 @@ def test_acceptance_7_merging_invariants(fuzz_corpus, corpus_k5, corpus_k7):
             cap = k - 1
             for G in graphs:
                 for cluster in m11(G).clusters:
-                    assert classify_tree(cluster.part).is_tree
+                    assert util.naive_tree_kind(cluster.part) != "none", (k, G.edges)
                     assert len(cluster.edge_indices) <= cap
                 for cluster in m2plus(G).clusters:
                     assert len(cluster.edge_indices) <= cap, (k, G.edges)

@@ -36,6 +36,7 @@ from beslab import (
     to_text,
 )
 from beslab.hypergraphs import _first_containing
+from beslab.merging import _pair_components
 
 
 def containing(G, q, forced):
@@ -525,7 +526,35 @@ def _first_violation(G, k):
 # Trees
 
 
+def lemma_tree(F) -> bool:
+    """The tree lemma of ``merging``: m >= 1 edges form an i-tree exactly
+    when they are pair-connected and span (r-2)*m + 2 vertices."""
+    m = len(F.edges)
+    return m >= 1 and F.vertex_count() == (F.r - 2) * m + 2 and len(_pair_components(F)) == 1
+
+
+def grown_tree_plus_stray(rng: random.Random, r: int, m: int):
+    """An i-tree of ``m`` edges grown at random (one edge when r = 2, where
+    no second edge meets the union in a pair only), plus one random stray
+    edge on its vertices and one more, relabeled at random."""
+    edges = [tuple(range(r))]
+    n = r
+    while r > 2 and len(edges) < m:
+        pair = rng.sample(rng.choice(edges), 2)
+        edges.append(tuple(sorted(pair + list(range(n, n + r - 2)))))
+        n += r - 2
+    stray = tuple(sorted(rng.sample(range(n + 1), r)))
+    if stray not in edges:
+        edges.append(stray)
+    perm = list(range(n + 1))
+    rng.shuffle(perm)
+    return util.relabel(build(r, n + 1, edges), perm)
+
+
 class TestTrees:
+    # spans (r-2)*4 + 2 vertices, but no two of its edges share a pair
+    PASCH = build(3, 6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
+
     def test_fixtures(self):
         assert classify_tree(build(3, 3, [])) is NOT_TREE
         assert classify_tree(build(3, 3, [(0, 1, 2)])) == TreeClass.path(1)
@@ -539,13 +568,20 @@ class TestTrees:
         assert classify_tree(disjoint) is NOT_TREE
         tight = build(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
         assert classify_tree(tight) is NOT_TREE  # wrong vertex count
+        for F in (build(3, 3, [(0, 1, 2)]), sunflower, chain, diamond, build(2, 2, [(0, 1)])):
+            assert lemma_tree(F) and util.naive_tree_kind(F) != "none", F.edges
+        for F in (build(3, 3, []), disjoint, tight, self.PASCH, build(2, 3, [(0, 1), (1, 2)])):
+            assert not lemma_tree(F) and util.naive_tree_kind(F) == "none", F.edges
 
     def test_matches_naive(self, fuzz_corpus):
         for G in fuzz_corpus:
+            if len(G.edges) > 6:
+                continue
+            kind = util.naive_tree_kind(G)
+            assert lemma_tree(G) == (kind != "none"), G.edges
             if len(G.edges) > 5:
                 continue
             tc = classify_tree(G)
-            kind = util.naive_tree_kind(G)
             assert (kind == "none") == (not tc.is_tree), G.edges
             assert (kind == "path") == tc.is_path, G.edges
             if tc.is_tree:
@@ -560,6 +596,20 @@ class TestTrees:
             kind = util.naive_tree_kind(G)
             assert (kind != "none") == tc.is_tree
             assert (kind == "path") == tc.is_path
+        # The lemma against every edge order, r = 2..5 and at most 6 edges,
+        # on random graphs and on grown trees with one stray edge.
+        rng = random.Random(41)
+        trees = 0
+        for trial in range(400):
+            r = 2 + trial % 4
+            if trial % 2:
+                G = util.random_hypergraph(rng, r, rng.randint(r, r + 4), 6)
+            else:
+                G = grown_tree_plus_stray(rng, r, rng.randint(1, 5))
+            kind = util.naive_tree_kind(G)
+            assert lemma_tree(G) == (kind != "none"), G.edges
+            trees += kind != "none"
+        assert 100 <= trees <= 300, trees
 
     def test_long_tight_path_needs_no_recursion(self):
         # Deeper than the interpreter's recursion limit, in either edge order.

@@ -11,7 +11,10 @@ import pytest
 import util
 from beslab import weights
 from beslab import (
+    RULE_11,
+    Cluster,
     NotFree,
+    Partition,
     Unknown,
     WeightRule,
     WrongStage,
@@ -24,6 +27,7 @@ from beslab import (
     limit_table,
     m2plus,
     m11,
+    merge,
     one_bar_two,
     Pair,
     report_doc,
@@ -263,6 +267,39 @@ class TestDeficitPair:
         rng = random.Random(5)
         for _ in range(60):
             self._check(util.random_hypergraph(rng, 3, rng.randint(4, 8), 10))
+
+    def test_matches_naive_on_small_clusters_of_graphs_that_are_not_free(self):
+        # 3- and 4-edge m11 clusters, tight or not: a pair-connected cluster
+        # on fewer than (r-2)*m + 2 vertices is no tree and gets no pair.
+        rng = random.Random(9)
+        kinds = set()
+        for _ in range(300):
+            G = util.random_hypergraph(rng, 3, rng.randint(5, 8), 8)
+            for c in m11(G).clusters:
+                m = len(c.edge_indices)
+                if m in (3, 4):
+                    assert weights._deficit_pair(c) == util.naive_deficit_pair(c), G.edges
+                    kinds.add((m, c.part.vertex_count() == m + 2))
+        assert kinds == {(3, True), (3, False), (4, True), (4, False)}
+        dense = build(3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3)])  # 4 edges on 5
+        (c,) = m11(dense).clusters
+        assert one_bar_two(dense) and weights._deficit_pair(c) is None
+        assert util.naive_deficit_pair(c) is None
+
+    def test_tight_clusters_that_are_not_pair_connected(self):
+        # merge labels every RULE_11 closure of a start without rules "m11",
+        # so an m11 cluster need not be pair-connected.  These two span
+        # (r-2)*4 + 2 vertices and are no trees; the two diamonds have a
+        # 2-not-1-claimed pair that nothing else claims.
+        pasch = build(3, 6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
+        two_diamonds = build(3, 6, [(0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)])
+        assert one_bar_two(two_diamonds) == {Pair(2, 3)}
+        for G in (pasch, two_diamonds):
+            whole = Cluster(0, tuple(range(len(G.edges))), (), "custom", G)
+            (c,) = merge(G, Partition(G, (whole,), (), "custom"), RULE_11).clusters
+            assert c.stage == "m11" and c.part.vertex_count() == 6
+            assert weights._deficit_pair(c) is None
+            assert util.naive_deficit_pair(c) is None
 
     def test_claim_checks_see_only_edges_through_the_pair(self, monkeypatch):
         G = _tree_copies(60)
