@@ -374,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="run a cluster-merging stage")
     p.add_argument("--input", default="-", help="graph file or - for stdin")
     p.add_argument("--stage", choices=sorted(STAGES), required=True)
-    p.add_argument("--seed", type=int, help="randomize the merge order")
+    p.add_argument("--seed", type=int, help="randomize the merge order of the stage's last round")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("certify", help="run the weighting certificate")

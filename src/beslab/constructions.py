@@ -297,11 +297,12 @@ def _packing_girth_ok(
     """Would adding the new clique keep hypergraph girth above ``cap``?
 
     Checks every ell in [2, cap] for ell cliques (including the new one)
-    on at most (u-2)*ell + 2 vertices.  Vacuous for 2-uniform packings.
+    on at most (u-2)*ell + 2 vertices, up to ell = len(masks) + 1, all the
+    cliques there are.  Vacuous for 2-uniform packings.
     """
     if u <= 2:
         return True
-    for ell in range(2, cap + 1):
+    for ell in range(2, min(cap, len(masks) + 1) + 1):
         if _config_search(masks, ell - 1, (u - 2) * ell + 2, base=new_mask) is not None:
             return False
     return True

@@ -1,5 +1,4 @@
-"""r-uniform hypergraphs: shadows, claim sets, configuration search, and
-tree/path classification.
+"""r-uniform hypergraphs: shadows, claim sets and configuration search.
 
 Vertices are dense integers ``0..n-1`` so vertex sets fit in int bitmasks;
 all values are immutable after construction.  A pair ``uv`` is *i-claimed*
@@ -38,17 +37,6 @@ class ConfigQuery(NamedTuple):
     max_vertices: int
 
 
-@dataclass(frozen=True)
-class ClaimSet:
-    """Which claim indices ``0..cap`` hold for a fixed pair and subgraph."""
-
-    cap: int
-    members: frozenset[int]
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-
 class FreenessResult(NamedTuple):
     """Outcome of a configuration-family check.
 
@@ -62,34 +50,6 @@ class FreenessResult(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.free
-
-
-@dataclass(frozen=True)
-class TreeClass:
-    """Result of :func:`classify_tree`: not a tree, an i-tree, or an i-path."""
-
-    kind: str  # "not_tree" | "tree" | "path"
-    size: Optional[int] = None
-
-    @staticmethod
-    def tree(i: int) -> "TreeClass":
-        return TreeClass("tree", i)
-
-    @staticmethod
-    def path(i: int) -> "TreeClass":
-        return TreeClass("path", i)
-
-    @property
-    def is_tree(self) -> bool:
-        """Paths count as trees; ``tree`` kind means tree-but-not-path."""
-        return self.kind in ("tree", "path")
-
-    @property
-    def is_path(self) -> bool:
-        return self.kind == "path"
-
-
-NOT_TREE = TreeClass("not_tree")
 
 
 @dataclass(frozen=True)
@@ -207,8 +167,9 @@ def shadow(F: Hypergraph) -> set[Pair]:
 # Claim sets
 
 
-def claim_set(F: Hypergraph, p: Pair, cap: int) -> ClaimSet:
-    """Exact claim set of pair ``p`` against ``F`` for indices ``0..cap``.
+def claim_set(F: Hypergraph, p: Pair, cap: int) -> frozenset[int]:
+    """Exact claim set of pair ``p`` against ``F``: the indices ``0..cap``
+    that hold.
 
     ``p``'s vertices need not lie in ``V(F)``; 0 is always a member.  Index
     i holds when the configuration search finds i edges that fit, together
@@ -227,7 +188,7 @@ def claim_set(F: Hypergraph, p: Pair, cap: int) -> ClaimSet:
     for i in range(1, min(cap, len(F.edges)) + 1):
         if _config_search(F.edge_masks, i, (F.r - 2) * i + 2 - extra, base=base) is not None:
             members.add(i)
-    return ClaimSet(cap=cap, members=frozenset(members))
+    return frozenset(members)
 
 
 @dataclass
@@ -239,10 +200,6 @@ class ClaimProfile:
     pair with ``v`` as one endpoint; ``pair_bits[p]`` for exactly ``p``.
     """
 
-    r: int
-    n: int
-    cap: int
-    edge_count: int
     all_bits: int
     vertex_bits: dict[int, int]
     pair_bits: dict[Pair, int]
@@ -289,15 +246,7 @@ def claim_profile(F: Hypergraph, cap: int) -> ClaimProfile:
                 for a, b in itertools.combinations(_mask_to_list(union), 2):
                     key = Pair(a, b)
                     pair_bits[key] = pair_bits.get(key, 0) | bit
-    return ClaimProfile(
-        r=r,
-        n=F.n,
-        cap=cap,
-        edge_count=m,
-        all_bits=all_bits,
-        vertex_bits=vertex_bits,
-        pair_bits=pair_bits,
-    )
+    return ClaimProfile(all_bits, vertex_bits, pair_bits)
 
 
 def _pairs_with_bits(F: Hypergraph, prof: ClaimProfile, mask: int) -> set[Pair]:
@@ -694,95 +643,6 @@ def family_violation_containing(
     first query in :func:`family_queries` order with such a configuration,
     and its lexicographically first one."""
     return _first_containing(G, _family(G.r, k), forced)
-
-
-# ---------------------------------------------------------------------------
-# Trees
-
-
-def classify_tree(F: Hypergraph) -> TreeClass:
-    """Decide whether ``F`` is an i-tree, an i-path, or neither.
-
-    An i-tree grows from a single edge by edges that meet the current union
-    in exactly one pair lying inside some earlier edge; an i-path further
-    requires that pair to lie in the last edge and in no earlier one.
-    """
-    m = len(F.edges)
-    if m == 0:
-        return NOT_TREE
-    r = F.r
-    if F.vertex_mask.bit_count() != (r - 2) * m + 2:
-        return NOT_TREE
-    if m == 1:
-        return TreeClass.path(1)
-    holders: dict[int, int] = {}  # pair, as a vertex mask -> the edges containing it
-    for j, e in enumerate(F.edges):
-        for x, y in itertools.combinations(e, 2):
-            pair = 1 << x | 1 << y
-            holders[pair] = holders.get(pair, 0) | 1 << j
-    near = [0] * m  # the edges sharing a pair with edge j
-    for sharing in holders.values():
-        if sharing & (sharing - 1):
-            rest = sharing
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                near[low.bit_length() - 1] |= sharing ^ low
-    if _grows_in_order(F.edge_masks, holders, near, path=True):
-        return TreeClass.path(m)
-    if _grows_in_order(F.edge_masks, holders, near, path=False):
-        return TreeClass.tree(m)
-    return NOT_TREE
-
-
-def _grows_in_order(
-    masks: Sequence[int], holders: dict[int, int], near: Sequence[int], path: bool
-) -> bool:
-    """Can the edges be ordered so that each one after the first meets the
-    union so far in exactly one pair, and that pair lies in an earlier edge
-    (for ``path``: in the previous edge and in no edge before it)?
-    ``holders`` maps each pair, as a vertex mask, to the edges containing
-    it, and ``near[j]`` holds the edges sharing a pair with edge j.
-
-    A depth-first search from each first edge over an explicit stack, so
-    long paths cannot exhaust the interpreter's recursion limit.  A state
-    (the used edges, plus the last one for ``path``) that cannot be
-    completed is remembered and never expanded again.  The next edge shares
-    its pair with an earlier edge (for ``path``: with the last one), so only
-    the edges sharing a pair with those are tried.
-    """
-    m = len(masks)
-    full = (1 << m) - 1
-    failed: set = set()
-    for first in range(m):
-        # Frames [used, union, last, edges near the used ones, untried edges];
-        # the untried edges are None until the frame is first entered.
-        stack = [[1 << first, masks[first], first, near[first], None]]
-        while stack:
-            frame = stack[-1]
-            used, union, last, reach, todo = frame
-            if todo is None:
-                if used == full:
-                    return True
-                if ((used, last) if path else used) in failed:
-                    stack.pop()
-                    continue
-                todo = (near[last] if path else reach) & ~used
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                j = low.bit_length() - 1
-                inter = masks[j] & union
-                if inter.bit_count() == 2:
-                    placed = holders[inter] & used
-                    if (placed == 1 << last) if path else placed:
-                        frame[4] = todo
-                        stack.append([used | low, union | masks[j], j, reach | near[j], None])
-                        break
-            else:
-                failed.add((used, last) if path else used)
-                stack.pop()
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,28 @@ A partition of a graph's edge set is coarsened by repeatedly uniting two
 parts that both claim a common vertex pair strongly enough for the active
 rule.  Claims only grow under union, so the fixpoint is independent of the
 merge order; the default schedule is deterministic so traces reproduce.
+
+An *i-tree* grows from one edge by edges that each meet the union so far
+in exactly one pair, lying inside an earlier edge.  Edges are
+*pair-connected* when linked through edges sharing at least two vertices.
+
+**Tree lemma.**  m >= 1 edges form an i-tree exactly when they are
+pair-connected and span (r-2)*m + 2 vertices.  *Proof.*  Order the edges
+so that each edge after the first shares a pair with an earlier edge.
+Each edge then adds at most r - 2 new vertices.  Equality holds exactly
+when each edge meets the union so far in that pair alone, and then the
+order grows an i-tree.  Conversely, a tree's growing order is such an
+order, with equality.
+
+**m11 corollary.**  In a graph free of the family for k, an m11 cluster
+(a pair-connected component) has at most k - 1 edges and is a tree.  In
+an order as above, the first j edges span at most (r-2)*j + 2 vertices:
+fewer for 2 <= j < k would be a denser member, and j = k edges the main
+configuration, so the lemma applies.  ``weights._deficit_pair`` decides
+trees by it, and checks pair-connectedness too: ``merge`` labels the
+``RULE_11`` closure of any start without rules "m11", and the Pasch
+configuration {012, 034, 135, 245} spans (3-2)*4 + 2 vertices with no
+two edges sharing a pair.
 """
 
 from __future__ import annotations
@@ -148,13 +170,6 @@ class Partition:
         return {frozenset(c.edge_indices) for c in self.clusters}
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Sizes of a cluster's pair-connected components, non-increasing."""
-
-    sizes: tuple[int, ...]
-
-
 def trivial_partition(G: Hypergraph) -> Partition:
     """Every edge in its own cluster; cluster id = edge index."""
     clusters = tuple(
@@ -231,10 +246,7 @@ def _make_state(G: Hypergraph, edges: tuple[int, ...], rule: MergeRule) -> Claim
     if rule.kind == "two_plus" and len(edges) >= 3:
         for pair in tp_pair_set(G.subgraph(edges)):
             pair_bits[pair] = pair_bits.get(pair, 0) | 4
-    return ClaimProfile(
-        r=G.r, n=G.n, cap=rule.claim_cap, edge_count=len(edges), all_bits=0,
-        vertex_bits={}, pair_bits=pair_bits,
-    )
+    return ClaimProfile(0, {}, pair_bits)
 
 
 def _sets_witness(
@@ -476,17 +488,17 @@ def m11(G: Hypergraph, rng: Optional[random.Random] = None) -> Partition:
 
 
 def m12(G: Hypergraph, rng: Optional[random.Random] = None) -> Partition:
-    """{1}|{2}-merging on top of :func:`m11`."""
+    """{1}|{2}-merging on top of :func:`m11`; ``rng`` orders this round only."""
     return merge(G, m11(G), RULE_12, rng=rng)
 
 
 def m2plus(G: Hypergraph, rng: Optional[random.Random] = None) -> Partition:
-    """{1}|2+-merging (subtree 2-claims) on top of :func:`m11`."""
+    """{1}|2+-merging (subtree 2-claims) on :func:`m11`; ``rng`` orders this round only."""
     return merge(G, m11(G), RULE_2PLUS, rng=rng)
 
 
 def m3plus(G: Hypergraph, rng: Optional[random.Random] = None) -> Partition:
-    """{1}|{3,4}- and {1,2}|{3}-merging on top of :func:`m12`."""
+    """{1}|{3,4}- and {1,2}|{3}-merging on :func:`m12`; ``rng`` orders this round only."""
     return merge(G, m12(G), RULE_3PLUS, rng=rng)
 
 
@@ -498,15 +510,14 @@ STAGES: dict[str, Callable[..., Partition]] = {
 }
 
 
-def composition(c: Cluster) -> Composition:
+def composition(c: Cluster) -> tuple[int, ...]:
     """Sizes of the cluster's pair-connected components, largest first.
 
     For clusters built over an m11 base these components are exactly the
     original m11 constituents (edges in different constituents never share
     two vertices).
     """
-    sizes = sorted((len(comp) for comp in _pair_components(c.part)), reverse=True)
-    return Composition(tuple(sizes))
+    return tuple(sorted((len(comp) for comp in _pair_components(c.part)), reverse=True))
 
 
 def _pair_components(F: Hypergraph) -> list[tuple[int, ...]]:
@@ -549,7 +560,7 @@ def partition_report(p: Partition) -> dict:
             {
                 "id": c.id,
                 "edges": list(c.edge_indices),
-                "composition": list(composition(c).sizes),
+                "composition": list(composition(c)),
                 "trace": [
                     {
                         "new": ev.new_id,

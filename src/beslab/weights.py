@@ -26,7 +26,6 @@ from .hypergraphs import (
     _require_free,
     claim_profile,
     claim_set,
-    classify_tree,
     one_bar_two,
     shadow,
 )
@@ -90,7 +89,7 @@ def _deficit_late(F: Cluster) -> tuple[Iterable[Pair], Fraction]:
 
 
 def _one_bar_two_late(F: Cluster) -> tuple[Iterable[Pair], Fraction]:
-    return one_bar_two(F.part), _ONE if composition(F).sizes == (2, 1, 1, 1) else _HALF
+    return one_bar_two(F.part), _ONE if composition(F) == (2, 1, 1, 1) else _HALF
 
 
 # For each k the r = 3 case precedes the case for larger r: rule_for falls
@@ -162,7 +161,8 @@ def _deficit_pair(F: Cluster) -> Optional[Pair]:
 
     The lexicographically smallest 2-not-1-claimed pair of the cluster whose
     claim set against the rest of the ambient graph misses both 1 and 2.
-    Returns ``None`` when no pair qualifies.
+    Returns ``None`` when no pair qualifies.  Trees are decided by the tree
+    lemma of :mod:`merging`: (r-2)*m + 2 vertices, pair-connected.
 
     Only the rest edges that meet p can claim p at index 1 or 2, so only
     those are handed to :func:`claim_set`.  Index 1 needs an edge e with
@@ -170,9 +170,8 @@ def _deficit_pair(F: Cluster) -> Optional[Pair]:
     edge d that misses p already has |d | p| = r + 2 = 5.
     """
     part = F.part
-    if len(part.edges) not in (3, 4):
-        return None
-    if not classify_tree(part).is_tree:
+    m = len(part.edges)
+    if m not in (3, 4) or part.vertex_count() != (part.r - 2) * m + 2 or composition(F) != (m,):
         return None
     candidates = sorted(one_bar_two(part))
     if not candidates:
@@ -182,7 +181,7 @@ def _deficit_pair(F: Cluster) -> Optional[Pair]:
     for p in candidates:
         through = _mask_to_list(G.incidence[p.u] | G.incidence[p.v])
         cs = claim_set(G.subgraph(i for i in through if i not in own), p, 2)
-        if 1 not in cs.members and 2 not in cs.members:
+        if 1 not in cs and 2 not in cs:
             return p
     return None
 

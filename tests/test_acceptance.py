@@ -24,7 +24,6 @@ from beslab import (  # noqa: E402
     RandomParams,
     certify,
     claim_set,
-    classify_tree,
     consistency_sweep,
     construction_doc,
     diamond_star,
@@ -288,7 +287,7 @@ def test_acceptance_7_merging_invariants(fuzz_corpus, corpus_k5, corpus_k7):
                     assert len(cluster.edge_indices) <= cap, (k, G.edges)
         c.detail = (
             f"{len(small)} fuzz graphs x 4 stages stable over 100 shuffled "
-            "schedules; m11 clusters are m-trees (m <= k-1); k=5/k=7 caps 4/6 hold"
+            "last-round schedules; m11 clusters are m-trees (m <= k-1); k=5/k=7 caps 4/6 hold"
         )
 
 
@@ -306,7 +305,7 @@ def test_acceptance_8_sum_set_barrier(corpus_k5):
                 for p in pairs:
                     sums = {0}
                     for part in parts:
-                        members = claim_set(part, p, k).members
+                        members = claim_set(part, p, k)
                         sums = {a + b for a in sums for b in members}
                     assert k not in sums, (G.edges, blocks, p)
                     checked += 1

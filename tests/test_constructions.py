@@ -288,6 +288,29 @@ class TestRandomPipeline:
                    (5 * 4 - 8, 5), (6 * 4 - 11, 6), (7 * 4 - 12, 7)}
         assert set(rep.freeness_facts) == queries
 
+    def test_girth_cap_beyond_the_packing_costs_nothing(self, monkeypatch):
+        # ell packed cliques need ell - 1 earlier ones, so the girth check
+        # stops at the packing's size plus one: a cap of 64 already exceeds
+        # it here (at most 22 edge-disjoint triangles on 12 vertices).
+        calls = []
+        inner = constructions._config_search
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(constructions, "_config_search", counted)
+        docs, counts = [], []
+        for cap in (64, 10_000):
+            calls.clear()
+            params = RandomParams(
+                r=5, m=12, alpha=Fraction(1, 2), mu=Fraction(1, 8), seed=1, girth_cap=cap
+            )
+            docs.append(construction_doc(random_packing_construction(params)))
+            counts.append(len(calls))
+        assert docs[0] == docs[1]
+        assert counts[0] == counts[1] > 0
+
     def test_doc_shape(self):
         rep = random_packing_construction(RandomParams(**self.PARAMS))
         doc = construction_doc(rep)

@@ -112,7 +112,7 @@ class TestStages:
                         tp_pair_set(part) if rule is RULE_2PLUS else set()
                     )
                     assert {p: b & 2 for p, b in got.pair_bits.items() if b & 2} == want.pair_bits
-                    assert (got.all_bits, got.vertex_bits, got.cap) == (0, {}, 1)
+                    assert (got.all_bits, got.vertex_bits) == (0, {})
 
     def test_trivial(self):
         G = DIAMOND_PLUS_EDGE
@@ -272,17 +272,17 @@ class TestTraces:
 class TestComposition:
     def test_fixtures(self):
         p = m11(diamond_star(2))
-        assert all(composition(c).sizes == (2,) for c in p.clusters)
+        assert all(composition(c) == (2,) for c in p.clusters)
         q = m3plus(DIAMOND_PLUS_123)
         (c,) = q.clusters
-        assert composition(c).sizes == (3, 2)
+        assert composition(c) == (3, 2)
 
     def test_big_star(self, big_star):
         p = m12(big_star)
         sizes = sorted((len(c.edge_indices) for c in p.clusters), reverse=True)
         assert sizes == [13] + [2] * 24
         big = max(p.clusters, key=lambda c: len(c.edge_indices))
-        assert composition(big).sizes == (2, 2, 2, 2, 2, 2, 1)
+        assert composition(big) == (2, 2, 2, 2, 2, 2, 1)
         # the third round adds nothing here
         assert m3plus(big_star).edge_sets() == p.edge_sets()
         assert len(m11(big_star).clusters) == 31
@@ -302,7 +302,7 @@ class TestReports:
             assert set(ev) == {"new", "left", "right", "pair", "direction"}
 
 
-def _random_profile(rng: random.Random, n: int, named: list[int]) -> ClaimProfile:
+def _random_profile(rng: random.Random, named: list[int]) -> ClaimProfile:
     """Claim bits 1..4 on random vertices and pairs among ``named``."""
     vertex_bits = {v: rng.randrange(2, 32, 2) for v in named if rng.random() < 0.3}
     pair_bits = {
@@ -311,10 +311,7 @@ def _random_profile(rng: random.Random, n: int, named: list[int]) -> ClaimProfil
         if rng.random() < 0.3
     }
     all_bits = rng.choice([0, 0, rng.randrange(2, 32, 2)])
-    return ClaimProfile(
-        r=3, n=n, cap=4, edge_count=0, all_bits=all_bits, vertex_bits=vertex_bits,
-        pair_bits=pair_bits,
-    )
+    return ClaimProfile(all_bits, vertex_bits, pair_bits)
 
 
 class TestSetsWitness:
@@ -328,8 +325,8 @@ class TestSetsWitness:
             spare = trial % 3  # vertices left outside T: 0, 1 or more
             size = n - spare if spare < 2 else rng.randint(0, n - 2)
             named = sorted(rng.sample(range(n), size))
-            sp = _random_profile(rng, n, named)
-            sq = _random_profile(rng, n, named)
+            sp = _random_profile(rng, named)
+            sq = _random_profile(rng, named)
             tried_wide += sp.has_wide_evidence or sq.has_wide_evidence
             for a_bits in range(2, 32, 2):
                 for b_bits in range(2, 32, 2):

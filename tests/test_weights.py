@@ -190,7 +190,7 @@ class TestClusterWeights:
         (c,) = rep.partition.clusters
         from beslab import composition
 
-        assert composition(c).sizes == (2, 1, 1, 1)
+        assert composition(c) == (2, 1, 1, 1)
         assert rep.per_cluster[c.id] == (30, 0)
         assert rep.certified
 

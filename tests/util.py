@@ -84,7 +84,7 @@ def naive_claim_profile(F: Hypergraph, cap: int) -> ClaimProfile:
             elif slack == 0:
                 for a, b in itertools.combinations(sorted(span), 2):
                     pair_bits[Pair(a, b)] = pair_bits.get(Pair(a, b), 0) | bit
-    return ClaimProfile(F.r, F.n, cap, len(F.edges), all_bits, vertex_bits, pair_bits)
+    return ClaimProfile(all_bits, vertex_bits, pair_bits)
 
 
 def naive_find_config(F: Hypergraph, k: int, s: int) -> Optional[tuple[int, ...]]:
