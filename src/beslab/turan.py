@@ -157,7 +157,10 @@ def _greedy(r: int, n: int, queries: list[ConfigQuery]) -> TuranResult:
     set admissible.  No step skips a candidate by the search's symmetry
     rule, because the first live candidate always obeys it: moving its
     vertices above the chosen set's top vertex down onto the next unused
-    ones gives a candidate no later in the order that is just as live."""
+    ones gives a candidate no later in the order that is just as live.
+    The search's upper bound never cuts this descent short: along it the
+    best value is the current size, and a set of ``upper`` edges has no
+    live candidate, which would make a larger admissible set."""
     t0 = time.perf_counter()
     ks = _Kills(r, n, queries)
     live, unions = ks.root_live, ks.root_unions
@@ -172,8 +175,34 @@ def _greedy(r: int, n: int, queries: list[ConfigQuery]) -> TuranResult:
     return TuranResult(len(edges), build(r, n, edges), 0, time.perf_counter() - t0)
 
 
+def _pigeonhole(r: int, n: int, queries: list[ConfigQuery]) -> int:
+    """C(n, r), lowered to k - 1 for every query (k, s) with n <= s: any k
+    distinct edges on n <= s vertices form that query's configuration."""
+    out = math.comb(n, r)
+    for q in queries:
+        if n <= q.max_vertices:
+            out = min(out, q.edge_count - 1)
+    return out
+
+
+def _upper_bound(r: int, n: int, queries: list[ConfigQuery]) -> tuple[int, int]:
+    """(bound, nodes): :func:`_pigeonhole`, and for n > r the averaging
+    bound floor(n f(n-1) / (n - r)) too (see :func:`_branch_and_bound`),
+    with the nodes of the bounded searches for f(r), ..., f(n-1).  They run
+    bottom-up and never read the file cache: a cached value that is too
+    small would make the bound too tight, and a hit is re-checked only for
+    "at least"."""
+    nodes = 0
+    upper = _pigeonhole(r, min(n, r), queries)
+    for t in range(r + 1, n + 1):
+        prev, _, entered = _branch_and_bound(r, t - 1, queries, upper)
+        nodes += entered
+        upper = min(_pigeonhole(r, t, queries), t * prev // (t - r))
+    return upper, nodes
+
+
 def _branch_and_bound(
-    r: int, n: int, queries: list[ConfigQuery]
+    r: int, n: int, queries: list[ConfigQuery], upper: int
 ) -> tuple[int, tuple[tuple[int, ...], ...], int]:
     """Maximize the edge sets over all r-subsets of range(n) in which no
     query finds a configuration.
@@ -209,6 +238,23 @@ def _branch_and_bound(
     counts only live candidates; it cuts a branch only when no set below
     it can beat the best value, so the answer matches the search without
     it.  ``nodes`` counts the nodes entered below the empty root.
+
+    ``upper`` bounds the answer from above (C(n, r) bounds nothing).
+    Pigeonhole bound: for a query (k, s) with n <= s, any k edges span at
+    most s vertices, so f(n) <= k - 1.  Averaging bound (Katona, Nemetz and
+    Simonovits, 1964): G - v is admissible on n - 1 vertices, as every
+    query asks for a subgraph, and each edge survives the n - r deletions
+    of the vertices outside it, so (n - r)|E(G)| = sum over v of
+    |E(G - v)| <= n f(n-1), and f(n) <= floor(n f(n-1) / (n - r)) for
+    n > r.  Upper-bound lemma: the cuts become min(size - 1 + |live|,
+    upper) <= best and min(size + |child live|, upper) <= best.  While
+    best < upper they are the cuts above, so the search enters the nodes
+    of the search with upper = C(n, r), in order, up to the first set of
+    ``upper`` edges; as upper >= the answer, that set is an optimum and
+    the first one entered, the same witness.  Then every test fails and
+    the search unwinds.  The search never prunes with a weighting rule's
+    edge bound ``bound_coefficient * C(n, 2)``: the sweep checks the exact
+    values against it, and a pruned value could never show it violated.
     """
     ks = _Kills(r, n, queries)
     cmasks, kill, extend = ks.cmasks, ks.kill, ks.extend
@@ -222,7 +268,7 @@ def _branch_and_bound(
         and whose top vertex is ``top``."""
         nonlocal best_val, best_idx, nodes
         size = len(chosen_idx) + 1  # the size of each child
-        while size - 1 + live.bit_count() > best_val:
+        while best_val < upper and size - 1 + live.bit_count() > best_val:
             low = live & -live
             live ^= low
             j = low.bit_length() - 1
@@ -236,7 +282,7 @@ def _branch_and_bound(
                 best_val = size
                 best_idx = tuple(chosen_idx)
             child = live & ~kill(unions, mj)
-            if size + child.bit_count() > best_val:
+            if best_val < upper and size + child.bit_count() > best_val:
                 dfs(child, extend(unions, mj), mj.bit_length() - 1)
             chosen_idx.pop()
 
@@ -320,9 +366,10 @@ def _exact(
     t0: float,
 ) -> TuranResult:
     """Most edges of an r-uniform graph on n vertices matching none of
-    ``queries``: cache lookup, size cap, search, witness re-check, cache
-    append.  The last query is the main ban and keys the cache entry.  A
-    cached record whose witness fails the re-check counts as a miss."""
+    ``queries``: cache lookup, size cap, upper bound, search, witness
+    re-check, cache append.  The last query is the main ban and keys the
+    cache entry.  A cached record whose witness fails the re-check counts
+    as a miss."""
     main = queries[-1]
     key = (kind, r, n, main.max_vertices, main.edge_count)
     if cache_path:
@@ -335,7 +382,9 @@ def _exact(
             "pass allow_large to force it",
             best=_greedy(r, n, queries),
         )
-    value, edges, nodes = _branch_and_bound(r, n, queries)
+    upper, nodes = _upper_bound(r, n, queries)
+    value, edges, entered = _branch_and_bound(r, n, queries, upper)
+    nodes += entered
     witness = build(r, n, edges)
     if not _proves(r, n, queries, value, witness):
         raise RuntimeError("internal error: extremal witness fails its own ban")
@@ -382,7 +431,11 @@ def exact_turan_family(
     banned family for k (the main configuration and all denser members).
 
     No closed form applies; the search runs whenever n is within
-    :func:`size_cap` (or ``allow_large`` is set).
+    :func:`size_cap` (or ``allow_large`` is set).  It stops at the first
+    set that reaches a proved upper bound: the least e - 1 over the
+    members of e edges on s >= n vertices, and floor(n * f(n-1) / (n - r))
+    with f(r), ..., f(n-1) searched first.  ``nodes_explored`` counts the
+    nodes of those smaller searches too.
     """
     t0 = time.perf_counter()
     _validate(r, n, k)

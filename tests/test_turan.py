@@ -29,7 +29,14 @@ from beslab import (
 )
 from beslab import turan
 from beslab.hypergraphs import _mask, family_queries
-from beslab.turan import _Kills, _branch_and_bound, _greedy, _subsets_by_top
+from beslab.turan import (
+    _Kills,
+    _branch_and_bound,
+    _greedy,
+    _pigeonhole,
+    _subsets_by_top,
+    _upper_bound,
+)
 
 
 class TestPlain:
@@ -54,6 +61,7 @@ class TestPlain:
                 got = exact_turan(3, n, s, k)
                 want = util.naive_turan_plain(3, n, s, k)
                 assert got.value == want, (n, s, k)
+                assert _upper_bound(3, n, [ConfigQuery(k, s)])[0] >= want, (n, s, k)
                 assert len(got.witness.edges) == got.value
                 assert (
                     find_configuration(got.witness, ConfigQuery(k, s)) is None
@@ -120,7 +128,9 @@ class TestFamily:
         for n in (3, 4, 5):
             for k in (3, 5, 6):
                 got = exact_turan_family(3, n, k)
-                assert got.value == util.naive_turan_family(3, n, k), (n, k)
+                want = util.naive_turan_family(3, n, k)
+                assert got.value == want, (n, k)
+                assert _upper_bound(3, n, family_queries(3, k))[0] >= want, (n, k)
                 assert is_family_free(got.witness, k).free
                 assert len(got.witness.edges) == got.value
 
@@ -244,8 +254,12 @@ class TestSymmetryRule:
             bans = [(rng.randint(1, 4), rng.randint(1, 2 * r + 1))
                     for _ in range(rng.randint(1, 3))]
             want = util.naive_first_optimum(r, n, list(_subsets_by_top(n, r)), bans)
-            value, edges, _ = _branch_and_bound(r, n, [ConfigQuery(k, s) for k, s in bans])
-            assert (value, edges) == (len(want), want), (r, n, bans)
+            queries = [ConfigQuery(k, s) for k, s in bans]
+            upper = _upper_bound(r, n, queries)[0]
+            assert upper >= len(want), (r, n, bans)
+            for bound in (math.comb(n, r), upper):
+                value, edges, _ = _branch_and_bound(r, n, queries, bound)
+                assert (value, edges) == (len(want), want), (r, n, bans, bound)
 
     @staticmethod
     def _spans_initial_segment(masks):
@@ -280,7 +294,7 @@ class TestSymmetryRule:
         for r, n, queries in ((3, 7, family_queries(3, 6)), (4, 7, family_queries(4, 5)),
                               (3, 7, [ConfigQuery(3, 5)]), (2, 7, [ConfigQuery(2, 3)])):
             seen.clear()
-            nodes = _branch_and_bound(r, n, queries)[2]
+            nodes = _branch_and_bound(r, n, queries, math.comb(n, r))[2]
             assert len(seen) == nodes > 0, (r, n)
             index = {_mask(e): i for i, e in enumerate(_subsets_by_top(n, r))}
             for chosen in seen:
@@ -420,6 +434,18 @@ class TestCache:
         assert (hit.value, hit.witness, hit.nodes_explored) == (
             good.value, good.witness, good.nodes_explored)
         assert len(path.read_text().splitlines()) == 3
+
+    def test_bound_never_reads_the_cache(self, tmp_path):
+        # A record that passes the witness re-check but is too small
+        # (f(7) = 4) answers its own key; the averaging bound for n = 8
+        # searches f(7) again instead of trusting it.
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(
+            {"kind": "family", "r": 3, "n": 7, "s": 7, "k": 5,
+             "value": 3, "witness": "3 7 3\n0 1 2\n0 1 3\n0 1 4\n", "nodes": 1},
+            sort_keys=True) + "\n")
+        assert exact_turan_family(3, 7, 5, cache_path=str(path)).value == 3
+        assert exact_turan_family(3, 8, 5, cache_path=str(path)).value == 6
 
     def test_unhashable_key_line_is_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -587,6 +613,19 @@ PLAIN_PINS = {
 }
 
 
+# (n, k, witness, nodes) of exact_turan_family(3, n, k).  The witnesses were
+# recorded at commit 387c457.  The node counts are those of the search that
+# stops at the pigeonhole and averaging bounds, including the searches for
+# f(3), ..., f(n-1) behind the latter.  The search without the bounds
+# (commit ea79a2e) entered 1,272, 10,264 and 34,995 nodes; without the
+# symmetry rule either (commit 564fe9c), 5,283, 27,530 and 148,575.
+LARGER_FAMILIES = (
+    (7, 5, "012 013 014 015", 14),
+    (7, 6, "012 013 014 015 016", 15),
+    (8, 5, "012 013 014 235 467 567", 66),
+)
+
+
 class TestPinnedAnswers:
     def test_sweep_searches(self):
         for (r, n, k), text in FAMILY_PINS.items():
@@ -597,29 +636,62 @@ class TestPinnedAnswers:
             assert (res.value, res.witness.edges) == _pinned(text), (r, n, s, k)
 
     def test_larger_families(self):
-        # (n, k, witness, nodes).  The witnesses were recorded at commit
-        # 387c457.  The node counts are those of the search with the symmetry
-        # rule; the search without it (commit 564fe9c) entered 5,283, 27,530
-        # and 148,575 nodes.
-        for n, k, text, nodes in (
-            (7, 5, "012 013 014 015", 1272),
-            (7, 6, "012 013 014 015 016", 10264),
-            (8, 5, "012 013 014 235 467 567", 34995),
-        ):
+        for n, k, text, nodes in LARGER_FAMILIES:
             res = exact_turan_family(3, n, k)
             assert (res.value, res.witness.edges) == _pinned(text), (n, k)
             assert res.nodes_explored == nodes, (n, k)
 
     def test_n9_families(self):
         # The r = 3 size cap.  Recorded at commit 564fe9c, whose search
-        # entered 11,321,652, 13,059,593 and 22,256,816 nodes for them.
-        for k, text in (
-            (5, "012 034 056 135 147 238 267 468 578"),
-            (6, "012 013 014 025 346 578 678"),
-            (7, "012 013 014 015 016 017"),
+        # entered 11,321,652, 13,059,593 and 22,256,816 nodes for them; the
+        # search without the bounds (commit ea79a2e) entered 2,077,483,
+        # 1,793,790 and 1,761,731.  The counts include the searches for
+        # f(3), ..., f(8) behind the averaging bound.
+        for k, text, nodes in (
+            (5, "012 034 056 135 147 238 267 468 578", 575905),
+            (6, "012 013 014 025 346 578 678", 390),
+            (7, "012 013 014 015 016 017", 27),
         ):
             res = exact_turan_family(3, 9, k)
             assert (res.value, res.witness.edges) == _pinned(text), k
+            assert res.nodes_explored == nodes, k
+
+    def test_n10_family_k7(self):
+        # Past the r = 3 size cap: the averaging bound 10 * 6 // 7 = 8 from
+        # f(9) = 6 is met, so the search stops at its first set of 8 edges.
+        res = exact_turan_family(3, 10, 7, allow_large=True)
+        assert (res.value, res.witness.edges) == _pinned("012 013 014 015 236 457 689 789")
+        assert res.nodes_explored == 3974
+
+    def test_bounded_search_matches_unbounded(self):
+        # Against the search with upper = C(n, r), which bounds nothing: the
+        # same value and witness, and no more nodes.
+        searches = [(r, n, family_queries(r, k)) for r, n, k in FAMILY_PINS]
+        searches += [(r, n, [ConfigQuery(k, s)]) for r, n, s, k in PLAIN_PINS]
+        searches += [(3, n, family_queries(3, k)) for n, k, _, _ in LARGER_FAMILIES]
+        for r, n, queries in searches:
+            value, edges, nodes = _branch_and_bound(r, n, queries, _upper_bound(r, n, queries)[0])
+            full = _branch_and_bound(r, n, queries, math.comb(n, r))
+            assert (value, edges) == full[:2], (r, n, queries)
+            assert nodes <= full[2], (r, n, queries)
+
+    def test_pigeonhole_bound(self):
+        # Every pinned sweep search has some ban (k, s) with n <= s, and its
+        # answer meets the pigeonhole bound.
+        for (r, n, k), text in FAMILY_PINS.items():
+            assert _pigeonhole(r, n, family_queries(r, k)) == _pinned(text)[0], (r, n, k)
+        for (r, n, s, k), text in PLAIN_PINS.items():
+            assert _pigeonhole(r, n, [ConfigQuery(k, s)]) == _pinned(text)[0], (r, n, s, k)
+        # The main ban of k = 7 is 7 edges on 9 vertices; at n = 10 every ban
+        # has s < n and the bound is C(10, 3).
+        assert _pigeonhole(3, 9, family_queries(3, 7)) == 6
+        assert _pigeonhole(3, 10, family_queries(3, 7)) == 120
+
+    def test_averaging_bound(self):
+        # (bound, nodes of the searches for f(3), ..., f(n-1)) for k = 5:
+        # f = 1, 2, 3, 4, 4, 6 at n = 3..8, and 9 * 6 // 6 = 9 is f(9).
+        got = [_upper_bound(3, n, family_queries(3, 5)) for n in range(2, 10)]
+        assert got == [(0, 0), (1, 0), (2, 1), (3, 3), (4, 6), (4, 10), (6, 14), (9, 66)]
 
 
 def test_turan_doc_shape():
