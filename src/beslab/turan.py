@@ -250,8 +250,8 @@ def _branch_and_bound(
     upper) <= best and min(size + |child live|, upper) <= best.  While
     best < upper they are the cuts above, so the search enters the nodes
     of the search with upper = C(n, r), in order, up to the first set of
-    ``upper`` edges; as upper >= the answer, that set is an optimum and
-    the first one entered, the same witness.  Then every test fails and
+    ``upper`` edges; as upper >= the answer, that set is the first optimum
+    either search enters, so both return it.  Then every test fails and
     the search unwinds.  The search never prunes with a weighting rule's
     edge bound ``bound_coefficient * C(n, 2)``: the sweep checks the exact
     values against it, and a pruned value could never show it violated.
