@@ -17,7 +17,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -185,22 +184,6 @@ def _pigeonhole(r: int, n: int, queries: list[ConfigQuery]) -> int:
     return out
 
 
-def _upper_bound(r: int, n: int, queries: list[ConfigQuery]) -> tuple[int, int]:
-    """(bound, nodes): :func:`_pigeonhole`, and for n > r the averaging
-    bound floor(n f(n-1) / (n - r)) too (see :func:`_branch_and_bound`),
-    with the nodes of the bounded searches for f(r), ..., f(n-1).  They run
-    bottom-up and never read the file cache: a cached value that is too
-    small would make the bound too tight, and a hit is re-checked only for
-    "at least"."""
-    nodes = 0
-    upper = _pigeonhole(r, min(n, r), queries)
-    for t in range(r + 1, n + 1):
-        prev, _, entered = _branch_and_bound(r, t - 1, queries, upper)
-        nodes += entered
-        upper = min(_pigeonhole(r, t, queries), t * prev // (t - r))
-    return upper, nodes
-
-
 def _branch_and_bound(
     r: int, n: int, queries: list[ConfigQuery], upper: int
 ) -> tuple[int, tuple[tuple[int, ...], ...], int]:
@@ -239,15 +222,10 @@ def _branch_and_bound(
     it can beat the best value, so the answer matches the search without
     it.  ``nodes`` counts the nodes entered below the empty root.
 
-    ``upper`` bounds the answer from above (C(n, r) bounds nothing).
-    Pigeonhole bound: for a query (k, s) with n <= s, any k edges span at
-    most s vertices, so f(n) <= k - 1.  Averaging bound (Katona, Nemetz and
-    Simonovits, 1964): G - v is admissible on n - 1 vertices, as every
-    query asks for a subgraph, and each edge survives the n - r deletions
-    of the vertices outside it, so (n - r)|E(G)| = sum over v of
-    |E(G - v)| <= n f(n-1), and f(n) <= floor(n f(n-1) / (n - r)) for
-    n > r.  Upper-bound lemma: the cuts become min(size - 1 + |live|,
-    upper) <= best and min(size + |child live|, upper) <= best.  While
+    ``upper`` bounds the answer from above (C(n, r) bounds nothing; the
+    bounds proved in :func:`_chain` are the ones passed).  Upper-bound
+    lemma: the cuts become min(size - 1 + |live|, upper) <= best and
+    min(size + |child live|, upper) <= best.  While
     best < upper they are the cuts above, so the search enters the nodes
     of the search with upper = C(n, r), in order, up to the first set of
     ``upper`` edges; as upper >= the answer, that set is the first optimum
@@ -293,22 +271,49 @@ def _branch_and_bound(
     return best_val, tuple(ks.cands[i] for i in best_idx), nodes
 
 
+def _chain(
+    r: int, n: int, queries: list[ConfigQuery]
+) -> Iterator[tuple[int, int, int, tuple[tuple[int, ...], ...], int]]:
+    """Rows (t, bound, value, first optimum, nodes so far) of the searches
+    for f(t), t = min(r, n), ..., n, run bottom-up under a proved bound.
+
+    Each row's bound is :func:`_pigeonhole`, and for t > r also the
+    averaging bound from the row before (Katona, Nemetz and Simonovits,
+    1964): G - v is admissible on t - 1 vertices, as every query asks for
+    a subgraph, and each edge survives the t - r deletions of the vertices
+    outside it, so (t - r)|E(G)| = sum over v of |E(G - v)| <= t f(t-1),
+    and f(t) <= floor(t f(t-1) / (t - r)).  ``nodes`` counts the nodes of
+    every search up to row t, so a row reads the same however far the
+    chain runs.  The chain never reads the file cache: a cached value that
+    is too small would make the next bound too tight, and a hit is
+    re-checked only for "at least".
+    """
+    nodes = value = 0
+    for t in range(min(r, n), n + 1):
+        upper = _pigeonhole(r, t, queries)
+        if t > r:
+            upper = min(upper, t * value // (t - r))
+        value, edges, entered = _branch_and_bound(r, t, queries, upper)
+        nodes += entered
+        yield t, upper, value, edges, nodes
+
+
 # ---------------------------------------------------------------------------
 # JSON-lines result cache
 
 
-def _cache_load(path: str, key: tuple) -> Optional[tuple]:
-    """(value, witness, nodes) of the record stored under ``key``, or None.
+def _cache_load(path: str, keys: set) -> dict:
+    """{key: (value, witness, nodes)} of the records stored under ``keys``.
 
-    Only lines whose five key fields equal ``key`` have their witness
-    parsed.  Lines that are not well-formed records are skipped; the last
-    well-formed matching line wins.
+    Only lines whose five key fields form one of ``keys`` have their
+    witness parsed.  Lines that are not well-formed records are skipped;
+    for each key the last well-formed matching line wins.
     """
-    hit = None
+    hits: dict = {}
     try:
         fh = open(path, "r", encoding="utf-8", errors="replace")
     except OSError:
-        return None
+        return hits
     with fh:
         for line in fh:
             line = line.strip()
@@ -316,27 +321,20 @@ def _cache_load(path: str, key: tuple) -> Optional[tuple]:
                 continue
             try:
                 obj = json.loads(line)
-                if (obj["kind"], obj["r"], obj["n"], obj["s"], obj["k"]) != key:
+                key = (obj["kind"], obj["r"], obj["n"], obj["s"], obj["k"])
+                if key not in keys:
                     continue
-                hit = (int(obj["value"]), from_text(obj["witness"]), int(obj["nodes"]))
-            # AttributeError: a witness that is not a string; OverflowError: 1e400.
+                hits[key] = (int(obj["value"]), from_text(obj["witness"]), int(obj["nodes"]))
+            # AttributeError: a witness not a string; OverflowError: 1e400;
+            # TypeError: a key field that cannot be hashed.
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
                 continue
-    return hit
+    return hits
 
 
 def _cache_append(path: str, key: tuple, value: int, witness, nodes: int) -> None:
-    kind, r, n, s, k = key
-    obj = {
-        "kind": kind,
-        "r": r,
-        "n": n,
-        "s": s,
-        "k": k,
-        "value": value,
-        "witness": to_text(witness),
-        "nodes": nodes,
-    }
+    obj = dict(zip(("kind", "r", "n", "s", "k"), key))
+    obj.update(value=value, witness=to_text(witness), nodes=nodes)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -356,41 +354,64 @@ def _proves(r: int, n: int, queries: list[ConfigQuery], value: int, witness: Hyp
     )
 
 
+def _search(r: int, ns: list[int], queries: list[ConfigQuery]) -> dict[int, tuple]:
+    """{n: (value, witness, nodes)} for the n in ``ns``, from one
+    :func:`_chain` up to the largest, each witness re-checked."""
+    out: dict[int, tuple] = {}
+    for t, _, value, edges, nodes in _chain(r, max(ns), queries) if ns else ():
+        if t in ns:
+            witness = build(r, t, edges)
+            if not _proves(r, t, queries, value, witness):
+                raise RuntimeError("internal error: extremal witness fails its own ban")
+            out[t] = (value, witness, nodes)
+    return out
+
+
 def _exact(
-    kind: str,
-    r: int,
-    n: int,
-    queries: list[ConfigQuery],
+    jobs: list[tuple[str, int, list[int], list[ConfigQuery]]],
     allow_large: bool,
     cache_path: Optional[str],
-    t0: float,
-) -> TuranResult:
-    """Most edges of an r-uniform graph on n vertices matching none of
-    ``queries``: cache lookup, size cap, upper bound, search, witness
-    re-check, cache append.  The last query is the main ban and keys the
-    cache entry.  A cached record whose witness fails the re-check counts
-    as a miss."""
-    main = queries[-1]
-    key = (kind, r, n, main.max_vertices, main.edge_count)
+    threads: int = 1,
+) -> list[dict[int, tuple]]:
+    """For each job (kind, r, ns, queries): {n: (value, witness, nodes)},
+    the most edges of an r-uniform graph on n vertices matching none of
+    ``queries``, whose last query keys the cache.  All lookups come first,
+    one cache read per job: a hit counts if :func:`_proves` accepts it, and
+    a miss over :func:`size_cap` without ``allow_large`` raises
+    :class:`TooLarge` before any search.  Each job's misses then come from
+    one :func:`_search`, the jobs in worker processes when ``threads > 1``
+    and each has misses, and are appended job by job in ascending n."""
+    found, todo, keys = [], [], []
+    for kind, r, ns, queries in jobs:
+        main = queries[-1]
+        keys.append({n: (kind, r, n, main.max_vertices, main.edge_count) for n in ns})
+        stored = _cache_load(cache_path, set(keys[-1].values())) if cache_path and ns else {}
+        hits = {}
+        for n in ns:
+            hit = stored.get(keys[-1][n])
+            if hit is not None and _proves(r, n, queries, hit[0], hit[1]):
+                hits[n] = hit
+            elif n > size_cap(r) and not allow_large:
+                raise TooLarge(
+                    f"exact search for n={n} exceeds the n<={size_cap(r)} cap for r={r}; "
+                    "pass allow_large to force it",
+                    best=_greedy(r, n, queries),
+                )
+        found.append(hits)
+        todo.append((r, [n for n in ns if n not in hits], queries))
+    if threads > 1 and all(missing for _, missing, _ in todo):
+        # Imported here: only a threaded sweep uses it, and loading it slows every start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=len(todo)) as pool:
+            searched = list(pool.map(_search, *zip(*todo)))
+    else:
+        searched = [_search(*job) for job in todo]
     if cache_path:
-        hit = _cache_load(cache_path, key)
-        if hit is not None and _proves(r, n, queries, hit[0], hit[1]):
-            return TuranResult(*hit, time.perf_counter() - t0)
-    if n > size_cap(r) and not allow_large:
-        raise TooLarge(
-            f"exact search for n={n} exceeds the n<={size_cap(r)} cap for r={r}; "
-            "pass allow_large to force it",
-            best=_greedy(r, n, queries),
-        )
-    upper, nodes = _upper_bound(r, n, queries)
-    value, edges, entered = _branch_and_bound(r, n, queries, upper)
-    nodes += entered
-    witness = build(r, n, edges)
-    if not _proves(r, n, queries, value, witness):
-        raise RuntimeError("internal error: extremal witness fails its own ban")
-    if cache_path:
-        _cache_append(cache_path, key, value, witness, nodes)
-    return TuranResult(value, witness, nodes, time.perf_counter() - t0)
+        for key, rows in zip(keys, searched):
+            for n, row in rows.items():
+                _cache_append(cache_path, key[n], *row)
+    return [{**hits, **rows} for hits, rows in zip(found, searched)]
 
 
 def exact_turan(
@@ -417,7 +438,8 @@ def exact_turan(
         value = min(math.comb(n, r), k - 1)
         witness = build(r, n, itertools.islice(_subsets_by_top(n, r), value))
         return TuranResult(value, witness, 0, time.perf_counter() - t0)
-    return _exact("plain", r, n, [ConfigQuery(k, s)], allow_large, cache_path, t0)
+    rows = _exact([("plain", r, [n], [ConfigQuery(k, s)])], allow_large, cache_path)[0]
+    return TuranResult(*rows[n], time.perf_counter() - t0)
 
 
 def exact_turan_family(
@@ -431,17 +453,16 @@ def exact_turan_family(
     banned family for k (the main configuration and all denser members).
 
     No closed form applies; the search runs whenever n is within
-    :func:`size_cap` (or ``allow_large`` is set).  It stops at the first
-    set that reaches a proved upper bound: the least e - 1 over the
-    members of e edges on s >= n vertices, and floor(n * f(n-1) / (n - r))
-    with f(r), ..., f(n-1) searched first.  ``nodes_explored`` counts the
-    nodes of those smaller searches too.
+    :func:`size_cap` (or ``allow_large`` is set).  It stops at the proved
+    upper bound of :func:`_chain`, with f(r), ..., f(n-1) searched first,
+    and ``nodes_explored`` counts the nodes of those smaller searches too.
     """
     t0 = time.perf_counter()
     _validate(r, n, k)
     if k < 2:
         raise ValueError(f"family needs k >= 2, got {k}")
-    return _exact("family", r, n, family_queries(r, k), allow_large, cache_path, t0)
+    rows = _exact([("family", r, [n], family_queries(r, k))], allow_large, cache_path)[0]
+    return TuranResult(*rows[n], time.perf_counter() - t0)
 
 
 def turan_doc(result: TuranResult) -> dict:
@@ -505,60 +526,38 @@ def consistency_sweep(
     value for the main configuration; every admissible catalog graph on n
     vertices has at most the family value many edges; and, when a weighting
     rule covers (r, k), the family value respects its quadratic edge bound.
+    With ``threads > 1`` the family and plain searches run in two processes.
     """
     _validate(r, n_max, k)
     if k < 2:
         raise ValueError(f"family needs k >= 2, got {k}")
-    s_main = family_queries(r, k)[-1].max_vertices
+    if r < 3:
+        raise ValueError(f"uniformity must be at least 3, got {r}")
+    queries = family_queries(r, k)
+    main = queries[-1]
     ns = list(range(r, n_max + 1))
     catalog = _catalog(r, k, n_max)
-    # Sizes over the cap are cache hits or TooLarge refusals: settle them
-    # before any search starts.
-    big = [n for n in ns if n > size_cap(r)]
-    small = [n for n in ns if n <= size_cap(r)]
-    fam = {n: exact_turan_family(r, n, k, cache_path=cache_path) for n in big}
-    plain = {n: exact_turan(r, n, s_main, k, cache_path=cache_path) for n in big}
-    if threads > 1 and len(small) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            fam_futs = {
-                n: pool.submit(exact_turan_family, r, n, k, False, cache_path)
-                for n in small
-            }
-            plain_futs = {
-                n: pool.submit(exact_turan, r, n, s_main, k, False, cache_path)
-                for n in small
-            }
-            fam.update({n: f.result() for n, f in fam_futs.items()})
-            plain.update({n: f.result() for n, f in plain_futs.items()})
-    else:
-        fam.update({n: exact_turan_family(r, n, k, cache_path=cache_path) for n in small})
-        plain.update({n: exact_turan(r, n, s_main, k, cache_path=cache_path) for n in small})
+    # Plain rows with n <= s are closed form.
+    plain_ns = [n for n in ns if n > main.max_vertices]
+    fam, plain = _exact(
+        [("family", r, ns, queries), ("plain", r, plain_ns, [main])], False, cache_path, threads
+    )
     try:
         coeff: Optional[Fraction] = bound_coefficient(rule_for(r, k))
     except Unknown:
         coeff = None
     rows: list[SweepRow] = []
-    ok_all = True
     for n in ns:
-        fv = fam[n].value
-        pv = plain[n].value
-        le = fv <= pv
-        if coeff is not None:
-            bound_value: Optional[Fraction] = coeff * Fraction(n * (n - 1), 2)
-            bound_ok: Optional[bool] = Fraction(fv) <= bound_value
-        else:
-            bound_value = None
-            bound_ok = None
-        cons: list[tuple[str, int, bool]] = []
-        for label, g in catalog:
-            if g.n == n:
-                c_ok = len(g.edges) <= fv
-                cons.append((label, len(g.edges), c_ok))
-                if not c_ok:
-                    ok_all = False
-        if not le or bound_ok is False:
-            ok_all = False
-        rows.append(SweepRow(n, fv, pv, le, bound_value, bound_ok, tuple(cons)))
+        fv = fam[n][0]
+        pv = plain[n][0] if n in plain else exact_turan(r, n, main.max_vertices, k).value
+        bound_value = None if coeff is None else coeff * Fraction(n * (n - 1), 2)
+        bound_ok = None if bound_value is None else fv <= bound_value
+        cons = tuple((label, len(g.edges), len(g.edges) <= fv) for label, g in catalog if g.n == n)
+        rows.append(SweepRow(n, fv, pv, fv <= pv, bound_value, bound_ok, cons))
+    ok_all = all(
+        row.family_le_plain and row.bound_ok is not False and all(c[2] for c in row.constructions)
+        for row in rows
+    )
     return SweepReport(r, k, n_max, tuple(rows), ok_all)
 
 

@@ -623,6 +623,18 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_sweep_r2_exits_2_without_searching(self, monkeypatch, capsys):
+        # k = 5 has a weighting rule only for r >= 3; the sweep refuses
+        # r = 2 before any search rather than after them all.
+        def no_search(*args):
+            raise AssertionError("the sweep searched before refusing")
+
+        monkeypatch.setattr(turan, "_branch_and_bound", no_search)
+        code, out, err = run_cli(
+            ["sweep", "--r", "2", "--k", "5", "--n-max", "5", "--no-cache"], capsys
+        )
+        assert (code, out, err) == (2, "", "error: uniformity must be at least 3, got 2\n")
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_sweep_over_cap_exits_1_without_searching(self, threads, monkeypatch, capsys):
         def no_search(*args):

@@ -32,11 +32,16 @@ from beslab.hypergraphs import _mask, family_queries
 from beslab.turan import (
     _Kills,
     _branch_and_bound,
+    _chain,
     _greedy,
     _pigeonhole,
     _subsets_by_top,
-    _upper_bound,
 )
+
+
+def _bound(r, n, queries):
+    """The bound under which the chain searches f(n)."""
+    return list(_chain(r, n, queries))[-1][1]
 
 
 class TestPlain:
@@ -61,7 +66,7 @@ class TestPlain:
                 got = exact_turan(3, n, s, k)
                 want = util.naive_turan_plain(3, n, s, k)
                 assert got.value == want, (n, s, k)
-                assert _upper_bound(3, n, [ConfigQuery(k, s)])[0] >= want, (n, s, k)
+                assert _bound(3, n, [ConfigQuery(k, s)]) >= want, (n, s, k)
                 assert len(got.witness.edges) == got.value
                 assert (
                     find_configuration(got.witness, ConfigQuery(k, s)) is None
@@ -130,7 +135,7 @@ class TestFamily:
                 got = exact_turan_family(3, n, k)
                 want = util.naive_turan_family(3, n, k)
                 assert got.value == want, (n, k)
-                assert _upper_bound(3, n, family_queries(3, k))[0] >= want, (n, k)
+                assert _bound(3, n, family_queries(3, k)) >= want, (n, k)
                 assert is_family_free(got.witness, k).free
                 assert len(got.witness.edges) == got.value
 
@@ -255,7 +260,7 @@ class TestSymmetryRule:
                     for _ in range(rng.randint(1, 3))]
             want = util.naive_first_optimum(r, n, list(_subsets_by_top(n, r)), bans)
             queries = [ConfigQuery(k, s) for k, s in bans]
-            upper = _upper_bound(r, n, queries)[0]
+            upper = _bound(r, n, queries)
             assert upper >= len(want), (r, n, bans)
             for bound in (math.comb(n, r), upper):
                 value, edges, _ = _branch_and_bound(r, n, queries, bound)
@@ -344,6 +349,14 @@ class TestLimits:
         res = exact_turan(3, 40, 40, 3)
         assert res.value == 2
         assert res.nodes_explored == 0
+
+
+# A family record for (r, n, k) = (3, 7, 5) that passes the witness
+# re-check but holds 3 edges, one fewer than f(7).
+TOO_SMALL_F7 = json.dumps(
+    {"kind": "family", "r": 3, "n": 7, "s": 7, "k": 5,
+     "value": 3, "witness": "3 7 3\n0 1 2\n0 1 3\n0 1 4\n", "nodes": 1},
+    sort_keys=True) + "\n"
 
 
 class TestCache:
@@ -440,10 +453,7 @@ class TestCache:
         # (f(7) = 4) answers its own key; the averaging bound for n = 8
         # searches f(7) again instead of trusting it.
         path = tmp_path / "cache.jsonl"
-        path.write_text(json.dumps(
-            {"kind": "family", "r": 3, "n": 7, "s": 7, "k": 5,
-             "value": 3, "witness": "3 7 3\n0 1 2\n0 1 3\n0 1 4\n", "nodes": 1},
-            sort_keys=True) + "\n")
+        path.write_text(TOO_SMALL_F7)
         assert exact_turan_family(3, 7, 5, cache_path=str(path)).value == 3
         assert exact_turan_family(3, 8, 5, cache_path=str(path)).value == 6
 
@@ -494,21 +504,94 @@ class TestSweep:
             "constructions",
         }
 
-    def test_threads_match_serial(self, tmp_path):
-        serial = sweep_doc(consistency_sweep(3, 5, 5))
+    def test_threads_match_serial(self, tmp_path, monkeypatch):
+        # (3, 6, 9) has family rows and a plain row (n = 9 > s = 8) to
+        # search, so the two chains run in worker processes.
+        serial_path = tmp_path / "s.jsonl"
+        serial = sweep_doc(consistency_sweep(3, 6, 9, cache_path=str(serial_path)))
+        calls = []
+        search = turan._branch_and_bound
+        monkeypatch.setattr(turan, "_branch_and_bound", lambda *a: calls.append(a) or search(*a))
         path = tmp_path / "c.jsonl"
-        threaded = sweep_doc(consistency_sweep(3, 5, 5, cache_path=str(path), threads=2))
+        threaded = sweep_doc(consistency_sweep(3, 6, 9, cache_path=str(path), threads=2))
         assert serial == threaded
-        # The workers append at the same time: every line is one whole
-        # record, and each search left exactly one.
+        assert calls == []
+        # Every line is one whole record, and each row left exactly one.
         keys = []
         for line in path.read_text().splitlines():
             obj = json.loads(line)
             witness = from_text(obj["witness"])
             assert (witness.r, witness.n, len(witness.edges)) == (obj["r"], obj["n"], obj["value"])
             keys.append((obj["kind"], obj["r"], obj["n"], obj["s"], obj["k"]))
-        # Plain values for n <= s = 7 are closed form, with no search.
-        assert sorted(keys) == [("family", 3, n, 7, 5) for n in (3, 4, 5)]
+        # Plain values for n <= s = 8 are closed form, with no search.
+        assert sorted(keys) == [("family", 3, n, 8, 6) for n in range(3, 10)] + [("plain", 3, 9, 8, 6)]
+        # The parent appends the rows once both searches are done.
+        assert path.read_text() == serial_path.read_text()
+
+    def test_one_chain_per_kind(self, tmp_path, monkeypatch):
+        # Cold, the (3, 6, 9) sweep searches each f(t) once per kind: the
+        # family rows t = 3..9, and for the plain row n = 9 (s = 8) its
+        # chain from t = 3.  Warm, it searches nothing.  Either way it reads
+        # the cache once per kind.
+        calls = {"search": 0, "load": 0}
+        search, load = turan._branch_and_bound, turan._cache_load
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(turan, "_branch_and_bound", counting("search", search))
+        monkeypatch.setattr(turan, "_cache_load", counting("load", load))
+        path = str(tmp_path / "c.jsonl")
+        cold = sweep_doc(consistency_sweep(3, 6, 9, cache_path=path))
+        assert calls == {"search": 14, "load": 2}
+        calls.update(search=0, load=0)
+        assert sweep_doc(consistency_sweep(3, 6, 9, cache_path=path)) == cold
+        assert calls == {"search": 0, "load": 2}
+
+    @pytest.mark.parametrize("k, n_max", [(5, 8), (6, 9)])
+    def test_cache_lines_match_single_queries(self, tmp_path, k, n_max):
+        path = tmp_path / "c.jsonl"
+        consistency_sweep(3, k, n_max, cache_path=str(path))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        # Family rows ascending, then the plain rows with n > s = k + 2.
+        assert [(obj["kind"], obj["n"]) for obj in lines] == (
+            [("family", n) for n in range(3, n_max + 1)]
+            + [("plain", n) for n in range(k + 3, n_max + 1)]
+        )
+        for obj in lines:
+            if obj["kind"] == "family":
+                res = exact_turan_family(3, obj["n"], k)
+            else:
+                res = exact_turan(3, obj["n"], obj["s"], k)
+            got = (obj["value"], from_text(obj["witness"]), obj["nodes"])
+            assert got == (res.value, res.witness, res.nodes_explored), obj
+
+    def test_too_small_cached_row_never_feeds_the_bound(self, tmp_path):
+        # The record answers its own row; row 8's bound comes from the
+        # chain's own f(7) = 4, so f(8) = 6 is still found.
+        path = tmp_path / "cache.jsonl"
+        path.write_text(TOO_SMALL_F7)
+        report = consistency_sweep(3, 5, 8, cache_path=str(path))
+        values = {row.n: row.family_value for row in report.rows}
+        assert (values[7], values[8]) == (3, 6)
+
+    def test_refuses_before_searching_when_a_plain_row_is_uncached(self, tmp_path, monkeypatch):
+        # The family row n = 10 is cached; the plain row n = 10 (s = 9) is
+        # not, so the sweep refuses before any search and any append.
+        path = tmp_path / "c.jsonl"
+        exact_turan_family(3, 10, 7, allow_large=True, cache_path=str(path))
+        before = path.read_text()
+
+        def no_search(*args):
+            raise AssertionError("the sweep searched before refusing")
+
+        monkeypatch.setattr(turan, "_branch_and_bound", no_search)
+        with pytest.raises(TooLarge, match="n=10 exceeds"):
+            consistency_sweep(3, 7, 10, cache_path=str(path))
+        assert path.read_text() == before
 
     def test_unknown_rule_leaves_bound_empty(self):
         report = consistency_sweep(3, 3, 5)
@@ -625,6 +708,9 @@ LARGER_FAMILIES = (
     (8, 5, "012 013 014 235 467 567", 66),
 )
 
+# Plain searches (r, n, s, k) with n > s, each at most 0.4 s without a bound.
+PLAIN_SEARCHES = ((3, 8, 7, 5), (3, 8, 6, 4), (4, 8, 6, 3), (3, 7, 5, 3))
+
 
 class TestPinnedAnswers:
     def test_sweep_searches(self):
@@ -667,13 +753,20 @@ class TestPinnedAnswers:
         # Against the search with upper = C(n, r), which bounds nothing: the
         # same value and witness, and no more nodes.
         searches = [(r, n, family_queries(r, k)) for r, n, k in FAMILY_PINS]
-        searches += [(r, n, [ConfigQuery(k, s)]) for r, n, s, k in PLAIN_PINS]
         searches += [(3, n, family_queries(3, k)) for n, k, _, _ in LARGER_FAMILIES]
+        searches += [(r, n, [ConfigQuery(k, s)]) for r, n, s, k in PLAIN_SEARCHES]
         for r, n, queries in searches:
-            value, edges, nodes = _branch_and_bound(r, n, queries, _upper_bound(r, n, queries)[0])
+            value, edges, nodes = _branch_and_bound(r, n, queries, _bound(r, n, queries))
             full = _branch_and_bound(r, n, queries, math.comb(n, r))
             assert (value, edges) == full[:2], (r, n, queries)
             assert nodes <= full[2], (r, n, queries)
+        # The plain pins have n <= s, where exact_turan's closed form takes
+        # the first min(C(n, r), k - 1) candidates.
+        for r, n, s, k in PLAIN_PINS:
+            queries = [ConfigQuery(k, s)]
+            first = tuple(itertools.islice(_subsets_by_top(n, r), min(math.comb(n, r), k - 1)))
+            got = _branch_and_bound(r, n, queries, _bound(r, n, queries))
+            assert got[:2] == (len(first), first), (r, n, s, k)
 
     def test_pigeonhole_bound(self):
         # Every pinned sweep search has some ban (k, s) with n <= s, and its
@@ -687,11 +780,30 @@ class TestPinnedAnswers:
         assert _pigeonhole(3, 9, family_queries(3, 7)) == 6
         assert _pigeonhole(3, 10, family_queries(3, 7)) == 120
 
-    def test_averaging_bound(self):
-        # (bound, nodes of the searches for f(3), ..., f(n-1)) for k = 5:
-        # f = 1, 2, 3, 4, 4, 6 at n = 3..8, and 9 * 6 // 6 = 9 is f(9).
-        got = [_upper_bound(3, n, family_queries(3, 5)) for n in range(2, 10)]
-        assert got == [(0, 0), (1, 0), (2, 1), (3, 3), (4, 6), (4, 10), (6, 14), (9, 66)]
+    def test_averaging_bound(self, monkeypatch):
+        # (t, bound, value, nodes so far) of the chain for k = 5: f = 1, 2,
+        # 3, 4, 4, 6 at t = 3..8, and row 9's bound 9 * 6 // 6 = 9 is f(9).
+        # Row 9's search (575,839 nodes) is stopped once its bound is seen.
+        queries = family_queries(3, 5)
+        assert list(_chain(3, 2, queries)) == [(2, 0, 0, (), 0)]
+        got = [(t, bound, value, nodes) for t, bound, value, _, nodes in _chain(3, 8, queries)]
+        assert got == [(3, 1, 1, 1), (4, 2, 2, 3), (5, 3, 3, 6), (6, 4, 4, 10), (7, 4, 4, 14),
+                       (8, 6, 6, 66)]
+
+        class Stop(Exception):
+            pass
+
+        search = turan._branch_and_bound
+
+        def stop_at_9(r, n, queries, upper):
+            if n == 9:
+                raise Stop(upper)
+            return search(r, n, queries, upper)
+
+        monkeypatch.setattr(turan, "_branch_and_bound", stop_at_9)
+        with pytest.raises(Stop) as stop:
+            list(_chain(3, 9, queries))
+        assert stop.value.args == (9,)
 
 
 def test_turan_doc_shape():
