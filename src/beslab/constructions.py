@@ -164,7 +164,19 @@ def enumerate_conflicts(H: PackingPairGraph, family: str) -> list[tuple[tuple[in
     """All conflicts of one family: matchings in ``H`` pairing an (e2, d2)
     subgraph of one packing with cliques extending to an (e1, d1) subgraph
     of the other.  Symmetric in the two sides; each conflict is returned
-    once, as a sorted tuple of (k1 index, k2 index) pairs.
+    once, as a sorted tuple of (k1 index, k2 index) pairs.  The walk is
+    :func:`_conflict_walk`'s, keeping every conflict.
+    """
+    if family not in _CONFLICT_FAMILIES:
+        raise Unknown(f"unknown conflict family {family!r}")
+    return _conflict_walk(H, [family], H.edges)[family][1]
+
+
+def _conflict_walk(
+    H: PackingPairGraph, families: Sequence[str], keep: Iterable[tuple[int, int]]
+) -> dict[str, tuple[int, list[tuple[tuple[int, int], ...]]]]:
+    """Per family: how many conflicts ``H`` has, and the sorted list of
+    those whose pairs all lie in ``keep``.
 
     Works from the matchings outward, and is exact for two reasons.  The
     host sets are enumerated only over cliques with a partner in ``H``:
@@ -175,47 +187,80 @@ def enumerate_conflicts(H: PackingPairGraph, family: str) -> list[tuple[tuple[in
     ``u - |K - U| >= 0``, so the defect never falls: an extension spans
     exactly ``u*e1 - d1`` vertices with the picks, and so the search asks
     for the subsets within that budget whose union has exactly that many.
+    For the same reason a pick tuple grows one member at a time and is
+    dropped as soon as the picks alone exceed the budget.
+
+    Each (host set, picks) gives a different matching, so a side's
+    matchings are counted, never stored.  The second side skips the
+    matchings the first side found: those whose picks are an (e2, d2) set
+    of their own packing and whose members extend.  The first side's walk
+    met every such pick set as a host set, so its memo already says
+    whether the members extend.  The adjacency, the active-clique
+    subgraphs and the host sets are built once for all the families.
     """
-    if family not in _CONFLICT_FAMILIES:
-        raise Unknown(f"unknown conflict family {family!r}")
-    e1, d1, e2, d2, no_isolated = _CONFLICT_FAMILIES[family]
-    adj1: dict[int, list[int]] = {}
-    adj2: dict[int, list[int]] = {}
+    adjs: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
     for i, j in sorted(H.edges):
-        adj1.setdefault(i, []).append(j)
-        adj2.setdefault(j, []).append(i)
-    found: set[frozenset[tuple[int, int]]] = set()
-    for host_is_k1 in (True, False):
-        host = H.k1 if host_is_k1 else H.k2
-        other = H.k2 if host_is_k1 else H.k1
-        adj = adj1 if host_is_k1 else adj2
-        u = other.r
-        size = u * e1 - d1
-        if math.comb(size, u) < e1:
-            continue  # e1 distinct u-cliques do not fit on u*e1 - d1 vertices
-        masks = other.edge_masks
-        extends: dict[frozenset[int], bool] = {}
-        active = sorted(adj)
-        for S in enumerate_S(host.subgraph(active), e2, d2):
-            members = [active[i] for i in S]
-            for picks in itertools.product(*(adj[v] for v in members)):
-                key = frozenset(picks)
-                if len(key) < e2:
-                    continue
-                if key not in extends:
-                    base = 0
-                    for c in key:
-                        base |= masks[c]
-                    extends[key] = any(
-                        union.bit_count() == size
-                        and key.isdisjoint(T)
-                        and not (no_isolated and _has_isolated_edge(masks, key.union(T)))
-                        for T, union in _fitting_subsets(masks, e1 - e2, size, base)
-                    )
-                if extends[key]:
-                    pairs = zip(members, picks) if host_is_k1 else zip(picks, members)
-                    found.add(frozenset(pairs))
-    return sorted(tuple(sorted(fs)) for fs in found)
+        adjs[0].setdefault(i, []).append(j)
+        adjs[1].setdefault(j, []).append(i)
+    kept_adjs: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
+    for i, j in keep:
+        kept_adjs[0].setdefault(i, set()).add(j)
+        kept_adjs[1].setdefault(j, set()).add(i)
+    packs = (H.k1, H.k2)
+    actives = [sorted(adj) for adj in adjs]
+    subs = [packs[s].subgraph(actives[s]) for s in (0, 1)]
+    hosts: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+    out = {}
+    for family in families:
+        e1, d1, e2, d2, no_isolated = _CONFLICT_FAMILIES[family]
+        count = 0
+        kept: list[tuple[tuple[int, int], ...]] = []
+        extends: tuple[dict[frozenset[int], bool], ...] = ({}, {})
+        for s in (0, 1):
+            other = packs[1 - s]
+            u = other.r
+            size = u * e1 - d1
+            if math.comb(size, u) < e1:
+                continue  # e1 distinct u-cliques do not fit on u*e1 - d1 vertices
+            masks = other.edge_masks
+            adj, kept_adj, memo, active = adjs[s], kept_adjs[s], extends[s], actives[s]
+            if (s, e2, d2) not in hosts:
+                hosts[s, e2, d2] = enumerate_S(subs[s], e2, d2)
+            for S in hosts[s, e2, d2]:
+                members = [active[x] for x in S]
+                found_first = s == 1 and extends[0].get(frozenset(members), False)
+                chosen = [kept_adj.get(v) for v in members]
+                if not all(chosen):
+                    chosen = None
+                picked: list[tuple[tuple[int, ...], int]] = [((), 0)]
+                for v in members:
+                    picked = [
+                        (picks + (c,), grown)
+                        for picks, base in picked
+                        for c in adj[v]
+                        if c not in picks and (grown := base | masks[c]).bit_count() <= size
+                    ]
+                for picks, base in picked:
+                    key = frozenset(picks)
+                    ext = memo.get(key)
+                    if ext is None:
+                        ext = memo[key] = any(
+                            union.bit_count() == size
+                            and key.isdisjoint(T)
+                            and not (no_isolated and _has_isolated_edge(masks, key.union(T)))
+                            for T, union in _fitting_subsets(masks, e1 - e2, size, base)
+                        )
+                    if not ext:
+                        continue
+                    # the picks are the first packing's cliques here
+                    if found_first and u * e2 - base.bit_count() == d2:
+                        continue
+                    count += 1
+                    if chosen and all(p in c for p, c in zip(picks, chosen)):
+                        pairs = zip(members, picks) if s == 0 else sorted(zip(picks, members))
+                        kept.append(tuple(pairs))
+        out[family] = (count, sorted(kept))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +353,39 @@ def _packing_girth_ok(
     return True
 
 
+def _cross_relation(
+    packing: Sequence[tuple[int, ...]], rows: Sequence[int]
+) -> list[tuple[int, int]]:
+    """The pairs (i, j) of cliques with every cross pair (a in clique i,
+    b in clique j) in G3, in (i, j) order.  ``rows[a]`` is the mask of the
+    side-2 vertices joined to a, so the rows of clique i's vertices AND to
+    its common cross neighbourhood, and j is related when its vertex mask
+    lies inside it."""
+    masks = [_mask(K) for K in packing]
+    out: list[tuple[int, int]] = []
+    for i, K in enumerate(packing):
+        common = -1
+        for a in K:
+            common &= rows[a]
+        out.extend((i, j) for j, mj in enumerate(masks) if mj & common == mj)
+    return out
+
+
 def random_packing_construction(params: RandomParams) -> ConstructionReport:
     """Run the full randomized pipeline and verify the outcome.
 
     Stages: sample side graph G1 (density alpha**(3/4)) and mirror it; pack
     edge-disjoint (r-2)-cliques greedily with girth above the cap; sample
     the bipartite cross graph G3 (density alpha); relate cliques across
-    sides when all (r-2)^2 cross pairs are present; select relations with
+    sides when all (r-2)^2 cross pairs are present (one G3 row mask per
+    side-1 vertex, see :func:`_cross_relation`); select relations with
     probability mu/d where d = alpha^((r-2)^2) * t; drop selections that
     overlap or fully realize a conflict; blow each survivor up into two
     r-edges through a fresh vertex pair.
+
+    The conflict counts in ``aux`` come without listing the conflicts: one
+    :func:`_conflict_walk` over H counts all five families and, in the same
+    pass, lists only the fully chosen conflicts (all pairs selected).
 
     Sampling is bit-exact: each stage draws 53-bit-mantissa uniforms from
     its own substream in a fixed iteration order and accepts when the draw
@@ -353,18 +421,10 @@ def random_packing_construction(params: RandomParams) -> ConstructionReport:
     t = len(packing)
 
     rng3 = _substream(params.seed, "G3")
-    cross = list(itertools.product(range(m), range(m)))
-    g3_edges = set()
     alpha_f = float(params.alpha)
-    for p in cross:
-        if rng3.random() < alpha_f:
-            g3_edges.add(p)
-
-    h_edges: list[tuple[int, int]] = []
-    for i in range(t):
-        for j in range(t):
-            if all((a, b) in g3_edges for a in packing[i] for b in packing[j]):
-                h_edges.append((i, j))
+    # rows[a]: the side-2 vertices b with (a, b) in G3, drawn in (a, b) order
+    rows = [_mask(b for b in range(m) if rng3.random() < alpha_f) for _ in range(m)]
+    h_edges = _cross_relation(packing, rows)
 
     d = params.alpha ** (u * u) * t
     if d > 0:
@@ -375,7 +435,6 @@ def random_packing_construction(params: RandomParams) -> ConstructionReport:
         thr_f = 0.0
     rng_h = _substream(params.seed, "Hselect")
     selected = [e for e in h_edges if rng_h.random() < thr_f]
-    selected_set = set(selected)
 
     side1_count: dict[int, int] = {}
     side2_count: dict[int, int] = {}
@@ -388,16 +447,10 @@ def random_packing_construction(params: RandomParams) -> ConstructionReport:
 
     k_graph = build(max(u, 2), m, packing) if u >= 2 and t else build(2, m, [])
     H = PackingPairGraph(k1=k_graph, k2=k_graph, edges=frozenset(h_edges))
-    conflict_counts: dict[str, int] = {}
-    fully_chosen_counts: dict[str, int] = {}
-    conflicted: set[tuple[int, int]] = set()
-    for fam in conflict_family_ids():
-        conflicts = enumerate_conflicts(H, fam)
-        conflict_counts[fam] = len(conflicts)
-        fully = [c for c in conflicts if all(e in selected_set for e in c)]
-        fully_chosen_counts[fam] = len(fully)
-        for c in fully:
-            conflicted.update(c)
+    walk = _conflict_walk(H, conflict_family_ids(), selected)
+    conflict_counts = {fam: count for fam, (count, _) in walk.items()}
+    fully_chosen_counts = {fam: len(fully) for fam, (_, fully) in walk.items()}
+    conflicted = {e for _, fully in walk.values() for c in fully for e in c}
 
     matches = [e for e in selected if e not in overlapping and e not in conflicted]
     n_out = 2 * m + 2 * len(matches)
@@ -427,7 +480,7 @@ def random_packing_construction(params: RandomParams) -> ConstructionReport:
     cross_ok = True
     for p in p_le3 - p1:
         a, b = p
-        if not (a < m <= b < 2 * m and (a, b - m) in g3_edges):
+        if not (a < m <= b < 2 * m and rows[a] >> (b - m) & 1):
             cross_ok = False
             break
     ratio = Fraction(len(F.edges), 2 * len(p_le3)) if p_le3 else Fraction(0)
@@ -437,7 +490,7 @@ def random_packing_construction(params: RandomParams) -> ConstructionReport:
         "beta": beta,
         "g1_edges": len(g1_edges),
         "g2_edges": len(g1_edges),
-        "g3_edges": len(g3_edges),
+        "g3_edges": sum(row.bit_count() for row in rows),
         "k1_size": t,
         "k2_size": t,
         "coverage": str(Fraction(covered, len(g1_edges))) if g1_edges else "0",

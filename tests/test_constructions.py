@@ -163,7 +163,8 @@ class TestConflicts:
         "C'(4,3;3,3)": (4, 3, 3, 3, True),
     }
 
-    def test_matches_naive_on_random_instances(self):
+    @staticmethod
+    def random_instances():
         rng = random.Random(61)
         for trial in range(120):
             u = rng.choice([2, 2, 3])
@@ -181,30 +182,103 @@ class TestConflicts:
                 side2 = sorted(rng.sample(side2, rng.randint(1, len(side2))))
             pool = list(itertools.product(side1, side2))
             rng.shuffle(pool)
-            H = PackingPairGraph(
-                k1, k2, frozenset(pool[: rng.randint(0, len(pool))])
-            )
+            yield trial, PackingPairGraph(k1, k2, frozenset(pool[: rng.randint(0, len(pool))]))
+
+    def test_matches_naive_on_random_instances(self):
+        for trial, H in self.random_instances():
             for fam, spec in self.FAMILIES.items():
                 assert enumerate_conflicts(H, fam) == util.naive_conflicts(
                     H, *spec
-                ), (fam, trial, k1.edges, k2.edges)
+                ), (fam, trial, H.k1.edges, H.k2.edges)
+
+    def test_one_pass_counts_and_chosen_conflicts(self):
+        # The walk counts each family without listing it and keeps the
+        # conflicts inside a chosen subset of H: these are the naive list
+        # filtered to the chosen pairs, and also the conflicts of H cut
+        # down to the chosen pairs.
+        rng = random.Random(67)
+        kept_some = kept_part = 0
+        for trial, H in self.random_instances():
+            chosen = frozenset(e for e in sorted(H.edges) if rng.random() < 0.75)
+            walk = constructions._conflict_walk(H, list(self.FAMILIES), chosen)
+            assert list(walk) == list(self.FAMILIES)
+            cut = PackingPairGraph(H.k1, H.k2, chosen)
+            for fam, spec in self.FAMILIES.items():
+                naive = util.naive_conflicts(H, *spec)
+                count, kept = walk[fam]
+                why = (fam, trial, H.k1.edges, H.k2.edges, sorted(chosen))
+                assert count == len(naive), why
+                assert kept == [c for c in naive if chosen.issuperset(c)], why
+                assert kept == enumerate_conflicts(cut, fam), why
+                kept_some += bool(kept)
+                kept_part += 0 < len(kept) < count
+        assert kept_some >= 20 and kept_part >= 10
 
     def test_pipeline_calls_match_naive(self, monkeypatch):
-        real = constructions.enumerate_conflicts
-        seen: dict[str, int] = {}
+        # The pipeline counts every conflict but lists only the fully
+        # chosen ones, so the check captures the H it walks and its
+        # selected pairs and compares both figures with the naive lists.
+        real = constructions._conflict_walk
+        calls = []
 
-        def checked(H, family):
-            got = real(H, family)
-            assert got == util.naive_conflicts(H, *self.FAMILIES[family]), family
-            seen[family] = len(got)
-            return got
+        def captured(H, families, keep):
+            calls.append((H, frozenset(keep)))
+            return real(H, families, keep)
 
-        monkeypatch.setattr(constructions, "enumerate_conflicts", checked)
+        monkeypatch.setattr(constructions, "_conflict_walk", captured)
         rep = random_packing_construction(
             RandomParams(r=4, m=8, alpha=Fraction(1, 2), mu=Fraction(1, 4), seed=7)
         )
-        assert seen == rep.aux["conflicts"]
-        assert all(seen[fam] for fam in ("C(3,3;2,1)", "C(4,4;3,2)", "C'(4,3;3,3)"))
+        [(H, selected)] = calls
+        assert len(selected) == rep.aux["selected"]
+        for fam, spec in self.FAMILIES.items():
+            naive = util.naive_conflicts(H, *spec)
+            assert rep.aux["conflicts"][fam] == len(naive), fam
+            fully = [c for c in naive if selected.issuperset(c)]
+            assert rep.aux["fully_chosen_conflicts"][fam] == len(fully), fam
+        assert all(
+            rep.aux["conflicts"][fam] for fam in ("C(3,3;2,1)", "C(4,4;3,2)", "C'(4,3;3,3)")
+        )
+
+
+class TestCrossRelation:
+    @staticmethod
+    def rows(m, g3_edges):
+        return [sum(1 << b for b in range(m) if (a, b) in g3_edges) for a in range(m)]
+
+    def test_matches_naive_on_random_packings(self):
+        rng = random.Random(71)
+        related = lonely = 0
+        for r in (4, 5, 6):
+            u = r - 2
+            for _ in range(40):
+                m = rng.randint(u, 11)
+                cliques = list(itertools.combinations(range(m), u))
+                packing = sorted(rng.sample(cliques, rng.randint(1, min(9, len(cliques)))))
+                density = rng.choice([0.4, 0.7, 0.9, 1.0])
+                g3 = {(a, b) for a in range(m) for b in range(m) if rng.random() < density}
+                # a vertex with no cross neighbours leaves its cliques unrelated
+                if rng.random() < 0.5:
+                    a = rng.randrange(m)
+                    g3 = {(x, y) for x, y in g3 if x != a and y != a}
+                got = constructions._cross_relation(packing, self.rows(m, g3))
+                want = util.naive_relation(packing, g3)
+                assert got == want, (r, m, packing, sorted(g3))
+                related += bool(got)
+                lonely += len({i for i, _ in got}) < len(packing)
+        assert related >= 30 and lonely >= 30
+
+    def test_empty_packing(self):
+        assert constructions._cross_relation([], [0b111, 0b111, 0b111]) == []
+
+    def test_cliques_without_cross_neighbours(self):
+        packing = [(0, 1), (2, 3), (4, 5)]
+        g3 = {(a, b) for a in (2, 3, 4, 5) for b in range(6)}
+        rows = self.rows(6, g3)
+        assert rows[0] == rows[1] == 0
+        got = constructions._cross_relation(packing, rows)
+        assert got == util.naive_relation(packing, g3)
+        assert got == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 
 
 class TestRandomParams:
@@ -321,6 +395,31 @@ class TestRandomPipeline:
         rows = doc["freeness"]
         assert [tuple(sorted((row["max_vertices"], row["edge_count"]))) for row in rows]
         assert all(row["free"] for row in rows)
+
+
+    def test_dense_run(self):
+        # 41 cliques, 258 relations and about 180,000 conflicts, of which
+        # only 357 are fully chosen
+        rep = random_packing_construction(
+            RandomParams(r=4, m=12, alpha=Fraction(1, 2), mu=Fraction(1, 4), seed=1)
+        )
+        aux = rep.aux
+        assert (aux["k1_size"], aux["h_edges"], aux["selected"]) == (41, 258, 30)
+        assert (aux["overlap_removed"], aux["conflict_removed"], aux["m_size"]) == (26, 29, 1)
+        assert aux["conflicts"] == {
+            "C(3,3;2,1)": 3_878,
+            "C(4,4;3,2)": 147_312,
+            "C(4,5;2,1)": 0,
+            "C(5,7;2,1)": 0,
+            "C'(4,3;3,3)": 27_183,
+        }
+        assert aux["fully_chosen_conflicts"] == {
+            "C(3,3;2,1)": 52,
+            "C(4,4;3,2)": 228,
+            "C(4,5;2,1)": 0,
+            "C(5,7;2,1)": 0,
+            "C'(4,3;3,3)": 77,
+        }
 
 
 class TestDerivedLimits:

@@ -342,19 +342,31 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify(single_edge(4), rule_for(3, 5))
 
-    def test_relabel_invariance(self, corpus_k5):
+    def test_relabel_invariance(self, corpus_k5, corpus_k6, corpus_k7):
+        # One corpus per rule_for case: the exhaustive r = 3 corpora, and
+        # random admissible r = 4 graphs for K5High and K6High.
         rng = random.Random(47)
-        rule = rule_for(3, 5)
-        for G in corpus_k5[::5]:
-            perm = list(range(G.n))
-            rng.shuffle(perm)
-            H = util.relabel(G, perm)
-            a = certify(G, rule)
-            b = certify(H, rule)
-            assert a.certified == b.certified
-            assert sorted(l for (_, l) in a.per_cluster.values()) == sorted(
-                l for (_, l) in b.per_cluster.values()
-            )
+        r4 = random.Random(53)
+        corpora = {
+            (3, 5): corpus_k5[::5],
+            (3, 6): corpus_k6[::4],
+            (3, 7): corpus_k7[::4],
+            (4, 5): [util.random_free_graph(r4, 4, 5, r4.randint(9, 13), 200) for _ in range(30)],
+            (4, 6): [util.random_free_graph(r4, 4, 6, r4.randint(9, 13), 200) for _ in range(30)],
+        }
+        assert {rule_for(r, k).case for r, k in corpora} == set(weights._CASES)
+        for (r, k), graphs in corpora.items():
+            rule = rule_for(r, k)
+            for G in graphs:
+                perm = list(range(G.n))
+                rng.shuffle(perm)
+                H = util.relabel(G, perm)
+                a = certify(G, rule)
+                b = certify(H, rule)
+                assert a.certified == b.certified, (rule.case, G.edges, perm)
+                assert sorted(l for (_, l) in a.per_cluster.values()) == sorted(
+                    l for (_, l) in b.per_cluster.values()
+                ), (rule.case, G.edges, perm)
 
     def test_all_rules_on_small_exhaustive_sample(self, corpus_k6):
         rule = rule_for(3, 6)

@@ -465,6 +465,21 @@ def naive_enumerate_S(K: Hypergraph, e: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
+def naive_relation(
+    packing: Sequence[tuple[int, ...]], g3_edges: set[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Reference cross relation: the pairs (i, j) of cliques with every
+    cross pair (a in clique i, b in clique j) in ``g3_edges``, all pairs
+    in (i, j) order."""
+    t = len(packing)
+    return [
+        (i, j)
+        for i in range(t)
+        for j in range(t)
+        if all((a, b) in g3_edges for a in packing[i] for b in packing[j])
+    ]
+
+
 def naive_conflicts(H, e1: int, d1: int, e2: int, d2: int, no_isolated: bool):
     """Reference matcher for one conflict family over a PackingPairGraph."""
 
