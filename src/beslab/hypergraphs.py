@@ -501,10 +501,37 @@ def _first_anchor(G: Hypergraph, incidence: dict[int, int], ell: int, s: int) ->
     branches on the fitting edges through all of U but its t - 1 vertices
     of highest degree.  Either way a child stays inside V(C), so the
     search is complete.  A node is cut when fewer edges fit than are
-    missing, and each vertex set is entered once.  With at most two
-    vertices to spare a node is decided at once: the missing edges lie on
-    U and one or two new vertices, so it counts the fitting edges by their
-    new vertices.
+    missing, and each vertex set is entered once.
+
+    **Child bound.**  Let a node with slack sigma = s - |U| branch on e,
+    with new vertices w = e - U, and let sigma' = sigma - |w| be the
+    child's slack.  An edge h that fits the child, or that the child newly
+    puts inside, has |h - U| <= |h - (U + w)| + |h & w| <= sigma, so it
+    is one of the parent's fitting edges; and either it meets w, or it
+    meets U in at least r - sigma' vertices.  So all of them but e lie in
+    X, the fitting edges in ``meets[r - sigma']`` or through w.  If X has
+    fewer than missing - 1 edges, the child puts fewer than missing - 1
+    edges besides e inside, so it is no hit, and the edges that fit it are
+    the rest of X, fewer than it misses: it would be cut.  So it is
+    skipped before it is built.
+
+    **Hub edges in bulk.**  Let e meet U in one vertex v, so that
+    sigma' = sigma - r + 1, and let A count the fitting edges in
+    ``meets[r - sigma']``.  Then X has at most A + q edges, where q counts
+    the edges of G other than e through e - v, so e is skipped when q is
+    below j = missing - 1 - A.  A node drops all such edges through each
+    vertex v of U at once, by the edges through v with q at least j,
+    memoised per (v, j) (:func:`_partnered`).  So the many edges of a hub,
+    each with few others through the rest of it, cost a few mask
+    operations, not one test each.
+
+    A node where few edges fit (:func:`_walks_edges`) takes them one at a
+    time and uses neither bound, which would seldom cut there.  With at
+    most two vertices to spare, such a node is decided at once: the
+    missing edges lie on U and one or two new vertices, so it counts the
+    fitting edges by their new vertices.  Any other node branches; at a
+    hub, where many edges fit but few pass the child bound, that is the
+    cheaper.
     """
     masks = G.edge_masks
     r = G.r
@@ -521,6 +548,7 @@ def _first_anchor(G: Hypergraph, incidence: dict[int, int], ell: int, s: int) ->
     doomed = [h for h, c in enumerate(covered) if c < t]
     alive = _peel(G, incidence, degree, covered, full, t, doomed)
     levels = range(r, 0, -1)
+    partnered: dict[tuple[int, int], int] = {}
     while alive:
         bit = alive & -alive
         a = bit.bit_length() - 1
@@ -541,11 +569,13 @@ def _first_anchor(G: Hypergraph, incidence: dict[int, int], ell: int, s: int) ->
             missing = ell - inside.bit_count()
             slack = s - union.bit_count()
             fit = (meets[r - slack] if slack < r else full) & alive & ~inside
-            if fit.bit_count() < missing:
+            fits = fit.bit_count()
+            if fits < missing:
                 continue
             if missing == 1:
                 return a
-            if slack <= 2:
+            few = _walks_edges(fits, missing)
+            if slack <= 2 and few:
                 # The rest of a configuration lies on U and at most two
                 # new vertices W: count the fitting edges outside U by
                 # their new vertices and take the best W.
@@ -568,6 +598,18 @@ def _first_anchor(G: Hypergraph, incidence: dict[int, int], ell: int, s: int) ->
                     return a
                 continue
             branch = _branch_set(G, incidence, degree, inside, union, fit, t)
+            spare1 = slack - r + 1  # a child's spare on an edge meeting U once
+            if 0 <= spare1 < r and not few:
+                j = missing - 1 - (meets[r - spare1] & fit).bit_count()
+                if j > 0:
+                    lone = branch & ~meets[2]
+                    for v in _mask_to_list(union):
+                        through = lone & incidence[v]
+                        if through:
+                            keep = partnered.get((v, j))
+                            if keep is None:
+                                keep = partnered[v, j] = _partnered(G, incidence, v, j)
+                            branch &= ~through | keep
             while branch:
                 low = branch & -branch
                 branch ^= low
@@ -576,9 +618,19 @@ def _first_anchor(G: Hypergraph, incidence: dict[int, int], ell: int, s: int) ->
                 if child in seen:
                     continue
                 seen.add(child)
+                w = child ^ union
+                spare = slack - w.bit_count()
+                if spare < r and not few:
+                    # the child bound
+                    near = meets[r - spare]
+                    for v in G.edges[e]:
+                        if w >> v & 1:
+                            near |= incidence[v]
+                    if ((near & fit) ^ low).bit_count() < missing - 1:
+                        continue
                 grown = list(meets)
                 for v in G.edges[e]:
-                    if not union >> v & 1:
+                    if w >> v & 1:
                         inc = incidence[v]
                         for i in levels:
                             grown[i] |= grown[i - 1] & inc
@@ -587,6 +639,32 @@ def _first_anchor(G: Hypergraph, incidence: dict[int, int], ell: int, s: int) ->
                 stack.append((child, grown))
         alive = _peel(G, incidence, degree, covered, scope, t, [a])
     return None
+
+
+def _walks_edges(fits: int, missing: int) -> bool:
+    """Whether a node of :func:`_first_anchor` with ``fits`` fitting edges
+    and ``missing`` edges missing has so few edges that it takes them one
+    at a time: with at most two vertices to spare it counts their new
+    vertices rather than branching, and otherwise it builds each child
+    without the child bound and drops no hub edges in bulk."""
+    return fits <= 4 * missing
+
+
+def _partnered(G: Hypergraph, incidence: dict[int, int], v: int, j: int) -> int:
+    """The edges e through vertex v that at least j other edges meet
+    outside v."""
+    out = 0
+    rest = incidence[v]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        near = 0
+        for u in G.edges[low.bit_length() - 1]:
+            if u != v:
+                near |= incidence[u]
+        if (near ^ low).bit_count() >= j:
+            out |= low
+    return out
 
 
 def _branch_set(

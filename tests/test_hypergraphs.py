@@ -20,6 +20,7 @@ from beslab import (
     claim_profile,
     claim_set,
     claimed_pairs,
+    diamond_star,
     f63,
     family_queries,
     family_violation_containing,
@@ -32,6 +33,7 @@ from beslab import (
     shadow,
     to_text,
 )
+from beslab import hypergraphs
 from beslab.hypergraphs import _first_containing
 from beslab.merging import _pair_components
 
@@ -404,14 +406,46 @@ class TestConfigurations:
             graphs.append(util.random_hypergraph(rng, r, n, rng.choice([6, 10, 14])))
         for G in graphs:
             for k in range(2, 9):
-                want = (None, None)
-                for q in family_queries(G.r, k):
-                    w = find_configuration(G, q)
-                    if w is not None:
-                        want = (q, w)
-                        break
                 res = is_family_free(G, k)
-                assert (res.query, res.witness) == want, (G.edges, k)
+                assert (res.query, res.witness) == _first_scan_hit(G, k), (G.edges, k)
+
+    def test_freeness_matches_the_subset_scan_at_hubs(self, hub_graphs):
+        # Diamond stars and f63 copies with extra edges: nodes at the hub
+        # fit many edges, so the search branches under the child bound.
+        hits = []
+        for G, k in hub_graphs:
+            res = is_family_free(G, k)
+            want = _first_scan_hit(G, k)
+            assert (res.query, res.witness) == want, (G.edges, k)
+            hits.append(want[0] and want[0].edge_count)
+        assert {None, 3, 4, 5, 6, 7} <= set(hits)
+
+    def test_walking_edges_or_bounding_gives_the_same_answers(
+        self, monkeypatch, fuzz_corpus, hub_graphs
+    ):
+        # Taking a node's edges one at a time or under the bounds is exact
+        # either way: counting new vertices or branching at slack <= 2, and
+        # building every child or skipping children by the child bound and
+        # hub edges in bulk.
+        rng = random.Random(67)
+        cases = [(G, k) for G in fuzz_corpus for k in (5, 6, 7)] + list(hub_graphs)
+        # bulk work that took edges meeting U twice for edges meeting it
+        # once would lose this graph's configuration
+        edges = [(0, 4, 5), (0, 6, 7), (1, 5, 6), (1, 6, 7), (4, 6, 9), (4, 7, 9)]
+        cases.append((build(3, 11, edges), 7))
+        for r, k in [(3, 5), (4, 5), (3, 6), (4, 6), (3, 7)]:
+            for _ in range(6):
+                G = util.random_free_graph(rng, r, k, rng.randint(r + 4, 11))
+                cases += [(G, kk) for kk in range(4, 8)]
+        want = [is_family_free(G, k) for G, k in cases]
+        assert 0 < sum(res.free for res in want) < len(want)
+        for one_by_one in (True, False):
+            calls = []
+            monkeypatch.setattr(
+                hypergraphs, "_walks_edges", lambda *args: calls.append(args) or one_by_one
+            )
+            assert [is_family_free(G, k) for G, k in cases] == want, one_by_one
+            assert len(calls) > 100
 
     def test_every_edge_of_a_first_violation_meets_the_rest(self):
         # The lemma behind is_family_free: in the first query with a hit,
@@ -507,6 +541,55 @@ def _span(G, indices) -> set[int]:
     for i in indices:
         out |= set(G.edges[i])
     return out
+
+
+def _first_scan_hit(G, k):
+    """(query, witness) of the first family query for which
+    find_configuration finds a configuration, or (None, None)."""
+    for q in family_queries(G.r, k):
+        w = find_configuration(G, q)
+        if w is not None:
+            return q, w
+    return None, None
+
+
+def _with_extra_edges(rng, B):
+    """``B`` plus one or two random edges, each on zero, one or two
+    vertices of an edge of ``B`` and otherwise anywhere."""
+    edges = set(B.edges)
+    for _ in range(rng.randint(1, 2)):
+        keep = rng.sample(rng.choice(B.edges), rng.randint(0, 2))
+        others = [v for v in range(B.n) if v not in keep]
+        edges.add(tuple(sorted(keep + rng.sample(others, B.r - len(keep)))))
+    return build(B.r, B.n, edges)
+
+
+def _random_hub_graph(rng):
+    """A random graph on r + 3 to 13 vertices whose edges favour one or two
+    hub vertices."""
+    r = rng.choice([3, 3, 4])
+    n = rng.randint(r + 3, 13)
+    hubs = set(rng.sample(range(n), rng.randint(1, 2)))
+    cands = list(itertools.combinations(range(n), r))
+    weights = [4 if hubs & set(c) else 1 for c in cands]
+    return build(r, n, set(rng.choices(cands, weights, k=rng.randint(4, 14))))
+
+
+@pytest.fixture(scope="module")
+def hub_graphs():
+    """(graph, k) pairs: the hub-heavy constructions with extra edges, and
+    random graphs around hubs."""
+    rng = random.Random(61)
+    bases = [
+        (diamond_star(4), 5, 100),
+        (diamond_star(8), 5, 100),
+        (diamond_star(12), 5, 100),
+        (diamond_star(10), 7, 100),
+        (f63(), 6, 60),
+        (util.f63_copies(2), 6, 8),
+    ]
+    out = [(_with_extra_edges(rng, B), k) for B, k, count in bases for _ in range(count)]
+    return out + [(_random_hub_graph(rng), k) for _ in range(300) for k in (4, 5, 6, 7)]
 
 
 def _first_violation(G, k):
