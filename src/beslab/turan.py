@@ -88,12 +88,22 @@ class _Kills:
     t chosen edges that fit in s vertices.  Choosing j then kills every
     candidate h with |U + j + h| <= s for a carried need-union U: the union
     over U of ``fits(U | j, s)``, the memoised bitmask of the candidates h
-    with |V + h| <= s.
+    with |V + h| <= s.  As |V + h| = |V| + r - |V & h|, those are the
+    candidates that meet V in at least r - s + |V| vertices, read off the
+    candidate bitmask of each vertex of V.
     """
 
     def __init__(self, r: int, n: int, queries: list[ConfigQuery]) -> None:
+        self.r = r
         self.cands = list(_subsets_by_top(n, r))
         self.cmasks = [_mask(e) for e in self.cands]
+        self.full = (1 << len(self.cands)) - 1
+        # incidence[v]: the candidates through vertex v.
+        self.incidence = incidence = [0] * n
+        for h, e in enumerate(self.cands):
+            bit = 1 << h
+            for v in e:
+                incidence[v] |= bit
         # fits(V, s) is tables[s][V].
         self.tables: dict[int, dict[int, int]] = {}
         bans = [(q.edge_count, q.max_vertices) for q in queries]
@@ -107,7 +117,7 @@ class _Kills:
         for k, s in bans:
             if k == 1:
                 alone |= self._fits(0, s)
-        self.root_live = ((1 << len(self.cands)) - 1) & ~alone
+        self.root_live = self.full & ~alone
         # The unions of no chosen edge: the empty union at t = 0 only.
         self.root_unions = tuple(((0,),) + ((),) * need for need, _, _ in self.pair_bans)
 
@@ -116,10 +126,20 @@ class _Kills:
         table = self.tables.setdefault(s, {})
         out = table.get(v)
         if out is None:
-            out = 0
-            for h, mh in enumerate(self.cmasks):
-                if (v | mh).bit_count() <= s:
-                    out |= 1 << h
+            need = self.r - s + v.bit_count()
+            if need <= 0:
+                out = self.full
+            else:
+                # meets[i]: the candidates meeting the vertices seen so far in >= i.
+                meets = [self.full] + [0] * need
+                rest = v
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    inc = self.incidence[low.bit_length() - 1]
+                    for i in range(need, 0, -1):
+                        meets[i] |= meets[i - 1] & inc
+                out = meets[need]
             table[v] = out
         return out
 
@@ -176,7 +196,8 @@ def _greedy(r: int, n: int, queries: list[ConfigQuery]) -> TuranResult:
 
 def _pigeonhole(r: int, n: int, queries: list[ConfigQuery]) -> int:
     """C(n, r), lowered to k - 1 for every query (k, s) with n <= s: any k
-    distinct edges on n <= s vertices form that query's configuration."""
+    distinct edges on n <= s vertices form that query's configuration.
+    For one query with n <= s this is the answer: no k - 1 edges form it."""
     out = math.comb(n, r)
     for q in queries:
         if n <= q.max_vertices:
@@ -185,10 +206,12 @@ def _pigeonhole(r: int, n: int, queries: list[ConfigQuery]) -> int:
 
 
 def _branch_and_bound(
-    r: int, n: int, queries: list[ConfigQuery], upper: int
+    ks: _Kills, n: int, upper: int
 ) -> tuple[int, tuple[tuple[int, ...], ...], int]:
     """Maximize the edge sets over all r-subsets of range(n) in which no
-    query finds a configuration.
+    query of the table ``ks`` finds a configuration.  The table may be
+    built for more vertices; the search reads only its first C(n, r)
+    candidates (the prefix lemma of :func:`_chain`).
 
     Candidates are taken in the order of :func:`_subsets_by_top`, and the
     children of a node, an admissible set C, are later candidates, so the
@@ -234,7 +257,6 @@ def _branch_and_bound(
     edge bound ``bound_coefficient * C(n, 2)``: the sweep checks the exact
     values against it, and a pruned value could never show it violated.
     """
-    ks = _Kills(r, n, queries)
     cmasks, kill, extend = ks.cmasks, ks.kill, ks.extend
     best_val = 0
     best_idx: tuple[int, ...] = ()
@@ -264,9 +286,9 @@ def _branch_and_bound(
                 dfs(child, extend(unions, mj), mj.bit_length() - 1)
             chosen_idx.pop()
 
-    dfs(ks.root_live, ks.root_unions, -1)
+    dfs(ks.root_live & ((1 << math.comb(n, ks.r)) - 1), ks.root_unions, -1)
     # dfs refers to itself through its closure; emptying that cell frees the
-    # memo tables now rather than at the next cyclic garbage collection.
+    # closure now rather than at the next cyclic garbage collection.
     del dfs
     return best_val, tuple(ks.cands[i] for i in best_idx), nodes
 
@@ -287,13 +309,31 @@ def _chain(
     chain runs.  The chain never reads the file cache: a cached value that
     is too small would make the next bound too tight, and a hit is
     re-checked only for "at least".
+
+    Every row searches one :class:`_Kills` table built at n, whose fits
+    memo thus serves them all.  Prefix lemma: for t <= n the candidates of
+    ``_subsets_by_top(t, r)`` are exactly the first C(t, r) candidates of
+    ``_subsets_by_top(n, r)``, in the same order, since both list the tops
+    r - 1, r, ... in turn and each top's candidates do not depend on the
+    vertex count.  So row t sees the candidates of a table built at t
+    under the same indices and masks.  Whether a candidate is killed alone
+    (r <= s for a ban of one edge) depends on the candidate only, so row
+    t's root live set is the table's masked to the prefix.  A kill mask
+    ``fits(V, s)`` agrees on the prefix with the one a table built at t
+    gives, as |V + h| <= s depends on V and h only; its bits beyond the
+    prefix never matter, as every live set of the row lies within its
+    root's and a child's live set is the parent's ``live & ~kill``.  The
+    carried unions and the symmetry rule read only vertex masks.  So each
+    row enters the same nodes, in the same order, and returns the same
+    value and witness as a search over a table of its own.
     """
+    ks = _Kills(r, n, queries)
     nodes = value = 0
     for t in range(min(r, n), n + 1):
         upper = _pigeonhole(r, t, queries)
         if t > r:
             upper = min(upper, t * value // (t - r))
-        value, edges, entered = _branch_and_bound(r, t, queries, upper)
+        value, edges, entered = _branch_and_bound(ks, t, upper)
         nodes += entered
         yield t, upper, value, edges, nodes
 
@@ -332,14 +372,19 @@ def _cache_load(path: str, keys: set) -> dict:
     return hits
 
 
-def _cache_append(path: str, key: tuple, value: int, witness, nodes: int) -> None:
-    obj = dict(zip(("kind", "r", "n", "s", "k"), key))
-    obj.update(value=value, witness=to_text(witness), nodes=nodes)
+def _cache_append(path: str, records: list[tuple]) -> None:
+    """Append one line per (key, value, witness, nodes) record, in order,
+    through one open file; each line is flushed, so it reaches the file in
+    a write of its own."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        for key, value, witness, nodes in records:
+            obj = dict(zip(("kind", "r", "n", "s", "k"), key))
+            obj.update(value=value, witness=to_text(witness), nodes=nodes)
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +425,8 @@ def _exact(
     a miss over :func:`size_cap` without ``allow_large`` raises
     :class:`TooLarge` before any search.  Each job's misses then come from
     one :func:`_search`, the jobs in worker processes when ``threads > 1``
-    and each has misses, and are appended job by job in ascending n."""
+    and each has misses, and are appended job by job in ascending n, all
+    through one :func:`_cache_append`."""
     found, todo, keys = [], [], []
     for kind, r, ns, queries in jobs:
         main = queries[-1]
@@ -407,10 +453,9 @@ def _exact(
             searched = list(pool.map(_search, *zip(*todo)))
     else:
         searched = [_search(*job) for job in todo]
-    if cache_path:
-        for key, rows in zip(keys, searched):
-            for n, row in rows.items():
-                _cache_append(cache_path, key[n], *row)
+    records = [(key[n], *row) for key, rows in zip(keys, searched) for n, row in rows.items()]
+    if cache_path and records:
+        _cache_append(cache_path, records)
     return [{**hits, **rows} for hits, rows in zip(found, searched)]
 
 
@@ -435,7 +480,7 @@ def exact_turan(
     if s < 1:
         raise ValueError(f"vertex budget must be at least 1, got {s}")
     if n <= s:
-        value = min(math.comb(n, r), k - 1)
+        value = _pigeonhole(r, n, [ConfigQuery(k, s)])
         witness = build(r, n, itertools.islice(_subsets_by_top(n, r), value))
         return TuranResult(value, witness, 0, time.perf_counter() - t0)
     rows = _exact([("plain", r, [n], [ConfigQuery(k, s)])], allow_large, cache_path)[0]
@@ -537,7 +582,7 @@ def consistency_sweep(
     main = queries[-1]
     ns = list(range(r, n_max + 1))
     catalog = _catalog(r, k, n_max)
-    # Plain rows with n <= s are closed form.
+    # Plain rows with n <= s are closed form: their pigeonhole bound.
     plain_ns = [n for n in ns if n > main.max_vertices]
     fam, plain = _exact(
         [("family", r, ns, queries), ("plain", r, plain_ns, [main])], False, cache_path, threads
@@ -549,7 +594,7 @@ def consistency_sweep(
     rows: list[SweepRow] = []
     for n in ns:
         fv = fam[n][0]
-        pv = plain[n][0] if n in plain else exact_turan(r, n, main.max_vertices, k).value
+        pv = plain[n][0] if n in plain else _pigeonhole(r, n, [main])
         bound_value = None if coeff is None else coeff * Fraction(n * (n - 1), 2)
         bound_ok = None if bound_value is None else fv <= bound_value
         cons = tuple((label, len(g.edges), len(g.edges) <= fv) for label, g in catalog if g.n == n)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,11 +178,13 @@ class TestKillMasks:
     """The kill step against the definition: after choosing the sorted
     admissible set C, the live set is every later h with C + {h}
     admissible, and choosing a live j leaves every later live h with
-    C + {j, h} admissible."""
+    C + {j, h} admissible.  Each check also runs on a table built for two
+    more vertices and masked to the n-vertex prefix, as a chain row reads
+    it."""
 
     @staticmethod
-    def _descend(ks, chosen):
-        live, unions = ks.root_live, ks.root_unions
+    def _descend(ks, count, chosen):
+        live, unions = ks.root_live & ((1 << count) - 1), ks.root_unions
         for j in chosen:
             assert live >> j & 1, (chosen, j)
             live = (live >> (j + 1) << (j + 1)) & ~ks.kill(unions, ks.cmasks[j])
@@ -188,9 +192,10 @@ class TestKillMasks:
         return live, unions
 
     @staticmethod
-    def _random_admissible(rng, ks, ok):
-        """A random subset of a random maximal admissible set."""
-        order = list(range(len(ks.cands)))
+    def _random_admissible(rng, count, ok):
+        """A random subset of a random maximal admissible set among the
+        first ``count`` candidates."""
+        order = list(range(count))
         rng.shuffle(order)
         maximal: list[int] = []
         for h in order:
@@ -200,8 +205,14 @@ class TestKillMasks:
 
     def _check(self, rng, r, n, queries, admissible, trials):
         """``admissible(G)`` is the definitional test of a graph."""
-        ks = _Kills(r, n, queries)
+        count = math.comb(n, r)
+        # Both tables replay the same draws: the same random sets are checked.
+        state = rng.getstate()
+        for ks in (_Kills(r, n + 2, queries), _Kills(r, n, queries)):
+            rng.setstate(state)
+            self._check_table(rng, r, n, queries, admissible, trials, ks, count)
 
+    def _check_table(self, rng, r, n, queries, admissible, trials, ks, count):
         def ok(idx):
             return admissible(build(r, n, [ks.cands[i] for i in idx]))
 
@@ -209,10 +220,10 @@ class TestKillMasks:
             return [h for h in range(len(ks.cands)) if mask >> h & 1]
 
         for _ in range(trials):
-            chosen = self._random_admissible(rng, ks, ok)
-            live, unions = self._descend(ks, chosen)
+            chosen = self._random_admissible(rng, count, ok)
+            live, unions = self._descend(ks, count, chosen)
             after = chosen[-1] + 1 if chosen else 0
-            want = [h for h in range(after, len(ks.cands)) if ok(chosen + [h])]
+            want = [h for h in range(after, count) if ok(chosen + [h])]
             assert bits(live) == want, (r, n, queries, chosen)
             for j in rng.sample(want, min(3, len(want))):
                 child = (live >> (j + 1) << (j + 1)) & ~ks.kill(unions, ks.cmasks[j])
@@ -263,7 +274,7 @@ class TestSymmetryRule:
             upper = _bound(r, n, queries)
             assert upper >= len(want), (r, n, bans)
             for bound in (math.comb(n, r), upper):
-                value, edges, _ = _branch_and_bound(r, n, queries, bound)
+                value, edges, _ = _branch_and_bound(_Kills(r, n, queries), n, bound)
                 assert (value, edges) == (len(want), want), (r, n, bans, bound)
 
     @staticmethod
@@ -273,7 +284,7 @@ class TestSymmetryRule:
             span |= m
         return span & (span + 1) == 0
 
-    def test_every_node_spans_an_initial_segment(self, monkeypatch):
+    def test_every_node_spans_an_initial_segment(self):
         # Every node's chosen set, read off the kill step, spans exactly
         # {0, ..., M}, and its edges come in candidate order.
         seen: list[tuple[int, ...]] = []
@@ -295,11 +306,10 @@ class TestSymmetryRule:
                 chosen, inner = unions
                 return (chosen + (mj,), super().extend(inner, mj))
 
-        monkeypatch.setattr(turan, "_Kills", Recording)
         for r, n, queries in ((3, 7, family_queries(3, 6)), (4, 7, family_queries(4, 5)),
                               (3, 7, [ConfigQuery(3, 5)]), (2, 7, [ConfigQuery(2, 3)])):
             seen.clear()
-            nodes = _branch_and_bound(r, n, queries, math.comb(n, r))[2]
+            nodes = _branch_and_bound(Recording(r, n, queries), n, math.comb(n, r))[2]
             assert len(seen) == nodes > 0, (r, n)
             index = {_mask(e): i for i, e in enumerate(_subsets_by_top(n, r))}
             for chosen in seen:
@@ -312,6 +322,38 @@ class TestSymmetryRule:
             masks = [_mask(e) for e in _greedy(r, n, family_queries(r, k)).witness.edges]
             for i in range(1, len(masks) + 1):
                 assert self._spans_initial_segment(masks[:i]), (r, n, k, masks[:i])
+
+
+class TestSharedTable:
+    """Every row of a chain searches one table built at the chain's largest
+    n; each row must read exactly as a search over a fresh table built at
+    its own t."""
+
+    @staticmethod
+    def _check(r, n, queries):
+        total = 0
+        for t, bound, value, edges, nodes in _chain(r, n, queries):
+            fresh = _branch_and_bound(_Kills(r, t, queries), t, bound)
+            total += fresh[2]
+            assert (value, edges, nodes) == (fresh[0], fresh[1], total), (r, n, queries, t)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_family_rows_match_fresh_tables(self, r):
+        for k in (4, 5, 6, 7):
+            self._check(r, 8, family_queries(r, k))
+
+    def test_plain_rows_match_fresh_tables(self):
+        for r, n, s, k in PLAIN_SEARCHES + ((4, 8, 7, 4), (3, 8, 7, 6)):
+            self._check(r, n, [ConfigQuery(k, s)])
+
+    def test_random_ban_lists_match_fresh_tables(self):
+        # One to three bans per list, single-edge bans and s <= r included.
+        rng = random.Random(79)
+        for _ in range(40):
+            r = rng.choice([3, 4])
+            bans = [ConfigQuery(rng.randint(1, 4), rng.randint(1, 2 * r + 1))
+                    for _ in range(rng.randint(1, 3))]
+            self._check(r, rng.randint(r, r + 4), bans)
 
 
 class TestLimits:
@@ -337,6 +379,15 @@ class TestLimits:
         best = ei.value.best
         assert (best.value, best.witness.edges) == _pinned("012 013 014 015 067 068 069")
         assert is_family_free(best.witness, 5).free
+
+    def test_too_large_refusal_is_bounded(self):
+        # The greedy lower bound of a refusal reads each kill mask off the
+        # candidates through each vertex, not off a scan of all C(n, r).
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge) as ei:
+            exact_turan_family(3, 28, 5)
+        assert time.perf_counter() - t0 < 1.0
+        assert ei.value.best.value == 79
 
     def test_allow_large(self):
         # distinct 4-edges span five vertices, so nothing is ever banned
@@ -569,6 +620,16 @@ class TestSweep:
             got = (obj["value"], from_text(obj["witness"]), obj["nodes"])
             assert got == (res.value, res.witness, res.nodes_explored), obj
 
+    def test_sweeps_append_pinned_bytes(self, tmp_path):
+        # Three sweeps in turn against one fresh cache file.  Recorded at
+        # commit e3631c5, where each chain row built its own kill table and
+        # each record opened the file on its own.
+        path = tmp_path / "c.jsonl"
+        for r, k, n_max in ((3, 6, 8), (4, 5, 8), (3, 7, 9)):
+            consistency_sweep(r, k, n_max, cache_path=str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "758c24e91fd746590ea3a6844f64026dcd458dc1cba8621616122ad391c4a310")
+
     def test_too_small_cached_row_never_feeds_the_bound(self, tmp_path):
         # The record answers its own row; row 8's bound comes from the
         # chain's own f(7) = 4, so f(8) = 6 is still found.
@@ -756,8 +817,9 @@ class TestPinnedAnswers:
         searches += [(3, n, family_queries(3, k)) for n, k, _, _ in LARGER_FAMILIES]
         searches += [(r, n, [ConfigQuery(k, s)]) for r, n, s, k in PLAIN_SEARCHES]
         for r, n, queries in searches:
-            value, edges, nodes = _branch_and_bound(r, n, queries, _bound(r, n, queries))
-            full = _branch_and_bound(r, n, queries, math.comb(n, r))
+            ks = _Kills(r, n, queries)
+            value, edges, nodes = _branch_and_bound(ks, n, _bound(r, n, queries))
+            full = _branch_and_bound(ks, n, math.comb(n, r))
             assert (value, edges) == full[:2], (r, n, queries)
             assert nodes <= full[2], (r, n, queries)
         # The plain pins have n <= s, where exact_turan's closed form takes
@@ -765,7 +827,7 @@ class TestPinnedAnswers:
         for r, n, s, k in PLAIN_PINS:
             queries = [ConfigQuery(k, s)]
             first = tuple(itertools.islice(_subsets_by_top(n, r), min(math.comb(n, r), k - 1)))
-            got = _branch_and_bound(r, n, queries, _bound(r, n, queries))
+            got = _branch_and_bound(_Kills(r, n, queries), n, _bound(r, n, queries))
             assert got[:2] == (len(first), first), (r, n, s, k)
 
     def test_pigeonhole_bound(self):
@@ -795,10 +857,10 @@ class TestPinnedAnswers:
 
         search = turan._branch_and_bound
 
-        def stop_at_9(r, n, queries, upper):
+        def stop_at_9(ks, n, upper):
             if n == 9:
                 raise Stop(upper)
-            return search(r, n, queries, upper)
+            return search(ks, n, upper)
 
         monkeypatch.setattr(turan, "_branch_and_bound", stop_at_9)
         with pytest.raises(Stop) as stop:
