@@ -189,8 +189,10 @@ def _cmd_verify_construction(args: argparse.Namespace) -> int:
 def _cmd_partition(args: argparse.Namespace) -> int:
     G = _read_graph(args.input)
     rng = random.Random(args.seed) if args.seed is not None else None
-    part = STAGES[args.stage](G, rng=rng)
-    doc = partition_report(part)
+    try:
+        doc = partition_report(STAGES[args.stage](G, rng=rng))
+    except NotFree as exc:
+        return _not_free(G, exc, args.json, stage=args.stage)
     if args.json:
         _emit_json(doc)
     else:

@@ -38,13 +38,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
+from .errors import NotFree
 from .hypergraphs import (
-    ClaimProfile,
+    ConfigQuery,
     Hypergraph,
     Pair,
     _incidence,
     _mask_to_list,
     claim_profile,
+    find_configuration,
 )
 
 
@@ -172,16 +174,7 @@ class Partition:
 
 def trivial_partition(G: Hypergraph) -> Partition:
     """Every edge in its own cluster; cluster id = edge index."""
-    clusters = tuple(
-        Cluster(
-            id=i,
-            edge_indices=(i,),
-            trace=(),
-            stage="trivial",
-            ambient=G,
-        )
-        for i in range(len(G.edges))
-    )
+    clusters = tuple(Cluster(i, (i,), (), "trivial", G) for i in range(len(G.edges)))
     return Partition(G, clusters, (), "trivial")
 
 
@@ -226,9 +219,10 @@ def tp_pair_set(F: Hypergraph) -> frozenset[Pair]:
     return frozenset(out)
 
 
-def _make_state(G: Hypergraph, edges: tuple[int, ...], rule: MergeRule) -> ClaimProfile:
-    """The part's claim profile up to ``rule.claim_cap``, which is all that
-    ``rule``'s clauses read.
+def _make_state(G: Hypergraph, edges: tuple[int, ...], rule: MergeRule) -> dict[Pair, int]:
+    """The part's claim bits per key pair, up to ``rule.claim_cap``, which is
+    all that ``rule``'s clauses read: the ``pair_bits`` of its claim profile.
+    Raises :class:`NotFree` when the profile has wide evidence (see ``merge``).
 
     One edge spans (r-2)*1 + 2 vertices, so it 1-claims exactly its own
     pairs, and no edge is wide.  So a one-edge part, or any part under a
@@ -241,58 +235,41 @@ def _make_state(G: Hypergraph, edges: tuple[int, ...], rule: MergeRule) -> Claim
     2-claim it.  A 3-edge subtree needs three edges.
     """
     if len(edges) > 1 and rule.claim_cap > 1:
-        return claim_profile(G.subgraph(edges), rule.claim_cap)
+        part = G.subgraph(edges)
+        prof = claim_profile(part, rule.claim_cap)
+        if prof.has_wide_evidence:
+            wide = (prof.all_bits, *prof.vertex_bits.values())
+            i = min((b & -b).bit_length() - 1 for b in wide if b)
+            q = ConfigQuery(i, (G.r - 2) * i + 1)
+            found = find_configuration(part, q)
+            assert found is not None  # the profile is wide at index i
+            order = sorted(edges)
+            msg = f"a merged part contains {i} edges on at most {q.max_vertices} vertices"
+            raise NotFree(msg, tuple(order[j] for j in found), q)
+        return prof.pair_bits
     pair_bits = {Pair(u, v): 2 for i in edges for u, v in itertools.combinations(G.edges[i], 2)}
     if rule.kind == "two_plus" and len(edges) >= 3:
         for pair in tp_pair_set(G.subgraph(edges)):
             pair_bits[pair] = pair_bits.get(pair, 0) | 4
-    return ClaimProfile(0, {}, pair_bits)
-
-
-def _sets_witness(
-    pp: ClaimProfile, qp: ClaimProfile, a_bits: int, b_bits: int, n: int, tags: tuple[str, str]
-) -> Optional[tuple[Pair, str]]:
-    """Smallest (pair, direction) making the two parts mergeable, if any.
-
-    Only pairs inside T, the vertices either profile names in
-    ``vertex_bits`` or ``pair_bits``, can have bits of their own: a pair
-    (t, w) with w outside T has the bits of (t, w0) for w0 the smallest
-    vertex outside T, and a pair with no vertex in T those of the two
-    smallest vertices outside T.  So the wide scan covers T plus those two.
-    """
-    if not (pp.has_wide_evidence or qp.has_wide_evidence):
-        small, big = (pp, qp) if len(pp.pair_bits) <= len(qp.pair_bits) else (qp, pp)
-        rows = [
-            (pair, pp.pair_bits[pair], qp.pair_bits[pair])
-            for pair in small.pair_bits
-            if pair in big.pair_bits
-        ]
-    else:
-        named = set(pp.vertex_bits) | set(qp.vertex_bits)
-        for prof in (pp, qp):
-            for pair in prof.pair_bits:
-                named.update(pair)
-        outside = itertools.islice((w for w in range(n) if w not in named), 2)
-        rows = [
-            (Pair(u, v), pp.bits(u, v), qp.bits(u, v))
-            for u, v in itertools.combinations(sorted(named.union(outside)), 2)
-        ]
-    left_tag, right_tag = tags
-    found = []
-    for pair, bits_p, bits_q in rows:
-        if bits_p & a_bits == a_bits and bits_q & b_bits == b_bits:
-            found.append((pair, left_tag))
-        if bits_p & b_bits == b_bits and bits_q & a_bits == a_bits:
-            found.append((pair, right_tag))
-    return min(found, default=None)
+    return pair_bits
 
 
 def _mergeable(
-    pp: ClaimProfile, qp: ClaimProfile, rule: MergeRule, n: int
+    ps: dict[Pair, int], qs: dict[Pair, int], rule: MergeRule
 ) -> Optional[tuple[Pair, str]]:
-    """Witness (pair, direction) if the two parts merge under ``rule``."""
-    found = [_sets_witness(pp, qp, a, b, n, tags) for a, b, tags in rule.clauses]
-    return min((w for w in found if w is not None), default=None)
+    """Smallest witness (pair, direction) if the two parts merge under
+    ``rule``: a key pair of both states whose bits satisfy a clause."""
+    small, big = (ps, qs) if len(ps) <= len(qs) else (qs, ps)
+    found = []
+    for pair in small:
+        if pair in big:
+            bits_p, bits_q = ps[pair], qs[pair]
+            for a_bits, b_bits, (left_tag, right_tag) in rule.clauses:
+                if bits_p & a_bits == a_bits and bits_q & b_bits == b_bits:
+                    found.append((pair, left_tag))
+                if bits_p & b_bits == b_bits and bits_q & a_bits == a_bits:
+                    found.append((pair, right_tag))
+    return min(found, default=None)
 
 
 # A rule's candidate finder is given the start parts (id -> sorted edges) and
@@ -311,37 +288,29 @@ def _by_claims(
     G: Hypergraph, parts: dict[int, tuple[int, ...]], rule: MergeRule, push: _Push
 ) -> _Join:
     """Candidates by ``_mergeable``, against the parts sharing a key pair."""
-    states: dict[int, ClaimProfile] = {}
+    states: dict[int, dict[Pair, int]] = {}
     holders: dict[Pair, set[int]] = {}
-    wide: set[int] = set()
 
     def file(new: int, edges: tuple[int, ...]) -> None:
         st = _make_state(G, edges, rule)
-        found: set[int] = set(wide)
-        for pair in st.pair_bits:
+        found: set[int] = set()
+        for pair in st:
             ids = holders.get(pair)
             if ids is None:
                 holders[pair] = {new}
             else:
                 found |= ids
                 ids.add(new)
-        if st.has_wide_evidence:
-            found = set(states)
-            wide.add(new)
         for other in found:
-            w = _mergeable(states[other], st, rule, G.n)
+            w = _mergeable(states[other], st, rule)
             if w is not None:
                 push(other, new, w)
         states[new] = st
 
-    def unfile(old: int) -> None:
-        for pair in states.pop(old).pair_bits:
-            holders[pair].discard(old)
-        wide.discard(old)
-
     def join(i: int, j: int, new: int, edges: tuple[int, ...]) -> None:
-        unfile(i)
-        unfile(j)
+        for old in (i, j):
+            for pair in states.pop(old):
+                holders[pair].discard(old)
         file(new, edges)
 
     for cid in sorted(parts):
@@ -404,15 +373,24 @@ def merge(
     in one sorted list, and drops a merged part's entries through an index
     of the entries that name each part.
 
-    Two parts can only have a witness if they share a key pair (a pair in
-    their profiles' ``pair_bits``) or one of them has wide evidence, so under every rule but ``RULE_11`` parts are
-    indexed by key pair and each new part is checked only against the parts
-    sharing one of its keys plus the wide parts (a wide new part against
-    all parts).  No part that
-    ``certify`` builds is wide: a wide claim at index i needs i edges on at
-    most (r-2)*i + 1 vertices, which one edge (r vertices) never fits and
-    which for 2 <= i < k is a denser member of the family the graph is free
-    of, and every ``rule_for`` case merges with claim caps at most k - 1.
+    Two parts have a witness only on a key pair of both states, so under
+    every rule but ``RULE_11`` parts are indexed by key pair and each new
+    part is checked only against the parts sharing one of its keys.
+
+    **Refusal lemma.**  ``merge`` raises :class:`NotFree` when it would file
+    a part with wide evidence, i edges on at most (r-2)*i + 1 vertices for
+    some 2 <= i <= the claim cap, naming the smallest such i, the query
+    (i, (r-2)*i + 1) and its first configuration by ``find_configuration``
+    (ambient edge indices).  It refuses exactly when some fixpoint cluster
+    is that dense, under every schedule.  *Proof.*  Until it refuses, it
+    merges as a merge honouring wide claims would, since between narrow
+    parts a witness lies on a pair both list.  Every filed part, with its
+    configuration, lies inside a cluster of that order-independent
+    fixpoint, and every cluster is filed, as a start part or by the merge
+    that completes it.  No part that ``certify`` builds is refused: one
+    edge never fits r - 1 vertices, for 2 <= i < k the configuration is a
+    denser member of the family the graph is free of, and every
+    ``rule_for`` case has claim caps at most k - 1.
 
     **Contraction lemma.**  Under ``RULE_11`` a part's claims are exactly
     its shadow (its state at cap 1), and shadow(P | Q) = shadow(P) |
@@ -469,16 +447,7 @@ def merge(
     rule_stack = start.rule_stack + (rule,)
     stage = _STAGE_NAMES.get(rule_stack, "custom")
     ordered = sorted(parts.items(), key=lambda kv: kv[1][0][0] if kv[1][0] else -1)
-    clusters = tuple(
-        Cluster(
-            id=cid,
-            edge_indices=edges,
-            trace=trace,
-            stage=stage,
-            ambient=G,
-        )
-        for cid, (edges, trace) in ordered
-    )
+    clusters = tuple(Cluster(cid, edges, trace, stage, G) for cid, (edges, trace) in ordered)
     return Partition(G, clusters, rule_stack, stage)
 
 

@@ -84,7 +84,7 @@ class _Kills:
 
     A live set is an int bitmask over candidate indices.  For a pair ban
     ``(need, s)`` (a ban of k edges on at most s vertices, need = k - 2), a
-    node carries, for t = 0..need, a tuple of the distinct vertex unions of
+    node carries, for t = 0..need, a frozenset of the vertex unions of
     t chosen edges that fit in s vertices.  Choosing j then kills every
     candidate h with |U + j + h| <= s for a carried need-union U: the union
     over U of ``fits(U | j, s)``, the memoised bitmask of the candidates h
@@ -119,7 +119,9 @@ class _Kills:
                 alone |= self._fits(0, s)
         self.root_live = self.full & ~alone
         # The unions of no chosen edge: the empty union at t = 0 only.
-        self.root_unions = tuple(((0,),) + ((),) * need for need, _, _ in self.pair_bans)
+        self.root_unions = tuple(
+            (frozenset({0}),) + (frozenset(),) * need for need, _, _ in self.pair_bans
+        )
 
     def _fits(self, v: int, s: int) -> int:
         """Bitmask of the candidates h with |v + h| <= s, memoised per s."""
@@ -164,8 +166,7 @@ class _Kills:
             grown = [levels[0]]
             for t in range(1, need + 1):
                 new = {v for u in levels[t - 1] if (v := u | mj).bit_count() <= s}
-                new.difference_update(levels[t])
-                grown.append(levels[t] + tuple(new) if new else levels[t])
+                grown.append(levels[t].union(new) if new else levels[t])
             out.append(tuple(grown))
         return tuple(out)
 

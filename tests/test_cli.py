@@ -320,6 +320,27 @@ class TestPartition:
         assert code == 2
         assert err != ""
 
+    def test_dense_part_refused(self, monkeypatch, capsys):
+        # K4^(3) merges into one part; at m3plus that part is wide (three
+        # edges on four vertices), so the stage refuses it.
+        for stage in ("m11", "m12", "m2plus"):
+            feed_stdin(monkeypatch, K4_TEXT)
+            assert run_cli(["partition", "--stage", stage, "--json"], capsys)[0] == 0
+        feed_stdin(monkeypatch, K4_TEXT)
+        code, out, err = run_cli(["partition", "--stage", "m3plus", "--json"], capsys)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "free": False,
+            "query": {"edge_count": 3, "max_vertices": 4},
+            "stage": "m3plus",
+            "witness": [0, 1, 2],
+            "witness_text": "3 4 3\n0 1 2\n0 1 3\n0 2 3\n",
+        }
+        feed_stdin(monkeypatch, K4_TEXT)
+        code, out, err = run_cli(["partition", "--stage", "m3plus", "--seed", "7"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("not admissible: a merged part contains 3 edges on at most 4 vertices")
+
 
 # ---------------------------------------------------------------------------
 # certify

@@ -15,6 +15,7 @@ from beslab import merging
 from beslab import (
     ClaimProfile,
     MergeRule,
+    NotFree,
     Pair,
     RULE_11,
     RULE_12,
@@ -40,8 +41,11 @@ from beslab import (
 # Fixture graphs distinguishing the four rules.
 DIAMOND_PLUS_EDGE = build(3, 5, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
 SUNFLOWER_PLUS_EDGE = build(3, 6, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 5)])
-# single edge 1-claims (0,1); the other component 3- and 4-claims it
+# single edge 1-claims (0,1); the other component 3- and 4-claims it, but
+# holds three edges on {1, 4, 5, 6}
 EDGE_PLUS_34 = build(3, 7, [(0, 1, 2), (0, 4, 5), (4, 5, 6), (1, 5, 6), (1, 4, 6)])
+# the same with a tight path, free for k = 6 and 7: no dense part
+EDGE_PLUS_PATH_34 = build(3, 7, [(0, 1, 2), (0, 3, 4), (3, 4, 5), (1, 4, 5), (1, 5, 6)])
 # same without the 4-claim: three_plus must not fire
 EDGE_PLUS_3_ONLY = build(3, 7, [(0, 1, 2), (0, 4, 5), (4, 5, 6), (1, 5, 6)])
 # diamond claims {1,2} on (0,1); the other component 3-claims it
@@ -99,8 +103,8 @@ class TestStages:
                 for rule in rules:
                     got = merging._make_state(G, (i,), rule)
                     part = G.subgraph([i])
-                    assert got == claim_profile(part, rule.claim_cap)
-                    assert set(got.pair_bits) == claimed_pairs(part, 1)
+                    assert got == claim_profile(part, rule.claim_cap).pair_bits
+                    assert set(got) == claimed_pairs(part, 1)
             # Under a cap-1 rule every part takes the closed form.
             for _ in range(3 if len(G.edges) >= 2 else 0):
                 edges = tuple(rng.sample(range(len(G.edges)), rng.randint(2, len(G.edges))))
@@ -108,11 +112,11 @@ class TestStages:
                 for rule in (RULE_11, RULE_2PLUS):
                     got = merging._make_state(G, edges, rule)
                     want = claim_profile(part, 1)
-                    assert {p for p, b in got.pair_bits.items() if b & 4} == (
+                    assert {p for p, b in got.items() if b & 4} == (
                         tp_pair_set(part) if rule is RULE_2PLUS else set()
                     )
-                    assert {p: b & 2 for p, b in got.pair_bits.items() if b & 2} == want.pair_bits
-                    assert (got.all_bits, got.vertex_bits) == (0, {})
+                    assert {p: b & 2 for p, b in got.items() if b & 2} == want.pair_bits
+                    assert not want.has_wide_evidence
 
     def test_trivial(self):
         G = DIAMOND_PLUS_EDGE
@@ -156,11 +160,14 @@ class TestStages:
         assert m2plus(SUNFLOWER_PLUS_EDGE).edge_sets() == {frozenset({0, 1, 2, 3})}
 
     def test_m3plus_one_against_three_four(self):
-        assert m12(EDGE_PLUS_34).edge_sets() == {
-            frozenset({0}),
-            frozenset({1, 2, 3, 4}),
-        }
-        assert m3plus(EDGE_PLUS_34).edge_sets() == {frozenset({0, 1, 2, 3, 4})}
+        for G in (EDGE_PLUS_34, EDGE_PLUS_PATH_34):
+            assert m12(G).edge_sets() == {frozenset({0}), frozenset({1, 2, 3, 4})}
+        (c,) = m3plus(EDGE_PLUS_PATH_34).clusters
+        assert (c.trace[-1].pair, c.trace[-1].direction) == ((0, 1), "left_1_34")
+        # the dense part is refused
+        with pytest.raises(NotFree) as info:
+            m3plus(EDGE_PLUS_34)
+        assert (info.value.witness, info.value.query) == ((2, 3, 4), (3, 4))
         # without the 4-claim neither three_plus variant applies
         assert m3plus(EDGE_PLUS_3_ONLY).edge_sets() == {
             frozenset({0}),
@@ -240,13 +247,26 @@ class TestTwoPlusPairs:
         assert Pair.of(0, 5) not in tp_pair_set(G)
 
 
+def _outcome(stage, G, rng=None):
+    """The stage's partition as edge sets, or "refused" when ``merge``
+    raises :class:`NotFree` on a dense part."""
+    try:
+        return stage(G, rng=rng).edge_sets()
+    except NotFree:
+        return "refused"
+
+
 class TestDeterminism:
     def test_shuffled_schedules_reach_same_fixpoint(self, fuzz_corpus):
+        # A graph that refuses does so under every schedule.
+        refused = 0
         for G in fuzz_corpus[:12]:
             for stage in (m11, m12, m2plus, m3plus):
-                base = stage(G).edge_sets()
+                base = _outcome(stage, G)
+                refused += base == "refused"
                 for seed in range(8):
-                    assert stage(G, rng=random.Random(seed)).edge_sets() == base
+                    assert _outcome(stage, G, random.Random(seed)) == base
+        assert refused
 
     def test_repeat_runs_identical_reports(self):
         for G in (DIAMOND_PLUS_123, SUNFLOWER_PLUS_EDGE, diamond_star(3)):
@@ -258,6 +278,10 @@ class TestTraces:
         for G in fuzz_corpus[:20]:
             start = trivial_partition(G)
             for stage in (m11, m3plus):
+                if util.naive_stage(G, stage.__name__) is None:
+                    for seed in (None, 1, 2, 3):
+                        assert _outcome(stage, G, seed and random.Random(seed)) == "refused"
+                    continue
                 for c in stage(G).clusters:
                     assert util.replay_trace(start, c) == frozenset(c.edge_indices)
 
@@ -302,66 +326,105 @@ class TestReports:
             assert set(ev) == {"new", "left", "right", "pair", "direction"}
 
 
-def _random_profile(rng: random.Random, named: list[int]) -> ClaimProfile:
-    """Claim bits 1..4 on random vertices and pairs among ``named``."""
-    vertex_bits = {v: rng.randrange(2, 32, 2) for v in named if rng.random() < 0.3}
+def _narrow_state(rng: random.Random, named: list[int]) -> ClaimProfile:
+    """Claim bits 1..4 on random pairs among ``named``, no wide evidence."""
     pair_bits = {
         Pair(u, v): rng.randrange(2, 32, 2)
         for u, v in itertools.combinations(named, 2)
         if rng.random() < 0.3
     }
-    all_bits = rng.choice([0, 0, rng.randrange(2, 32, 2)])
-    return ClaimProfile(all_bits, vertex_bits, pair_bits)
+    return ClaimProfile(0, {}, pair_bits)
+
+
+# Every rule over claim bits 1..4: each sets rule with A, B non-empty
+# subsets of {1, 2, 3, 4}, and the 2+ and 3+ rules.
+_BIT_SETS = [set(c) for size in range(1, 5) for c in itertools.combinations(range(1, 5), size)]
+BIT_RULES = [MergeRule.sets(A, B) for A in _BIT_SETS for B in _BIT_SETS] + [RULE_2PLUS, RULE_3PLUS]
 
 
 class TestSetsWitness:
     def test_matches_full_scan(self):
-        # T (the named vertices) ranges from a few vertices to all but one
-        # (n = |T| + 1) and all of them; every pair of claim masks is tried.
+        # On narrow states, ``_mergeable``'s one pass over the shared key
+        # pairs finds, for every rule, the smallest witness of a scan of
+        # every vertex pair below n, over each of the rule's clauses.
         rng = random.Random(47)
-        tried_wide = 0
-        for trial in range(48):
+        found = 0
+        for _ in range(48):
             n = rng.randint(2, 9)
-            spare = trial % 3  # vertices left outside T: 0, 1 or more
-            size = n - spare if spare < 2 else rng.randint(0, n - 2)
-            named = sorted(rng.sample(range(n), size))
-            sp = _random_profile(rng, named)
-            sq = _random_profile(rng, named)
-            tried_wide += sp.has_wide_evidence or sq.has_wide_evidence
-            for a_bits in range(2, 32, 2):
-                for b_bits in range(2, 32, 2):
-                    args = (sp, sq, a_bits, b_bits, n, ("left", "right"))
-                    assert merging._sets_witness(*args) == util.naive_sets_witness(*args), (
-                        n, named, sp, sq, a_bits, b_bits,
-                    )
-        assert tried_wide > 30
+            named = sorted(rng.sample(range(n), rng.randint(0, n)))
+            sp = _narrow_state(rng, named)
+            sq = _narrow_state(rng, named)
+            for rule in BIT_RULES:
+                scans = [
+                    util.naive_sets_witness(sp, sq, a, b, n, tags) for a, b, tags in rule.clauses
+                ]
+                want = min((w for w in scans if w is not None), default=None)
+                got = merging._mergeable(sp.pair_bits, sq.pair_bits, rule)
+                assert got == want, (n, sp, sq, rule)
+                found += got is not None
+        assert found > 500, found
 
-    def test_wide_probe_scan_ignores_unused_vertices(self, monkeypatch):
-        # The probe partitions the same at n = 12 and n = 800 and reads the
-        # same number of claim bits: the full scan read two per vertex pair.
-        reads = 0
-        inner = ClaimProfile.bits
 
-        def counted(self, u, v):
-            nonlocal reads
-            reads += 1
-            return inner(self, u, v)
+class TestRefusal:
+    """``merge`` refuses a part with wide evidence (its refusal lemma):
+    exactly when the fixpoint of a merge honouring wide claims has a dense
+    cluster, under every schedule, naming a dense configuration inside one
+    such cluster."""
 
-        monkeypatch.setattr(ClaimProfile, "bits", counted)
+    def test_wide_probe_is_refused(self):
+        # The K4^(3) part is wide at m3plus: three of its edges lie on four
+        # vertices.  Unused vertices change nothing.
         for tail in (2, 4):
-            docs, counts = [], []
             for n in (12, 800):
-                reads = 0
-                docs.append(partition_report(m3plus(util.wide_probe(n, tail)))["clusters"])
-                counts.append(reads)
-            assert docs[0] == docs[1]
-            assert [c["edges"] for c in docs[0]] == [list(range(4 + tail))]
-            assert 0 < counts[0] == counts[1], counts
+                G = util.wide_probe(n, tail)
+                for seed in (None, 1, 2, 3):
+                    with pytest.raises(NotFree) as info:
+                        m3plus(G, rng=seed and random.Random(seed))
+                    assert info.value.witness == (0, 1, 2)
+                    assert info.value.query == (3, 4)
+                assert len(m12(G).clusters) == 2
+
+    def test_refuses_iff_fixpoint_has_dense_cluster(self, fuzz_corpus):
+        # Each round of each stage: m11 on the trivial partition, m12 and
+        # m2plus on m11, m3plus on m12, all base rounds built by the oracle.
+        rng = random.Random(67)
+        graphs = list(fuzz_corpus) + [
+            util.random_hypergraph(rng, rng.choice([3, 4]), rng.randint(4, 9), 11)
+            for _ in range(40)
+        ]
+        rounds = [(None, RULE_11), (RULE_11, RULE_12), (RULE_11, RULE_2PLUS), (RULE_12, RULE_3PLUS)]
+        refused = {rule: 0 for _, rule in rounds}
+        for G in graphs:
+            starts = {None: trivial_partition(G)}
+            starts[RULE_11] = util.naive_merge(G, starts[None], RULE_11)
+            starts[RULE_12] = util.naive_merge(G, starts[RULE_11], RULE_12)
+            for base, rule in rounds:
+                start = starts[base]
+                fixpoint = util.naive_merge(G, start, rule)
+                dense = util.naive_dense(fixpoint, rule.claim_cap)
+                for seed in (None, 1, 2, 3):
+                    if not dense:
+                        got = merge(G, start, rule, seed and random.Random(seed))
+                        want = util.naive_merge(G, start, rule, seed and random.Random(seed))
+                        assert json.dumps(partition_report(got)) == json.dumps(
+                            partition_report(want)
+                        ), (G.edges, rule, seed)
+                        continue
+                    with pytest.raises(NotFree) as info:
+                        merge(G, start, rule, seed and random.Random(seed))
+                    witness, (i, s) = info.value.witness, info.value.query
+                    assert 2 <= i <= rule.claim_cap and s == (G.r - 2) * i + 1
+                    assert len(witness) == i and len(set(witness)) == i
+                    assert len(set().union(*(G.edges[e] for e in witness))) <= s
+                    assert any(set(witness) <= set(c.edge_indices) for c, _ in dense)
+                refused[rule] += bool(dense)
+        assert refused[RULE_12] and refused[RULE_3PLUS], refused
 
 
 class TestMergeIndex:
     def _graphs(self, fuzz_corpus):
-        # The last graph files a narrow merged part after a wide merge.
+        # The wide probes, and the last graph, which holds one with a
+        # narrow part beside it, refuse at m3plus.
         shifted = [tuple(v + 7 for v in e) for e in DIAMOND_PLUS_123.edges]
         return list(fuzz_corpus) + [
             util.f63_copies(2),
@@ -372,14 +435,21 @@ class TestMergeIndex:
         ]
 
     def test_reports_match_all_pairs_merge(self, fuzz_corpus):
+        refused = 0
         for G in self._graphs(fuzz_corpus):
             for stage, run in merging.STAGES.items():
                 for seed in (None, 5):
                     rng = None if seed is None else random.Random(seed)
                     naive_rng = None if seed is None else random.Random(seed)
+                    want = util.naive_stage(G, stage, naive_rng)
+                    if want is None:
+                        with pytest.raises(NotFree):
+                            run(G, rng=rng)
+                        refused += 1
+                        continue
                     got = json.dumps(partition_report(run(G, rng=rng)))
-                    want = json.dumps(partition_report(util.naive_stage(G, stage, naive_rng)))
-                    assert got == want, (G.edges, stage, seed)
+                    assert got == json.dumps(partition_report(want)), (G.edges, stage, seed)
+        assert refused
 
     def test_tree_copies_match_all_pairs_merge(self):
         # Copies of the tree {012, 013, 124}, disjoint or sharing a vertex
@@ -489,20 +559,19 @@ class TestNoWideEvidenceOnFreeGraphs:
         # A wide claim at index i needs i edges on at most (r-2)i + 1
         # vertices, a denser family member for 2 <= i < k, and no stage's
         # claim cap reaches k.  Claims only grow with the edge set, so the
-        # whole graph's profile bounds every part's.
+        # whole graph's profile bounds every part's, and no stage refuses
+        # a free graph: every stage, as ``partition`` runs it, not only
+        # the one the rule certifies at.
         r, k = case
         n = data.draw(st.integers(r + 1, 12))
         G = util.random_free_graph(random.Random(seed), r, k, n, attempts=80)
-        rule = rule_for(r, k)
-        every = tuple(range(len(G.edges)))
-        for merge_rule in util.NAIVE_STAGE_RULES[rule.stage]:
-            assert merge_rule.claim_cap <= k - 1
-            state = merging._make_state(G, every, merge_rule)
-            assert not state.has_wide_evidence, (G.edges, merge_rule)
-        last = util.NAIVE_STAGE_RULES[rule.stage][-1]
-        for c in merging.STAGES[rule.stage](G).clusters:
-            state = merging._make_state(G, c.edge_indices, last)
-            assert not state.has_wide_evidence, (G.edges, c.edge_indices)
+        for stage, rules in util.NAIVE_STAGE_RULES.items():
+            for merge_rule in rules:
+                assert merge_rule.claim_cap <= k - 1
+                assert not claim_profile(G, merge_rule.claim_cap).has_wide_evidence
+            for c in merging.STAGES[stage](G).clusters:
+                prof = claim_profile(c.part, rules[-1].claim_cap)
+                assert not prof.has_wide_evidence, (G.edges, stage, c.edge_indices)
 
 
 class TestWitnessDefinitions:
@@ -528,10 +597,18 @@ class TestWitnessDefinitions:
                 rng = None if seed is None else random.Random(seed)
                 starts = {None: trivial_partition(G)}
                 starts[RULE_11] = merge(G, starts[None], RULE_11, rng)
-                starts[RULE_12] = merge(G, starts[RULE_11], RULE_12, rng)
+                try:
+                    starts[RULE_12] = merge(G, starts[RULE_11], RULE_12, rng)
+                except NotFree:  # a dense part; TestRefusal checks these
+                    pass
                 for base, rule in rounds:
+                    if base not in starts:
+                        continue
                     start = starts[base]
-                    end = starts[rule] if rule in starts else merge(G, start, rule, rng)
+                    try:
+                        end = starts[rule] if rule in starts else merge(G, start, rule, rng)
+                    except NotFree:
+                        continue
                     live = {c.id: c.edge_indices for c in start.clusters}
                     old = {ev for c in start.clusters for ev in c.trace}
                     new = sorted({ev for c in end.clusters for ev in c.trace} - old)

@@ -31,6 +31,7 @@ from beslab import (
     VertexOutOfRange,
     WrongArity,
     build,
+    claim_profile,
     f63,
     family_queries,
     family_violation_containing,
@@ -291,11 +292,16 @@ def naive_witness(
     return min(found, default=None)
 
 
-def naive_sets_witness(sp, sq, a_bits: int, b_bits: int, n: int, tags: tuple[str, str]):
-    """``merging._sets_witness`` by scanning every vertex pair below ``n``."""
+def naive_sets_witness(
+    sp, sq, a_bits: int, b_bits: int, n: int, tags: tuple[str, str], pairs=None
+):
+    """The smallest (pair, tag) for which one claim profile has all of
+    ``a_bits`` and the other all of ``b_bits``, scanning ``pairs`` (by
+    default every vertex pair below ``n``); the left tag when ``sp`` holds
+    ``a_bits``."""
     best = None
     left_tag, right_tag = tags
-    for u, v in itertools.combinations(range(n), 2):
+    for u, v in itertools.combinations(range(n), 2) if pairs is None else pairs:
         bits_p = sp.bits(u, v)
         bits_q = sq.bits(u, v)
         if bits_p & a_bits == a_bits and bits_q & b_bits == b_bits:
@@ -309,17 +315,45 @@ def naive_sets_witness(sp, sq, a_bits: int, b_bits: int, n: int, tags: tuple[str
     return best
 
 
+@functools.lru_cache(maxsize=4096)
+def naive_state(F: Hypergraph, rule: MergeRule) -> ClaimProfile:
+    """A part's claim profile up to ``rule.claim_cap``, wide evidence
+    included; under ``two_plus`` bit 2 marks the pairs that
+    ``naive_two_plus`` finds 2-claimed by a 3-edge subtree (all inside
+    V(F), since two edges of a tree span at least 2r - 2 vertices)."""
+    prof = claim_profile(F, rule.claim_cap)
+    if rule.kind == "two_plus":
+        for u, v in itertools.combinations(F.vertices(), 2):
+            if _naive_two_plus(F, Pair(u, v)):
+                prof.pair_bits[Pair(u, v)] = prof.pair_bits.get(Pair(u, v), 0) | 4
+    return prof
+
+
+def naive_mergeable(sp: ClaimProfile, sq: ClaimProfile, rule: MergeRule, n: int):
+    """The smallest witness over the rule's clauses, by
+    :func:`naive_sets_witness` over every pair below ``n`` when a profile
+    has wide evidence.  Every clause needs bits on both sides, and a
+    profile without wide evidence has bits only on the pairs it lists, so
+    two such profiles need only their common pairs scanned."""
+    pairs = None
+    if not (sp.has_wide_evidence or sq.has_wide_evidence):
+        pairs = sp.pair_bits.keys() & sq.pair_bits.keys()
+    found = [naive_sets_witness(sp, sq, a, b, n, tags, pairs) for a, b, tags in rule.clauses]
+    return min((w for w in found if w is not None), default=None)
+
+
 def naive_merge(G: Hypergraph, start: Partition, rule: MergeRule, rng=None) -> Partition:
-    """``merging.merge`` checking every pair of parts up front and every
-    new part against all others, with no index."""
+    """``merging.merge`` honouring wide evidence and never refusing: every
+    pair of parts is checked up front and every new part against all
+    others, on :func:`naive_state` profiles."""
     parts = {c.id: (tuple(sorted(c.edge_indices)), c.trace) for c in start.clusters}
-    states = {cid: merging._make_state(G, edges, rule) for cid, (edges, _) in parts.items()}
+    states = {cid: naive_state(G.subgraph(edges), rule) for cid, (edges, _) in parts.items()}
     next_id = max(states, default=-1) + 1
     cands = {}
     ids = sorted(states)
     for pos, i in enumerate(ids):
         for j in ids[pos + 1 :]:
-            w = merging._mergeable(states[i], states[j], rule, G.n)
+            w = naive_mergeable(states[i], states[j], rule, G.n)
             if w is not None:
                 cands[(i, j)] = w
     while cands:
@@ -337,10 +371,10 @@ def naive_merge(G: Hypergraph, start: Partition, rule: MergeRule, rng=None) -> P
         event = merging.MergeEvent(next_id, i, j, pair, direction)
         edges = tuple(sorted(ei + ej))
         parts[next_id] = (edges, ti + tj + (event,))
-        merged = states[next_id] = merging._make_state(G, edges, rule)
+        merged = states[next_id] = naive_state(G.subgraph(edges), rule)
         for other in sorted(states):
             if other != next_id:
-                w = merging._mergeable(states[other], merged, rule, G.n)
+                w = naive_mergeable(states[other], merged, rule, G.n)
                 if w is not None:
                     cands[(other, next_id)] = w
         next_id += 1
@@ -353,6 +387,18 @@ def naive_merge(G: Hypergraph, start: Partition, rule: MergeRule, rng=None) -> P
     return Partition(G, clusters, rule_stack, stage)
 
 
+def naive_dense(p: Partition, cap: int) -> list[tuple[Cluster, int]]:
+    """(cluster, i) for each cluster of ``p`` and each 2 <= i <= cap with
+    i of its edges on at most (r-2)*i + 1 vertices: the clusters ``merge``
+    refuses to build under a rule with claim cap ``cap``."""
+    return [
+        (c, i)
+        for c in p.clusters
+        for i in range(2, cap + 1)
+        if naive_find_config(c.part, i, (p.ambient.r - 2) * i + 1) is not None
+    ]
+
+
 # Each stage's rules on top of its base stage, as ``merging.STAGES`` runs them.
 NAIVE_STAGE_RULES = {
     "m11": (RULE_11,),
@@ -362,13 +408,17 @@ NAIVE_STAGE_RULES = {
 }
 
 
-def naive_stage(G: Hypergraph, stage: str, rng=None) -> Partition:
+def naive_stage(G: Hypergraph, stage: str, rng=None) -> Optional[Partition]:
     """A stage of ``merging.STAGES`` built with :func:`naive_merge`; only the
-    last round gets ``rng``, as in the library."""
+    last round gets ``rng``, as in the library.  None when a round's
+    fixpoint has a dense cluster (:func:`naive_dense`), which the library
+    refuses."""
     rules = NAIVE_STAGE_RULES[stage]
     p = trivial_partition(G)
     for pos, rule in enumerate(rules):
         p = naive_merge(G, p, rule, rng if pos == len(rules) - 1 else None)
+        if naive_dense(p, rule.claim_cap):
+            return None
     return p
 
 
@@ -406,8 +456,10 @@ def wide_probe(n: int, tail: int = 2) -> Hypergraph:
     (3, 4, 5), (4, 5, 6), ... on ``n`` vertices.
 
     At ``m3plus`` the K4^(3) part 3-claims every pair at its vertices and
-    4-claims every pair (wide evidence).  The path part shares no key pair
-    with it, yet they merge through (3, 4).  The K4^(3) part enters
+    4-claims every pair (wide evidence), so ``merge`` refuses it, naming
+    edges (0, 1, 2), three edges on four vertices.  Honouring the wide
+    claims, it would merge with the path part through (3, 4), a pair the
+    path lists and the K4^(3) part does not.  The K4^(3) part enters
     ``m3plus`` with the larger id for ``tail`` = 2 and the smaller for 4.
     """
     k4 = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
