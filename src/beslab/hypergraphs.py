@@ -215,9 +215,15 @@ class ClaimProfile:
         return bool(self.all_bits) or bool(self.vertex_bits)
 
 
-def claim_profile(F: Hypergraph, cap: int) -> ClaimProfile:
-    """Scan the edge subsets of each size 1..cap once, bucketing claims for
-    reuse.
+def claim_profile(
+    F: Hypergraph,
+    cap: int,
+    start: int = 1,
+    seed: Optional[dict[Pair, int]] = None,
+    narrow: bool = False,
+) -> ClaimProfile:
+    """Scan the edge subsets of each size start..cap once, bucketing claims
+    for reuse.
 
     A subset ``S`` of size ``i`` with union ``U`` claims: every pair when
     ``|U| <= (r-2)i``, every pair touching ``U`` when ``|U| = (r-2)i + 1``,
@@ -225,27 +231,38 @@ def claim_profile(F: Hypergraph, cap: int) -> ClaimProfile:
     ``i`` walks only the subsets within that last budget,
     ``(r-2)i + 2`` vertices.  Nothing is lost: a subset that claims fits
     it, and so does every prefix on the way to it, whose union is smaller.
+
+    Each size sets only its own bit, so a profile at cap c is a deeper
+    profile with the bits above c cleared.  A walk from ``start`` > 1
+    therefore continues one at cap ``start - 1``: ``seed`` is that
+    profile's ``pair_bits`` (copied, never changed), and it must have no
+    wide evidence.  With ``narrow`` the walk stops at the first subset with
+    slack >= 1, which lies on the lowest size with wide evidence; the
+    profile then holds that subset's wide evidence and no other.
     """
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
     r, m = F.r, len(F.edges)
     all_bits = 0
     vertex_bits: dict[int, int] = {}
-    pair_bits: dict[Pair, int] = {}
-    for i in range(1, min(cap, m) + 1):
+    pair_bits: dict[Pair, int] = dict(seed) if seed else {}
+    for i in range(start, min(cap, m) + 1):
         bit = 1 << i
         budget = (r - 2) * i + 2
         for _, union in _fitting_subsets(F.edge_masks, i, budget):
             slack = budget - union.bit_count()
-            if slack >= 2:
-                all_bits |= bit
-            elif slack == 1:
-                for v in _mask_to_list(union):
-                    vertex_bits[v] = vertex_bits.get(v, 0) | bit
-            else:
+            if slack == 0:
                 for a, b in itertools.combinations(_mask_to_list(union), 2):
                     key = Pair(a, b)
                     pair_bits[key] = pair_bits.get(key, 0) | bit
+                continue
+            if slack >= 2:
+                all_bits |= bit
+            else:
+                for v in _mask_to_list(union):
+                    vertex_bits[v] = vertex_bits.get(v, 0) | bit
+            if narrow:
+                return ClaimProfile(all_bits, vertex_bits, pair_bits)
     return ClaimProfile(all_bits, vertex_bits, pair_bits)
 
 

@@ -34,9 +34,9 @@ import bisect
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import NotFree
 from .hypergraphs import (
@@ -138,13 +138,20 @@ class MergeEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class Cluster:
-    """One part of a partition, with the trace of merges that built it."""
+    """One part of a partition, with the trace of merges that built it.
+
+    ``state`` is the part's claim bits per key pair under the last rule of
+    its stage (see ``_make_state``), as ``merge`` left them; ``None`` where
+    no rule built one (``RULE_11`` merges by contraction) or the cluster was
+    made by hand.  It takes no part in equality or hashing.
+    """
 
     id: int
     edge_indices: tuple[int, ...]
     trace: tuple[MergeEvent, ...]
     stage: str
     ambient: Hypergraph
+    state: Optional[dict[Pair, int]] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def part(self) -> Hypergraph:
@@ -219,10 +226,27 @@ def tp_pair_set(F: Hypergraph) -> frozenset[Pair]:
     return frozenset(out)
 
 
-def _make_state(G: Hypergraph, edges: tuple[int, ...], rule: MergeRule) -> dict[Pair, int]:
+def _make_state(
+    G: Hypergraph,
+    edges: tuple[int, ...],
+    rule: MergeRule,
+    seed: Optional[dict[Pair, int]] = None,
+    seed_cap: int = 0,
+) -> dict[Pair, int]:
     """The part's claim bits per key pair, up to ``rule.claim_cap``, which is
     all that ``rule``'s clauses read: the ``pair_bits`` of its claim profile.
-    Raises :class:`NotFree` when the profile has wide evidence (see ``merge``).
+    Raises :class:`NotFree` when the profile has wide evidence (see ``merge``),
+    as soon as the walk meets it: the walk goes up by size, so its first
+    wide subset has the smallest wide size i, and is the first i-subset on
+    at most (r-2)*i + 1 vertices, the one ``find_configuration`` names.
+
+    **State lemma.**  Each claim index sets only its own bit, so a state at
+    cap c is a deeper state with the bits above c cleared (and the pairs
+    left without bits dropped).  Bit 1 marks exactly the shadow, and under
+    ``two_plus`` bit 2 marks exactly the 2+ pairs (below).  So ``seed``,
+    the part's state under a rule of cap ``seed_cap`` <= ``rule.claim_cap``,
+    neither rule ``two_plus``, holds the sizes up to ``seed_cap``, and only
+    the sizes above it are walked; it is copied, never changed.
 
     One edge spans (r-2)*1 + 2 vertices, so it 1-claims exactly its own
     pairs, and no edge is wide.  So a one-edge part, or any part under a
@@ -235,8 +259,12 @@ def _make_state(G: Hypergraph, edges: tuple[int, ...], rule: MergeRule) -> dict[
     2-claim it.  A 3-edge subtree needs three edges.
     """
     if len(edges) > 1 and rule.claim_cap > 1:
+        if seed is None:
+            seed_cap = 0
+        elif len(edges) <= seed_cap:  # no subset above the seed's sizes
+            return dict(seed)
         part = G.subgraph(edges)
-        prof = claim_profile(part, rule.claim_cap)
+        prof = claim_profile(part, rule.claim_cap, seed_cap + 1, seed, narrow=True)
         if prof.has_wide_evidence:
             wide = (prof.all_bits, *prof.vertex_bits.values())
             i = min((b & -b).bit_length() - 1 for b in wide if b)
@@ -285,14 +313,15 @@ if TYPE_CHECKING:
 
 
 def _by_claims(
-    G: Hypergraph, parts: dict[int, tuple[int, ...]], rule: MergeRule, push: _Push
+    G: Hypergraph, states: dict[int, dict[Pair, int]], rule: MergeRule, push: _Push
 ) -> _Join:
-    """Candidates by ``_mergeable``, against the parts sharing a key pair."""
-    states: dict[int, dict[Pair, int]] = {}
+    """Candidates by ``_mergeable``, against the parts sharing a key pair.
+    ``states`` holds the start parts' states; each join replaces its two
+    parts' states by the new part's."""
     holders: dict[Pair, set[int]] = {}
 
-    def file(new: int, edges: tuple[int, ...]) -> None:
-        st = _make_state(G, edges, rule)
+    def file(new: int) -> None:
+        st = states[new]
         found: set[int] = set()
         for pair in st:
             ids = holders.get(pair)
@@ -305,16 +334,16 @@ def _by_claims(
             w = _mergeable(states[other], st, rule)
             if w is not None:
                 push(other, new, w)
-        states[new] = st
 
     def join(i: int, j: int, new: int, edges: tuple[int, ...]) -> None:
         for old in (i, j):
             for pair in states.pop(old):
                 holders[pair].discard(old)
-        file(new, edges)
+        states[new] = _make_state(G, edges, rule)
+        file(new)
 
-    for cid in sorted(parts):
-        file(cid, parts[cid])
+    for cid in sorted(states):
+        file(cid)
     return join
 
 
@@ -375,7 +404,13 @@ def merge(
 
     Two parts have a witness only on a key pair of both states, so under
     every rule but ``RULE_11`` parts are indexed by key pair and each new
-    part is checked only against the parts sharing one of its keys.
+    part is checked only against the parts sharing one of its keys.  The
+    final parts keep their states as ``Cluster.state``, for the weights to
+    read.  A start part's state seeds its new one when both rules read
+    claim bits alone and the start's cap is at most the rule's (m3plus on
+    m12 walks only sizes 3 and 4; see ``_make_state``'s state lemma).  A
+    ``two_plus`` state seeds nothing: its bit 2 is the 2+ set, not the
+    2-claims.
 
     **Refusal lemma.**  ``merge`` raises :class:`NotFree` when it would file
     a part with wide evidence, i edges on at most (r-2)*i + 1 vertices for
@@ -418,11 +453,17 @@ def merge(
             naming.setdefault(i, []).append(entry)
             naming.setdefault(j, []).append(entry)
 
-    start_edges = {cid: edges for cid, (edges, _) in parts.items()}
+    states: dict[int, dict[Pair, int]] = {}  # live part -> state (none under RULE_11)
     if rule == RULE_11:
-        join = _by_contraction(G, start_edges, push)
+        join = _by_contraction(G, {cid: edges for cid, (edges, _) in parts.items()}, push)
     else:
-        join = _by_claims(G, start_edges, rule, push)
+        # (trivial and RULE_11 clusters have no state to seed with)
+        last = start.rule_stack[-1] if start.rule_stack else RULE_11
+        seeds = last.claim_cap <= rule.claim_cap and "two_plus" not in (last.kind, rule.kind)
+        for c in sorted(start.clusters, key=lambda c: c.id):
+            seed = c.state if seeds else None
+            states[c.id] = _make_state(G, parts[c.id][0], rule, seed, last.claim_cap)
+        join = _by_claims(G, states, rule, push)
     next_id = max(parts, default=-1) + 1
     while True:
         if rng is None:
@@ -447,7 +488,9 @@ def merge(
     rule_stack = start.rule_stack + (rule,)
     stage = _STAGE_NAMES.get(rule_stack, "custom")
     ordered = sorted(parts.items(), key=lambda kv: kv[1][0][0] if kv[1][0] else -1)
-    clusters = tuple(Cluster(cid, edges, trace, stage, G) for cid, (edges, trace) in ordered)
+    clusters = tuple(
+        Cluster(cid, edges, trace, stage, G, states.get(cid)) for cid, (edges, trace) in ordered
+    )
     return Partition(G, clusters, rule_stack, stage)
 
 
@@ -477,6 +520,15 @@ STAGES: dict[str, Callable[..., Partition]] = {
     "m2plus": m2plus,
     "m3plus": m3plus,
 }
+_STAGE_RULES = {name: stack for stack, name in _STAGE_NAMES.items()}
+
+
+def _cluster_state(c: Cluster) -> dict[Pair, int]:
+    """The state of a cluster of a named stage under the stage's last rule:
+    the one ``merge`` kept, else built by ``_make_state``."""
+    if c.state is not None:
+        return c.state
+    return _make_state(c.ambient, c.edge_indices, _STAGE_RULES[c.stage][-1])
 
 
 def composition(c: Cluster) -> tuple[int, ...]:
@@ -486,13 +538,15 @@ def composition(c: Cluster) -> tuple[int, ...]:
     original m11 constituents (edges in different constituents never share
     two vertices).
     """
-    return tuple(sorted((len(comp) for comp in _pair_components(c.part)), reverse=True))
+    masks = c.ambient.edge_masks
+    comps = _pair_components([masks[i] for i in c.edge_indices])
+    return tuple(sorted(map(len, comps), reverse=True))
 
 
-def _pair_components(F: Hypergraph) -> list[tuple[int, ...]]:
-    """Index sets of F's pair-connected components (indices into F.edges)."""
-    m = len(F.edges)
-    masks = F.edge_masks
+def _pair_components(masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """Index sets of the pair-connected components of the edges with vertex
+    masks ``masks`` (indices into ``masks``)."""
+    m = len(masks)
     parent = list(range(m))
 
     def find(x: int) -> int:

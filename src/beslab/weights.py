@@ -27,9 +27,8 @@ from .hypergraphs import (
     claim_profile,
     claim_set,
     one_bar_two,
-    shadow,
 )
-from .merging import STAGES, Cluster, Partition, composition, tp_pair_set
+from .merging import STAGES, Cluster, Partition, _cluster_state, composition
 
 # Base weight function on claim-index sets for the (3,6) rule.  h is the
 # maximum of f over subsets, making it monotone; h(A) > 0 exactly when A
@@ -60,6 +59,8 @@ for _bits in range(32):
             if _val is not None and _val > _best:
                 _best = _val
     _H_TABLE.append(_best)
+# The h indices (claims 1-4) that claim 5 raises: only {3}, to h({3, 5}).
+_FIVE_RAISES = frozenset(b for b in range(16) if _H_TABLE[b | 16] != _H_TABLE[b])
 
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
@@ -71,8 +72,9 @@ class _Case:
     clusters come from, the uniformities it covers, its edge-bound
     coefficient at r, the scale in
     ``lambda = lambda_scale * (weight - edges / coefficient)``, and its
-    weights.  ``late(F)`` gives the pairs a cluster weights beyond its
-    shadow, whose pairs weigh 1, and the one weight they all get.  A case
+    weights, read from the cluster's state (``merging._make_state``).
+    ``late(F, state)`` gives the pairs a cluster weights beyond its shadow
+    (bit 1), whose pairs weigh 1, and the one weight they all get.  A case
     without ``late`` weights every pair by h of its claim set (the (3,6)
     rule)."""
 
@@ -81,15 +83,21 @@ class _Case:
     applies: Callable[[int], bool]
     coefficient: Callable[[int], Fraction]
     lambda_scale: int
-    late: Optional[Callable[[Cluster], tuple[Iterable[Pair], Fraction]]] = None
+    late: Optional[Callable[[Cluster, dict[Pair, int]], tuple[Iterable[Pair], Fraction]]] = None
 
 
-def _deficit_late(F: Cluster) -> tuple[Iterable[Pair], Fraction]:
+def _deficit_late(F: Cluster, state: dict[Pair, int]) -> tuple[Iterable[Pair], Fraction]:
     return [p for p in (_deficit_pair(F),) if p is not None], _ONE
 
 
-def _one_bar_two_late(F: Cluster) -> tuple[Iterable[Pair], Fraction]:
-    return one_bar_two(F.part), _ONE if composition(F) == (2, 1, 1, 1) else _HALF
+def _bit_two(weight: Callable[[Cluster], Fraction]):
+    """Late pairs: those with bit 2 but not bit 1, at ``weight(F)``.  Under
+    m2plus bit 2 marks the 2+ pairs, under m12 the 2-claimed ones."""
+
+    def late(F: Cluster, state: dict[Pair, int]) -> tuple[Iterable[Pair], Fraction]:
+        return [p for p, b in state.items() if b & 6 == 4], weight(F)
+
+    return late
 
 
 # For each k the r = 3 case precedes the case for larger r: rule_for falls
@@ -101,15 +109,16 @@ _CASES: dict[str, _Case] = {
     "K5R3": _Case(5, "m11", lambda r: r == 3, lambda r: Fraction(2, 5), 2, _deficit_late),
     "K5High": _Case(
         5, "m2plus", lambda r: r >= 4, lambda r: Fraction(2, r * r - r - 1), 2,
-        lambda F: (tp_pair_set(F.part), _ONE),
+        _bit_two(lambda F: _ONE),
     ),
     "K63": _Case(6, "m3plus", lambda r: r == 3, lambda r: Fraction(61, 165), 1),
     "K6High": _Case(
-        6, "m12", lambda r: r >= 4, lambda r: Fraction(2, r * (r - 1)), 2, _one_bar_two_late
+        6, "m12", lambda r: r >= 4, lambda r: Fraction(2, r * (r - 1)), 2,
+        _bit_two(lambda F: _ONE if composition(F) == (2, 1, 1, 1) else _HALF),
     ),
     "K7": _Case(
         7, "m2plus", lambda r: r >= 3, lambda r: Fraction(2, r * r - r - 1), 2,
-        lambda F: (tp_pair_set(F.part), _HALF),
+        _bit_two(lambda F: _HALF),
     ),
 }
 
@@ -150,9 +159,9 @@ def _check_cluster(F: Cluster, rule: WeightRule) -> None:
         raise WrongStage(
             f"{rule.case} weights apply to {rule.stage} clusters, got {F.stage!r}"
         )
-    if F.part.r != rule.r:
+    if F.ambient.r != rule.r:
         raise WrongStage(
-            f"{rule.case} is pinned to uniformity r={rule.r}, cluster has r={F.part.r}"
+            f"{rule.case} is pinned to uniformity r={rule.r}, cluster has r={F.ambient.r}"
         )
 
 
@@ -169,9 +178,11 @@ def _deficit_pair(F: Cluster) -> Optional[Pair]:
     p inside e.  Index 2 needs edges c, d with |c | d | p| <= 4, and an
     edge d that misses p already has |d | p| = r + 2 = 5.
     """
+    m = len(F.edge_indices)
+    if m not in (3, 4):
+        return None
     part = F.part
-    m = len(part.edges)
-    if m not in (3, 4) or part.vertex_count() != (part.r - 2) * m + 2 or composition(F) != (m,):
+    if part.vertex_count() != (part.r - 2) * m + 2 or composition(F) != (m,):
         return None
     candidates = sorted(one_bar_two(part))
     if not candidates:
@@ -187,22 +198,28 @@ def _deficit_pair(F: Cluster) -> Optional[Pair]:
 
 
 def _pair_weight_map(F: Cluster, rule: WeightRule) -> dict[Pair, Fraction]:
-    """Nonzero pair weights of a cluster (support lies inside V(F))."""
+    """Nonzero pair weights of a cluster (support lies inside V(F)), read
+    from its state, which holds its claims up to the stage's claim cap.
+
+    The (3,6) rule wants claims 1-5, and its state (m3plus, cap 4) lists
+    every pair with a claim in 1-4; the others have h(A) = 0, as A is at
+    most {5}.  Claim 5 changes h only for the pairs whose claims in 1-4
+    are {3} (``_FIVE_RAISES``), so size 5 is walked only when a cluster of
+    at least 5 edges has such a pair.
+    """
     _check_cluster(F, rule)
-    part = F.part
+    state = _cluster_state(F)
     late = _CASES[rule.case].late
-    if late is None:  # h of the claim set, over all pairs inside V(F)
-        prof = claim_profile(part, 5)
-        out = {}
-        for u, v in itertools.combinations(part.vertices(), 2):
-            val = _H_TABLE[prof.bits(u, v) >> 1 & 31]
-            if val:
-                out[Pair(u, v)] = val
-        return out
-    out = dict.fromkeys(shadow(part), _ONE)
-    pairs, weight = late(F)
+    if late is None:  # h of the claim set
+        raised = [p for p, b in state.items() if (b >> 1 & 15) in _FIVE_RAISES]
+        if raised and len(F.edge_indices) >= 5:
+            five = claim_profile(F.part, 5, 5)
+            state = {**state, **{p: state[p] | five.bits(*p) for p in raised}}
+        return {p: h for p, b in state.items() if (h := _H_TABLE[b >> 1 & 31])}
+    out = dict.fromkeys(state, _ONE)  # a key without bit 1 is a late pair
+    pairs, weight = late(F, state)
     for p in pairs:
-        out.setdefault(p, weight)
+        out[p] = weight
     return out
 
 
@@ -254,7 +271,7 @@ def certify(G: Hypergraph, rule: WeightRule) -> WeightReport:
             num = val.numerator * (D // val.denominator)  # D is a multiple: exact
             W += num
             totals[p] = totals.get(p, 0) + num
-        slack = W * a - len(c.part.edges) * b * D
+        slack = W * a - len(c.edge_indices) * b * D
         certified = certified and slack >= 0
         per_cluster[c.id] = (Fraction(W, D), Fraction(scale * slack, D * a))
     certified = certified and all(t <= D for t in totals.values())

@@ -291,6 +291,40 @@ class TestClaimProfile:
                     claim_profile(G, cap + 1), cap + 1
                 ), (G.edges, cap)
 
+    def test_seeded_walk_continues_a_narrow_profile(self, fuzz_corpus, big_star):
+        for G, top in self._graphs(fuzz_corpus, big_star):
+            for low in range(1, top):
+                seed = claim_profile(G, low)
+                if seed.has_wide_evidence:
+                    continue
+                kept = dict(seed.pair_bits)
+                for cap in range(low, top + 1):
+                    got = claim_profile(G, cap, low + 1, seed.pair_bits)
+                    assert got == claim_profile(G, cap), (G.edges, low, cap)
+                assert seed.pair_bits == kept
+
+    def test_narrow_walk_stops_at_the_lowest_wide_size(self, fuzz_corpus, big_star):
+        def wide(prof):
+            out = prof.all_bits
+            for b in prof.vertex_bits.values():
+                out |= b
+            return out
+
+        stopped = 0
+        for G, top in self._graphs(fuzz_corpus, big_star):
+            for cap in range(top + 1):
+                full, got = claim_profile(G, cap), claim_profile(G, cap, narrow=True)
+                if not full.has_wide_evidence:
+                    assert got == full, (G.edges, cap)
+                    continue
+                i = (wide(full) & -wide(full)).bit_length() - 1
+                assert wide(got) == 1 << i, (G.edges, cap)
+                first = find_configuration(G, ConfigQuery(i, (G.r - 2) * i + 1))
+                if got.vertex_bits:  # the first such subset has slack exactly 1
+                    assert set(got.vertex_bits) == {v for j in first for v in G.edges[j]}
+                stopped += 1
+        assert stopped
+
 
 # ---------------------------------------------------------------------------
 # Configuration search and the banned family
@@ -610,7 +644,7 @@ def lemma_tree(F) -> bool:
     """The tree lemma of ``merging``: m >= 1 edges form an i-tree exactly
     when they are pair-connected and span (r-2)*m + 2 vertices."""
     m = len(F.edges)
-    return m >= 1 and F.vertex_count() == (F.r - 2) * m + 2 and len(_pair_components(F)) == 1
+    return m >= 1 and F.vertex_count() == (F.r - 2) * m + 2 and len(_pair_components(F.edge_masks)) == 1
 
 
 def grown_tree_plus_stray(rng: random.Random, r: int, m: int):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import random
@@ -384,6 +385,17 @@ class TestRefusal:
                     assert info.value.query == (3, 4)
                 assert len(m12(G).clusters) == 2
 
+    def test_complete_graph_refused_at_its_first_dense_subset(self):
+        # K_10^(3) is one part of 120 edges.  The walk stops at the first
+        # three edges on four vertices instead of walking every subset of
+        # up to four edges first.
+        G = build(3, 10, itertools.combinations(range(10), 3))
+        with pytest.raises(NotFree) as info:
+            m3plus(G)
+        assert info.value.witness == (0, 1, 8)
+        assert info.value.query == (3, 4)
+        assert str(info.value) == "a merged part contains 3 edges on at most 4 vertices"
+
     def test_refuses_iff_fixpoint_has_dense_cluster(self, fuzz_corpus):
         # Each round of each stage: m11 on the trivial partition, m12 and
         # m2plus on m11, m3plus on m12, all base rounds built by the oracle.
@@ -419,6 +431,54 @@ class TestRefusal:
                     assert any(set(witness) <= set(c.edge_indices) for c, _ in dense)
                 refused[rule] += bool(dense)
         assert refused[RULE_12] and refused[RULE_3PLUS], refused
+
+
+class TestSeededStates:
+    """m3plus continues each m12 part's state from size 3 (the state lemma
+    of ``_make_state``).  No other start may seed it: under ``two_plus``
+    bit 2 marks the 2+ pairs, not the 2-claimed ones."""
+
+    def test_three_plus_on_every_start_matches_all_pairs_merge(self, fuzz_corpus):
+        rng = random.Random(73)
+        free = [
+            util.random_free_graph(rng, r, k, rng.randint(r + 3, 11), attempts=80)
+            for r in (3, 4)
+            for k in (6, 7)
+            for _ in range(10)
+        ]
+        refused = seeded = 0
+        for G in [*fuzz_corpus, *free, util.wide_probe(12), EDGE_PLUS_PATH_34, DIAMOND_PLUS_123]:
+            starts = {"trivial": trivial_partition(G), "m11": m11(G), "m2plus": m2plus(G)}
+            try:
+                starts["m12"] = m12(G)
+            except NotFree:
+                pass
+            before = {name: copy.deepcopy([c.state for c in p.clusters]) for name, p in starts.items()}
+            for name, start in starts.items():
+                for seed in (None, 1):
+                    want = util.naive_merge(G, start, RULE_3PLUS, seed and random.Random(seed))
+                    if util.naive_dense(want, RULE_3PLUS.claim_cap):
+                        with pytest.raises(NotFree) as info:
+                            merge(G, start, RULE_3PLUS, seed and random.Random(seed))
+                        # the same refusal as from a start without states
+                        bare = util.naive_merge(G, m11(G), RULE_12) if name == "m12" else start
+                        with pytest.raises(NotFree) as again:
+                            merge(G, bare, RULE_3PLUS, seed and random.Random(seed))
+                        assert (str(info.value), info.value.witness, info.value.query) == (
+                            str(again.value), again.value.witness, again.value.query
+                        )
+                        refused += 1
+                        continue
+                    got = merge(G, start, RULE_3PLUS, seed and random.Random(seed))
+                    assert json.dumps(partition_report(got)) == json.dumps(
+                        partition_report(want)
+                    ), (G.edges, name, seed)
+                    for c in got.clusters:
+                        assert c.state == claim_profile(c.part, 4).pair_bits, (G.edges, name)
+                    seeded += name == "m12"
+            after = {name: [c.state for c in p.clusters] for name, p in starts.items()}
+            assert after == before, G.edges
+        assert refused and seeded, (refused, seeded)
 
 
 class TestMergeIndex:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import util
-from beslab import weights
+from beslab import merging, weights
 from beslab import (
     RULE_11,
     Cluster,
@@ -213,6 +214,55 @@ class TestClusterWeights:
             weights._pair_weight_map(c2, rule_for(3, 5))
         with pytest.raises(WrongStage):
             weights._pair_weight_map(m11(single_edge(4)).clusters[0], rule_for(3, 5))
+
+
+class TestStateWeights:
+    """The four cases past m11 weight a cluster by the claims its merge
+    state holds; recomputing them from the cluster's own graph gives the
+    same weights, and a cluster without a state gets it from
+    ``merging._make_state``, not from a second code path."""
+
+    CASES = ("K5High", "K63", "K6High", "K7")
+
+    def test_matches_recomputation(self, monkeypatch, fuzz_corpus, corpus_k5, corpus_k6, corpus_k7):
+        rng = random.Random(71)
+        free = [
+            util.random_free_graph(rng, r, k, rng.randint(r + 3, 12), attempts=100)
+            for r, count in ((3, 10), (4, 30))
+            for k in (5, 6, 7)
+            for _ in range(count)
+        ]
+        built = []
+        make_state = merging._make_state
+
+        def counted(*args):
+            built.append(args)
+            return make_state(*args)
+
+        monkeypatch.setattr(merging, "_make_state", counted)
+        checked = dict.fromkeys(self.CASES, 0)
+        for G in [*fuzz_corpus, *corpus_k5, *corpus_k6, *corpus_k7, *free]:
+            for case in self.CASES:
+                info = weights._CASES[case]
+                if not info.applies(G.r):
+                    continue
+                rule = WeightRule(case, G.r, info.k)
+                try:
+                    clusters = merging.STAGES[rule.stage](G).clusters
+                except NotFree:  # a dense part (TestRefusal in test_merging)
+                    continue
+                for c in clusters:
+                    want = util.naive_pair_weight_map(c, rule)
+                    built.clear()
+                    assert c.state is not None
+                    assert weights._pair_weight_map(c, rule) == want, (G.edges, case, c.edge_indices)
+                    assert not built
+                    bare = dataclasses.replace(c, state=None)
+                    assert weights._pair_weight_map(bare, rule) == want
+                    last = util.NAIVE_STAGE_RULES[rule.stage][-1]
+                    assert [(args[1], args[2]) for args in built] == [(c.edge_indices, last)]
+                    checked[case] += 1
+        assert min(checked.values()) > 100, checked
 
 
 def _tree_with_rest(seed: int, free: bool = True):

@@ -32,10 +32,14 @@ from beslab import (
     WrongArity,
     build,
     claim_profile,
+    composition,
     f63,
     family_queries,
     family_violation_containing,
     merging,
+    one_bar_two,
+    shadow,
+    tp_pair_set,
     trivial_partition,
     weights,
 )
@@ -443,6 +447,34 @@ def naive_certify(G: Hypergraph, rule: weights.WeightRule) -> tuple:
         and len(G.edges) <= edge_bound
     )
     return per_cluster, per_pair, edge_bound, certified
+
+
+def naive_pair_weight_map(c: Cluster, rule: weights.WeightRule) -> dict[Pair, Fraction]:
+    """``weights._pair_weight_map`` recomputed from the cluster's own graph
+    ``c.part``, reading no merge state: the shadow at 1 plus the case's late
+    pairs (the 2+ pairs by ``tp_pair_set``, the 2-not-1-claimed ones by
+    ``one_bar_two``), or for K63 h of every pair's claims up to 5, wide
+    evidence included."""
+    part = c.part
+    if rule.case == "K63":
+        prof = claim_profile(part, 5)
+        out = {}
+        for u, v in itertools.combinations(part.vertices(), 2):
+            val = weights._H_TABLE[prof.bits(u, v) >> 1 & 31]
+            if val:
+                out[Pair(u, v)] = val
+        return out
+    one, half = Fraction(1), Fraction(1, 2)
+    if rule.case == "K5R3":
+        late, weight = [p for p in (weights._deficit_pair(c),) if p is not None], one
+    elif rule.case == "K6High":
+        late, weight = one_bar_two(part), one if composition(c) == (2, 1, 1, 1) else half
+    else:
+        late, weight = tp_pair_set(part), one if rule.case == "K5High" else half
+    out = dict.fromkeys(shadow(part), one)
+    for p in late:
+        out.setdefault(p, weight)
+    return out
 
 
 def f63_copies(c: int) -> Hypergraph:
