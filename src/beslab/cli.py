@@ -237,38 +237,23 @@ def _cmd_turan(args: argparse.Namespace) -> int:
             f"r={args.r}; expect exponential blowup",
             file=sys.stderr,
         )
-    try:
-        if args.family:
-            if args.s is not None:
-                return _usage("--s conflicts with --family (the family fixes its budgets)")
-            res = exact_turan_family(
-                args.r, args.n, args.k, allow_large=args.allow_large, cache_path=cache
-            )
-        else:
-            if args.s is None:
-                return _usage("plain search requires --s (or pass --family)")
-            res = exact_turan(
-                args.r,
-                args.n,
-                args.s,
-                args.k,
-                allow_large=args.allow_large,
-                cache_path=cache,
-            )
-    except TooLarge as exc:
-        if args.json:
-            _emit_json(
-                {
-                    "error": "too-large",
-                    "greedy": turan_doc(exc.best) if exc.best is not None else None,
-                }
-            )
-        else:
-            print(f"refused: {exc}", file=sys.stderr)
-            if exc.best is not None:
-                print(f"greedy lower bound: {exc.best.value} edges", file=sys.stderr)
-                sys.stderr.write(to_text(exc.best.witness))
-        return 1
+    if args.family:
+        if args.s is not None:
+            return _usage("--s conflicts with --family (the family fixes its budgets)")
+        res = exact_turan_family(
+            args.r, args.n, args.k, allow_large=args.allow_large, cache_path=cache
+        )
+    else:
+        if args.s is None:
+            return _usage("plain search requires --s (or pass --family)")
+        res = exact_turan(
+            args.r,
+            args.n,
+            args.s,
+            args.k,
+            allow_large=args.allow_large,
+            cache_path=cache,
+        )
     if args.json:
         _emit_json(turan_doc(res))
     else:
@@ -430,7 +415,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"not admissible: {exc}", file=sys.stderr)
         return 1
     except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Raised by turan and sweep, both of which take --json.
+        if args.json:
+            _emit_json({"error": "too-large"})
+        else:
+            print(f"refused: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

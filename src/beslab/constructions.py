@@ -319,8 +319,6 @@ def _substream(seed: int, label: str) -> random.Random:
 
 def _cliques(adj: list[set[int]], m: int, size: int) -> list[tuple[int, ...]]:
     """All cliques of the given order, in lexicographic vertex order."""
-    if size == 1:
-        return [(v,) for v in range(m)]
     out: list[tuple[int, ...]] = []
 
     def grow(clique: list[int], common: set[int]) -> None:
@@ -404,7 +402,7 @@ def random_packing_construction(params: RandomParams) -> ConstructionReport:
         adj[a].add(b)
         adj[b].add(a)
 
-    cliques = _cliques(adj, m, u) if u >= 2 else []
+    cliques = _cliques(adj, m, u)
     packing: list[tuple[int, ...]] = []
     packing_masks: list[int] = []
     used_pairs: set[tuple[int, int]] = set()
@@ -445,7 +443,7 @@ def random_packing_construction(params: RandomParams) -> ConstructionReport:
         e for e in selected if side1_count[e[0]] > 1 or side2_count[e[1]] > 1
     }
 
-    k_graph = build(max(u, 2), m, packing) if u >= 2 and t else build(2, m, [])
+    k_graph = build(u, m, packing)
     H = PackingPairGraph(k1=k_graph, k2=k_graph, edges=frozenset(h_edges))
     walk = _conflict_walk(H, conflict_family_ids(), selected)
     conflict_counts = {fam: count for fam, (count, _) in walk.items()}

@@ -45,10 +45,6 @@ class Unknown(BeslabError, LookupError):
 class TooLarge(BeslabError):
     """The instance exceeds the exact-search size cap.
 
-    ``best`` carries the best lower bound found by a cheap greedy pass,
-    as a TuranResult, so callers still get usable information.
+    Raised before any search, so a refusal costs no more than reading the
+    cache; pass ``allow_large`` to search anyway.
     """
-
-    def __init__(self, message: str, best: Any = None):
-        super().__init__(message)
-        self.best = best

@@ -51,7 +51,7 @@ class TuranResult:
     """Outcome of one extremal search.
 
     ``witness`` is a graph attaining ``value``; ``nodes_explored`` counts
-    branch-and-bound nodes (0 for closed-form and greedy answers).
+    branch-and-bound nodes (0 for closed-form answers).
     """
 
     value: int
@@ -169,30 +169,6 @@ class _Kills:
                 grown.append(levels[t].union(new) if new else levels[t])
             out.append(tuple(grown))
         return tuple(out)
-
-
-def _greedy(r: int, n: int, queries: list[ConfigQuery]) -> TuranResult:
-    """The leftmost descent of :func:`_branch_and_bound`: each step keeps the
-    first live candidate, which is the first candidate that keeps the edge
-    set admissible.  No step skips a candidate by the search's symmetry
-    rule, because the first live candidate always obeys it: moving its
-    vertices above the chosen set's top vertex down onto the next unused
-    ones gives a candidate no later in the order that is just as live.
-    The search's upper bound never cuts this descent short: along it the
-    best value is the current size, and a set of ``upper`` edges has no
-    live candidate, which would make a larger admissible set."""
-    t0 = time.perf_counter()
-    ks = _Kills(r, n, queries)
-    live, unions = ks.root_live, ks.root_unions
-    edges: list[tuple[int, ...]] = []
-    while live:
-        low = live & -live
-        j = low.bit_length() - 1
-        mj = ks.cmasks[j]
-        live = (live ^ low) & ~ks.kill(unions, mj)
-        unions = ks.extend(unions, mj)
-        edges.append(ks.cands[j])
-    return TuranResult(len(edges), build(r, n, edges), 0, time.perf_counter() - t0)
 
 
 def _pigeonhole(r: int, n: int, queries: list[ConfigQuery]) -> int:
@@ -441,8 +417,7 @@ def _exact(
             elif n > size_cap(r) and not allow_large:
                 raise TooLarge(
                     f"exact search for n={n} exceeds the n<={size_cap(r)} cap for r={r}; "
-                    "pass allow_large to force it",
-                    best=_greedy(r, n, queries),
+                    "pass allow_large to force it"
                 )
         found.append(hits)
         todo.append((r, [n for n in ns if n not in hits], queries))
@@ -473,8 +448,7 @@ def exact_turan(
 
     When n <= s every k edges violate, so the answer is min(C(n, r), k-1)
     with no search.  Beyond :func:`size_cap` the exact search refuses unless
-    ``allow_large`` is set, raising :class:`TooLarge` whose ``best`` holds a
-    greedy lower bound.
+    ``allow_large`` is set, raising :class:`TooLarge` before any work.
     """
     t0 = time.perf_counter()
     _validate(r, n, k)
@@ -582,12 +556,13 @@ def consistency_sweep(
     queries = family_queries(r, k)
     main = queries[-1]
     ns = list(range(r, n_max + 1))
-    catalog = _catalog(r, k, n_max)
     # Plain rows with n <= s are closed form: their pigeonhole bound.
     plain_ns = [n for n in ns if n > main.max_vertices]
     fam, plain = _exact(
         [("family", r, ns, queries), ("plain", r, plain_ns, [main])], False, cache_path, threads
     )
+    # After the searches, so that a refusal checks no catalog graph first.
+    catalog = _catalog(r, k, n_max)
     try:
         coeff: Optional[Fraction] = bound_coefficient(rule_for(r, k))
     except Unknown:

@@ -444,8 +444,10 @@ class TestTuran:
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("refused:")
-        assert "greedy lower bound:" in err
+        assert err == (
+            "refused: exact search for n=10 exceeds the n<=9 cap for r=3; "
+            "pass allow_large to force it\n"
+        )
 
     def test_too_large_json(self, capsys):
         code, out, _ = run_cli(
@@ -456,10 +458,7 @@ class TestTuran:
             ],
             capsys,
         )
-        assert code == 1
-        doc = json.loads(out)
-        assert doc["error"] == "too-large"
-        assert doc["greedy"]["value"] >= 1
+        assert (code, out) == (1, '{"error": "too-large"}\n')
 
     def test_allow_large_warns(self, capsys):
         code, out, err = run_cli(
@@ -669,9 +668,19 @@ class TestSweep:
         # refused at the first size over the cap, n = 10
         assert (code, out) == (1, "")
         assert err == (
-            "error: exact search for n=10 exceeds the n<=9 cap for r=3; "
+            "refused: exact search for n=10 exceeds the n<=9 cap for r=3; "
             "pass allow_large to force it\n"
         )
+
+    def test_sweep_over_cap_json(self, monkeypatch, capsys):
+        def no_search(*args):
+            raise AssertionError("the sweep searched before refusing")
+
+        monkeypatch.setattr(turan, "_branch_and_bound", no_search)
+        code, out, err = run_cli(
+            ["sweep", "--r", "3", "--k", "7", "--n-max", "240", "--json", "--no-cache"], capsys
+        )
+        assert (code, out, err) == (1, '{"error": "too-large"}\n', "")
 
 
 # ---------------------------------------------------------------------------

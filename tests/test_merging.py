@@ -527,13 +527,19 @@ class TestMergeIndex:
 
     @pytest.mark.parametrize(
         "G, k, stage",
-        [(diamond_star(128), 5, "m11"), (util.f63_copies(8), 6, "m3plus")],
-        ids=["ds128", "f63x8"],
+        [
+            (diamond_star(128), 5, "m11"),
+            (diamond_star(128), 7, "m2plus"),
+            (util.f63_copies(8), 6, "m3plus"),
+        ],
+        ids=["ds128", "ds128-k7", "f63x8"],
     )
     def test_certify_checks_linearly_many_pairs(self, G, k, stage, monkeypatch):
-        # All-pairs checking made 57,024 and 267,996 calls on these graphs.
-        # m11 merges by contraction, with no _mergeable call, so K5R3 (which
-        # certifies at m11) makes none and K63 makes them only after m11.
+        # All-pairs checking made 57,024, 8,128 and 267,996 calls on these
+        # graphs.  m11 merges by contraction, with no _mergeable call, so
+        # K5R3 (which certifies at m11) makes none and K63 makes them only
+        # after m11.  No two diamonds of diamond_star share a key pair, so
+        # the index offers K7's m2plus no candidate.
         calls = 0
         inner = merging._mergeable
 
@@ -546,10 +552,10 @@ class TestMergeIndex:
         rule = rule_for(3, k)
         assert rule.stage == stage
         assert certify(G, rule).certified
-        if stage == "m11":
-            assert calls == 0
-        else:
+        if stage == "m3plus":
             assert 0 < calls <= 2 * len(G.edges)
+        else:
+            assert calls == 0
 
 
 def _grouped_start(rng: random.Random, G) -> merging.Partition:

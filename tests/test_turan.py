@@ -7,7 +7,6 @@ import itertools
 import json
 import math
 import random
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +34,6 @@ from beslab.turan import (
     _Kills,
     _branch_and_bound,
     _chain,
-    _greedy,
     _pigeonhole,
     _subsets_by_top,
 )
@@ -317,12 +315,6 @@ class TestSymmetryRule:
                 idx = [index[m] for m in chosen]
                 assert idx == sorted(set(idx)), chosen
 
-    def test_greedy_descent_obeys_the_rule(self):
-        for r, n, k in ((3, 9, 5), (3, 9, 7), (4, 8, 6)):
-            masks = [_mask(e) for e in _greedy(r, n, family_queries(r, k)).witness.edges]
-            for i in range(1, len(masks) + 1):
-                assert self._spans_initial_segment(masks[:i]), (r, n, k, masks[:i])
-
 
 class TestSharedTable:
     """Every row of a chain searches one table built at the chain's largest
@@ -362,32 +354,22 @@ class TestLimits:
         assert size_cap(4) == 8
         assert size_cap(7) == 8
 
-    def test_too_large_carries_greedy(self):
-        with pytest.raises(TooLarge) as ei:
-            exact_turan(3, 10, 5, 4)
-        best = ei.value.best
-        assert best is not None
-        assert len(best.witness.edges) == best.value
-        assert find_configuration(best.witness, ConfigQuery(4, 5)) is None
-        # Recorded at commit e4c9392, whose greedy tested each colex
-        # candidate against the whole edge set chosen so far.
-        assert (best.value, best.witness.edges) == _pinned(
-            "012 013 023 045 046 047 048 049 145 167 168 178 246 257 258 259 347 356 358 369"
-        )
-        with pytest.raises(TooLarge) as ei:
-            exact_turan_family(3, 10, 5)
-        best = ei.value.best
-        assert (best.value, best.witness.edges) == _pinned("012 013 014 015 067 068 069")
-        assert is_family_free(best.witness, 5).free
+    def test_too_large_refusal_is_bounded(self, monkeypatch):
+        # A refusal builds no kill table, so runs no search, and checks no
+        # catalog graph: either would call a patched name.
+        def no_work(*args):
+            raise AssertionError("the refusal did work before refusing")
 
-    def test_too_large_refusal_is_bounded(self):
-        # The greedy lower bound of a refusal reads each kill mask off the
-        # candidates through each vertex, not off a scan of all C(n, r).
-        t0 = time.perf_counter()
-        with pytest.raises(TooLarge) as ei:
-            exact_turan_family(3, 28, 5)
-        assert time.perf_counter() - t0 < 1.0
-        assert ei.value.best.value == 79
+        monkeypatch.setattr(turan, "_Kills", no_work)
+        monkeypatch.setattr(turan, "is_family_free", no_work)
+        for n in (10, 1000):
+            with pytest.raises(TooLarge, match=f"n={n} exceeds"):
+                exact_turan_family(3, n, 5)
+            with pytest.raises(TooLarge, match=f"n={n} exceeds"):
+                exact_turan(3, n, 5, 4)
+            # the sweep refuses at its first size over the cap
+            with pytest.raises(TooLarge, match="n=10 exceeds"):
+                consistency_sweep(3, 7, n)
 
     def test_allow_large(self):
         # distinct 4-edges span five vertices, so nothing is ever banned

@@ -32,14 +32,10 @@ from beslab import (
     WrongArity,
     build,
     claim_profile,
-    composition,
     f63,
     family_queries,
     family_violation_containing,
     merging,
-    one_bar_two,
-    shadow,
-    tp_pair_set,
     trivial_partition,
     weights,
 )
@@ -449,29 +445,50 @@ def naive_certify(G: Hypergraph, rule: weights.WeightRule) -> tuple:
     return per_cluster, per_pair, edge_bound, certified
 
 
+def naive_pair_components(F: Hypergraph) -> list[int]:
+    """Sizes of the pair-connected components of F's edges, largest first,
+    grown by flood fill: two edges touch when they share two vertices."""
+    vertex_sets = [set(e) for e in F.edges]
+    left = set(range(len(vertex_sets)))
+    sizes = []
+    while left:
+        comp = {left.pop()}
+        while near := {
+            j for j in left if any(len(vertex_sets[i] & vertex_sets[j]) >= 2 for i in comp)
+        }:
+            comp |= near
+            left -= near
+        sizes.append(len(comp))
+    return sorted(sizes, reverse=True)
+
+
 def naive_pair_weight_map(c: Cluster, rule: weights.WeightRule) -> dict[Pair, Fraction]:
-    """``weights._pair_weight_map`` recomputed from the cluster's own graph
-    ``c.part``, reading no merge state: the shadow at 1 plus the case's late
-    pairs (the 2+ pairs by ``tp_pair_set``, the 2-not-1-claimed ones by
-    ``one_bar_two``), or for K63 h of every pair's claims up to 5, wide
-    evidence included."""
+    """``weights._pair_weight_map`` from the definitions over the pairs of
+    V(part) of the cluster's own graph ``c.part``, reading no merge state
+    and calling no claim kernel: for K63, h of each pair's claim set up to
+    5; otherwise the shadow at 1 plus the case's late pairs (K5R3's deficit
+    pair, K6High's 2- but not 1-claimed pairs at 1 for composition
+    (2, 1, 1, 1) and at 1/2 otherwise, the 2+ pairs at 1 for K5High and at
+    1/2 for K7)."""
     part = c.part
+    pairs = [Pair(u, v) for u, v in itertools.combinations(part.vertices(), 2)]
     if rule.case == "K63":
-        prof = claim_profile(part, 5)
         out = {}
-        for u, v in itertools.combinations(part.vertices(), 2):
-            val = weights._H_TABLE[prof.bits(u, v) >> 1 & 31]
-            if val:
-                out[Pair(u, v)] = val
+        for p in pairs:
+            bits = sum(1 << i - 1 for i in naive_claim_set(part, p.u, p.v, 5) if i)
+            if weights._H_TABLE[bits]:
+                out[p] = weights._H_TABLE[bits]
         return out
     one, half = Fraction(1), Fraction(1, 2)
     if rule.case == "K5R3":
-        late, weight = [p for p in (weights._deficit_pair(c),) if p is not None], one
+        late, weight = [p for p in (naive_deficit_pair(c),) if p is not None], one
     elif rule.case == "K6High":
-        late, weight = one_bar_two(part), one if composition(c) == (2, 1, 1, 1) else half
+        late = [p for p in pairs if naive_claim_set(part, p.u, p.v, 2) & {1, 2} == {2}]
+        weight = one if naive_pair_components(part) == [2, 1, 1, 1] else half
     else:
-        late, weight = tp_pair_set(part), one if rule.case == "K5High" else half
-    out = dict.fromkeys(shadow(part), one)
+        late = [p for p in pairs if naive_two_plus(part, p.u, p.v)]
+        weight = one if rule.case == "K5High" else half
+    out = {Pair(a, b): one for a, b in naive_shadow(part)}
     for p in late:
         out.setdefault(p, weight)
     return out
