@@ -438,12 +438,26 @@ def is_family_free(G: Hypergraph, k: int) -> FreenessResult:
     fitting (ell-1)-subset of the later edges, by :func:`_config_search`
     with ``base`` the edge ``a``.  No smaller edge starts a configuration,
     so this is the lexicographically first one.
+
+    **Shared-state lemma.**  The queries read one :class:`_Shared` state,
+    built once for G, and each runs exactly the steps it would run from
+    state built afresh.  The peel state (live edges, ``degree``,
+    ``covered``) that :func:`_first_anchor` starts from is a function of G
+    and t alone: :func:`_peel` is deterministic, and its inputs there are
+    all of G's edges, G's degrees and cover counts, and the edges covered
+    in fewer than t vertices.  From then on it depends only on G, t and
+    the anchors dropped so far.  Here t = (r-2)*ell + 4 - s is 3 for every
+    denser member and 2 for the main query, so the core is built once per
+    distinct t, and each query peels a copy of its own.  An anchor's root
+    ``meets`` levels (the edges meeting it in at least i vertices) and
+    :func:`_partnered` read only G, and no query changes them, so they
+    serve every query.
     """
     masks = G.edge_masks
-    incidence = _incidence(G)
+    shared = _Shared(G)
     for q in family_queries(G.r, k):
         ell, s = q
-        a = _first_anchor(G, incidence, ell, s)
+        a = _first_anchor(G, shared, ell, s)
         if a is not None:
             rest = _config_search(masks[a + 1 :], ell - 1, s, base=masks[a])
             assert rest is not None
@@ -458,6 +472,60 @@ def _require_free(G: Hypergraph, k: int) -> None:
         q = res.query
         msg = f"graph contains {q.edge_count} edges on at most {q.max_vertices} vertices"
         raise NotFree(msg, res.witness, q)
+
+
+class _Shared:
+    """The state of a graph that every query of :func:`is_family_free`
+    reads: the incidence masks, one peel core per t, each anchor's root
+    ``meets`` levels and the :func:`_partnered` memo.  Built on demand,
+    once per graph (the shared-state lemma)."""
+
+    def __init__(self, G: Hypergraph) -> None:
+        self.G = G
+        self.incidence = _incidence(G)
+        self.full = (1 << len(G.edges)) - 1
+        self._cores: dict[int, tuple[int, dict[int, int], list[int]]] = {}
+        self._roots: dict[int, list[int]] = {}
+        self._partnered: dict[tuple[int, int], int] = {}
+
+    def core(self, t: int) -> tuple[int, dict[int, int], list[int]]:
+        """(live edges, ``degree``, ``covered``) once :func:`_peel` has
+        dropped every edge that meets the others in fewer than t vertices;
+        the counts are the caller's own copies."""
+        got = self._cores.get(t)
+        if got is None:
+            G, masks = self.G, self.G.edge_masks
+            degree = {v: inc.bit_count() for v, inc in self.incidence.items()}
+            once = shared = 0  # vertices in one edge or more, in two or more
+            for mj in masks:
+                shared |= once & mj
+                once |= mj
+            covered = [(mj & shared).bit_count() for mj in masks]
+            doomed = [h for h, c in enumerate(covered) if c < t]
+            alive = _peel(G, self.incidence, degree, covered, self.full, t, doomed)
+            got = self._cores[t] = (alive, degree, covered)
+        alive, degree, covered = got
+        return alive, dict(degree), list(covered)
+
+    def root(self, a: int) -> list[int]:
+        """``meets`` of the node {edge a}: entry i holds the edges meeting
+        edge a in at least i vertices.  Callers never change it."""
+        meets = self._roots.get(a)
+        if meets is None:
+            r = self.G.r
+            meets = self._roots[a] = [self.full] + [0] * r
+            for v in self.G.edges[a]:
+                inc = self.incidence[v]
+                for i in range(r, 0, -1):
+                    meets[i] |= meets[i - 1] & inc
+        return meets
+
+    def partnered(self, v: int, j: int) -> int:
+        """:func:`_partnered`, memoised per (v, j)."""
+        keep = self._partnered.get((v, j))
+        if keep is None:
+            keep = self._partnered[v, j] = _partnered(self.G, self.incidence, v, j)
+        return keep
 
 
 def _peel(
@@ -489,11 +557,11 @@ def _peel(
     return alive
 
 
-def _first_anchor(G: Hypergraph, incidence: dict[int, int], ell: int, s: int) -> Optional[int]:
+def _first_anchor(G: Hypergraph, shared: _Shared, ell: int, s: int) -> Optional[int]:
     """Smallest index of an edge that starts an ell-edge configuration on
     at most s vertices, or ``None``, for a family query whose earlier
-    queries found nothing.  ``incidence[v]`` is the bitmask of the edges
-    through v.
+    queries found nothing.  ``shared`` is the state of G that every query
+    reads (the shared-state lemma of :func:`is_family_free`).
 
     By the lemma of :func:`is_family_free`, the edges of a configuration
     each meet the others in at least t = (r-2)*ell + 4 - s vertices, so it
@@ -538,7 +606,7 @@ def _first_anchor(G: Hypergraph, incidence: dict[int, int], ell: int, s: int) ->
     the edges of G other than e through e - v, so e is skipped when q is
     below j = missing - 1 - A.  A node drops all such edges through each
     vertex v of U at once, by the edges through v with q at least j,
-    memoised per (v, j) (:func:`_partnered`).  So the many edges of a hub,
+    memoised per (v, j) (:meth:`_Shared.partnered`).  So the many edges of a hub,
     each with few others through the rest of it, cost a few mask
     operations, not one test each.
 
@@ -555,17 +623,9 @@ def _first_anchor(G: Hypergraph, incidence: dict[int, int], ell: int, s: int) ->
     if s <= r or ell > len(masks):
         return None
     t = (r - 2) * ell + 4 - s
-    full = (1 << len(masks)) - 1
-    degree = {v: inc.bit_count() for v, inc in incidence.items()}
-    once = shared = 0  # vertices in one edge or more, in two or more
-    for mj in masks:
-        shared |= once & mj
-        once |= mj
-    covered = [(mj & shared).bit_count() for mj in masks]
-    doomed = [h for h, c in enumerate(covered) if c < t]
-    alive = _peel(G, incidence, degree, covered, full, t, doomed)
+    incidence, full = shared.incidence, shared.full
+    alive, degree, covered = shared.core(t)
     levels = range(r, 0, -1)
-    partnered: dict[tuple[int, int], int] = {}
     while alive:
         bit = alive & -alive
         a = bit.bit_length() - 1
@@ -573,12 +633,7 @@ def _first_anchor(G: Hypergraph, incidence: dict[int, int], ell: int, s: int) ->
         alive ^= bit
         if alive.bit_count() < ell - 1:
             return None
-        meets = [full] + [0] * r
-        for v in G.edges[a]:
-            inc = incidence[v]
-            for i in levels:
-                meets[i] |= meets[i - 1] & inc
-        stack = [(masks[a], meets)]
+        stack = [(masks[a], shared.root(a))]
         seen: set[int] = set()
         while stack:
             union, meets = stack.pop()
@@ -623,10 +678,7 @@ def _first_anchor(G: Hypergraph, incidence: dict[int, int], ell: int, s: int) ->
                     for v in _mask_to_list(union):
                         through = lone & incidence[v]
                         if through:
-                            keep = partnered.get((v, j))
-                            if keep is None:
-                                keep = partnered[v, j] = _partnered(G, incidence, v, j)
-                            branch &= ~through | keep
+                            branch &= ~through | shared.partnered(v, j)
             while branch:
                 low = branch & -branch
                 branch ^= low

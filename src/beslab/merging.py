@@ -179,12 +179,6 @@ class Partition:
         return {frozenset(c.edge_indices) for c in self.clusters}
 
 
-def trivial_partition(G: Hypergraph) -> Partition:
-    """Every edge in its own cluster; cluster id = edge index."""
-    clusters = tuple(Cluster(i, (i,), (), "trivial", G) for i in range(len(G.edges)))
-    return Partition(G, clusters, (), "trivial")
-
-
 def tp_pair_set(F: Hypergraph) -> frozenset[Pair]:
     """Pairs 2-claimed by some 3-edge subtree of ``F``.
 
@@ -257,6 +251,24 @@ def _make_state(
     the part, and no others.  It never claims too much: two edges of the
     3-edge subtree fit with such a pair in 2r - 2 vertices, so the part does
     2-claim it.  A 3-edge subtree needs three edges.
+
+    **Union lemma.**  Let parts P and Q 1-claim no common pair, that is,
+    share no shadow pair, and have narrow states under a rule of claim cap
+    at most 2.  Then the state of P | Q is the bitwise union of theirs,
+    pair by pair, and P | Q is narrow.  *Proof.*  A set S of edges with
+    edges in both P and Q that is pair-connected has an edge of P sharing
+    two vertices with an edge of Q, along any chain that links them, and
+    those two vertices are a shadow pair of both.  So no pair-connected
+    set crosses P and Q.  The state's bit 1 marks the shadow, which is
+    the union of the two.  Bit 2 at cap 2 marks the pairs inside two edges
+    on 2r - 2 vertices, and two edges on at most 2r - 2 vertices share at
+    least two vertices, so they are pair-connected: each such pair of
+    edges, and each wide one (on at most 2r - 3 vertices), lies in P or
+    in Q.  Under ``two_plus`` bit 2 marks the pairs of the 3-edge
+    subtrees, which are pair-connected too (the tree lemma of the
+    module), so each lies in P or in Q.  This is the P | Q update with an
+    empty cross term; caps above 2 have cross sets that are not
+    pair-connected and are walked (``_join_state``).
     """
     if len(edges) > 1 and rule.claim_cap > 1:
         if seed is None:
@@ -280,6 +292,29 @@ def _make_state(
         for pair in tp_pair_set(G.subgraph(edges)):
             pair_bits[pair] = pair_bits.get(pair, 0) | 4
     return pair_bits
+
+
+def _join_state(
+    G: Hypergraph, edges: tuple[int, ...], rule: MergeRule, ps: dict[Pair, int], qs: dict[Pair, int]
+) -> dict[Pair, int]:
+    """The state of the part with ``edges`` that joins two parts with states
+    ``ps`` and ``qs``: their bitwise union under a rule of claim cap at
+    most 2 when no pair is 1-claimed by both (the union lemma of
+    ``_make_state``), else ``_make_state``'s walk."""
+    if rule.claim_cap <= 2:
+        small, big = (ps, qs) if len(ps) <= len(qs) else (qs, ps)
+        out = dict(big)
+        for pair, b in small.items():
+            c = out.get(pair)
+            if c is None:
+                out[pair] = b
+            elif b & c & 2:
+                break
+            else:
+                out[pair] = b | c
+        else:
+            return out
+    return _make_state(G, edges, rule)
 
 
 def _mergeable(
@@ -317,7 +352,7 @@ def _by_claims(
 ) -> _Join:
     """Candidates by ``_mergeable``, against the parts sharing a key pair.
     ``states`` holds the start parts' states; each join replaces its two
-    parts' states by the new part's."""
+    parts' states by the new part's (``_join_state``)."""
     holders: dict[Pair, set[int]] = {}
 
     def file(new: int) -> None:
@@ -336,10 +371,11 @@ def _by_claims(
                 push(other, new, w)
 
     def join(i: int, j: int, new: int, edges: tuple[int, ...]) -> None:
-        for old in (i, j):
-            for pair in states.pop(old):
+        ps, qs = states.pop(i), states.pop(j)
+        for old, st in ((i, ps), (j, qs)):
+            for pair in st:
                 holders[pair].discard(old)
-        states[new] = _make_state(G, edges, rule)
+        states[new] = _join_state(G, edges, rule, ps, qs)
         file(new)
 
     for cid in sorted(states):
@@ -410,7 +446,10 @@ def merge(
     claim bits alone and the start's cap is at most the rule's (m3plus on
     m12 walks only sizes 3 and 4; see ``_make_state``'s state lemma).  A
     ``two_plus`` state seeds nothing: its bit 2 is the 2+ set, not the
-    2-claims.
+    2-claims.  Under a rule of claim cap at most 2, a merged part's state
+    is the union of its halves' when they share no shadow pair (the union
+    lemma of ``_make_state``), as on every m11 start, whose parts are
+    pair-connected components.
 
     **Refusal lemma.**  ``merge`` raises :class:`NotFree` when it would file
     a part with wide evidence, i edges on at most (r-2)*i + 1 vertices for
@@ -440,6 +479,29 @@ def merge(
     if start.ambient != G:
         raise ValueError("start partition does not belong to this graph")
     parts = {c.id: (tuple(sorted(c.edge_indices)), c.trace) for c in start.clusters}
+    states: Optional[dict[int, dict[Pair, int]]] = None  # none under RULE_11
+    if rule != RULE_11:
+        # (trivial and RULE_11 clusters have no state to seed with)
+        last = start.rule_stack[-1] if start.rule_stack else RULE_11
+        seeds = last.claim_cap <= rule.claim_cap and "two_plus" not in (last.kind, rule.kind)
+        states = {}
+        for c in sorted(start.clusters, key=lambda c: c.id):
+            seed = c.state if seeds else None
+            states[c.id] = _make_state(G, parts[c.id][0], rule, seed, last.claim_cap)
+    return _coarsen(G, parts, states, start.rule_stack + (rule,), rng)
+
+
+def _coarsen(
+    G: Hypergraph,
+    parts: dict[int, tuple[tuple[int, ...], tuple[MergeEvent, ...]]],
+    states: Optional[dict[int, dict[Pair, int]]],
+    rule_stack: tuple[MergeRule, ...],
+    rng: Optional[random.Random],
+) -> Partition:
+    """``merge``'s schedule from start parts (id -> (sorted edges, trace))
+    under ``rule_stack[-1]``, and from the start parts' ``states`` under any
+    rule but ``RULE_11``; ``parts`` and ``states`` become the final ones."""
+    rule = rule_stack[-1]
     # (i, j, pair, direction) entries: a heap, or with ``rng`` a sorted list
     cands: list[tuple[int, int, Pair, str]] = []
     naming: dict[int, list[tuple[int, int, Pair, str]]] = {}  # part -> its entries
@@ -453,16 +515,10 @@ def merge(
             naming.setdefault(i, []).append(entry)
             naming.setdefault(j, []).append(entry)
 
-    states: dict[int, dict[Pair, int]] = {}  # live part -> state (none under RULE_11)
-    if rule == RULE_11:
+    if states is None:
         join = _by_contraction(G, {cid: edges for cid, (edges, _) in parts.items()}, push)
+        states = {}
     else:
-        # (trivial and RULE_11 clusters have no state to seed with)
-        last = start.rule_stack[-1] if start.rule_stack else RULE_11
-        seeds = last.claim_cap <= rule.claim_cap and "two_plus" not in (last.kind, rule.kind)
-        for c in sorted(start.clusters, key=lambda c: c.id):
-            seed = c.state if seeds else None
-            states[c.id] = _make_state(G, parts[c.id][0], rule, seed, last.claim_cap)
         join = _by_claims(G, states, rule, push)
     next_id = max(parts, default=-1) + 1
     while True:
@@ -485,7 +541,6 @@ def merge(
         parts[next_id] = (edges, ti + tj + (MergeEvent(next_id, i, j, pair, direction),))
         join(i, j, next_id, edges)
         next_id += 1
-    rule_stack = start.rule_stack + (rule,)
     stage = _STAGE_NAMES.get(rule_stack, "custom")
     ordered = sorted(parts.items(), key=lambda kv: kv[1][0][0] if kv[1][0] else -1)
     clusters = tuple(
@@ -495,8 +550,11 @@ def merge(
 
 
 def m11(G: Hypergraph, rng: Optional[random.Random] = None) -> Partition:
-    """Maximal parts connected through shared pairs: {1}|{1}-merging of edges."""
-    return merge(G, trivial_partition(G), RULE_11, rng=rng)
+    """Maximal parts connected through shared pairs: {1}|{1}-merging of edges,
+    from one start part per edge (id = edge index), as ``merge`` would
+    from every edge in a cluster of its own."""
+    parts = {i: ((i,), ()) for i in range(len(G.edges))}
+    return _coarsen(G, parts, None, (RULE_11,), rng)
 
 
 def m12(G: Hypergraph, rng: Optional[random.Random] = None) -> Partition:

@@ -264,6 +264,7 @@ def certify(G: Hypergraph, rule: WeightRule) -> WeightReport:
     scale = _CASES[rule.case].lambda_scale
     certified = True
     per_cluster: dict[int, tuple[Fraction, Fraction]] = {}
+    built: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}  # one per (W, slack)
     totals: dict[Pair, int] = {}
     for c, pw in maps:
         W = 0
@@ -273,7 +274,10 @@ def certify(G: Hypergraph, rule: WeightRule) -> WeightReport:
             totals[p] = totals.get(p, 0) + num
         slack = W * a - len(c.edge_indices) * b * D
         certified = certified and slack >= 0
-        per_cluster[c.id] = (Fraction(W, D), Fraction(scale * slack, D * a))
+        both = built.get((W, slack))
+        if both is None:
+            both = built[W, slack] = (Fraction(W, D), Fraction(scale * slack, D * a))
+        per_cluster[c.id] = both
     certified = certified and all(t <= D for t in totals.values())
     shared = {t: Fraction(t, D) for t in set(totals.values())}
     per_pair = {p: shared[t] for p, t in totals.items()}

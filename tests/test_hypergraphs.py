@@ -481,6 +481,34 @@ class TestConfigurations:
             assert [is_family_free(G, k) for G, k in cases] == want, one_by_one
             assert len(calls) > 100
 
+    def test_shared_state_answers_like_fresh_state(self, fuzz_corpus, hub_graphs):
+        # The shared-state lemma of is_family_free: each query, run in
+        # family order on one state of the graph, finds the anchor that a
+        # run from state built afresh finds.  The state holds at most one
+        # peel core per t (3 for the denser members, 2 for the main query),
+        # and after the queries it is still the state built afresh.
+        cases = [(G, k) for G in fuzz_corpus for k in (5, 6, 7)] + list(hub_graphs)
+        anchors = []
+        for G, k in cases:
+            shared = hypergraphs._Shared(G)
+            for ell, s in family_queries(G.r, k):
+                got = hypergraphs._first_anchor(G, shared, ell, s)
+                assert got == hypergraphs._first_anchor(G, hypergraphs._Shared(G), ell, s), (
+                    G.edges, k, ell,
+                )
+                anchors.append(got)
+                if got is not None:
+                    break
+            fresh = hypergraphs._Shared(G)
+            assert set(shared._cores) <= {2, 3}
+            assert all(shared.core(t) == fresh.core(t) for t in shared._cores), (G.edges, k)
+            assert all(meets == fresh.root(a) for a, meets in shared._roots.items())
+            assert all(
+                keep == hypergraphs._partnered(G, fresh.incidence, v, j)
+                for (v, j), keep in shared._partnered.items()
+            )
+        assert anchors.count(None) > 1000 and len(anchors) - anchors.count(None) > 500
+
     def test_every_edge_of_a_first_violation_meets_the_rest(self):
         # The lemma behind is_family_free: in the first query with a hit,
         # every configuration's edges each meet the others in at least 2

@@ -36,7 +36,6 @@ from beslab import (
     partition_report,
     rule_for,
     tp_pair_set,
-    trivial_partition,
 )
 
 # Fixture graphs distinguishing the four rules.
@@ -121,7 +120,7 @@ class TestStages:
 
     def test_trivial(self):
         G = DIAMOND_PLUS_EDGE
-        p = trivial_partition(G)
+        p = util.trivial_partition(G)
         assert p.stage == "trivial"
         assert [c.id for c in p.clusters] == [0, 1, 2]
         assert p.edge_sets() == {frozenset({0}), frozenset({1}), frozenset({2})}
@@ -197,7 +196,7 @@ class TestStages:
         G = diamond_star(1)
         H = diamond_star(2)
         with pytest.raises(ValueError):
-            merge(H, trivial_partition(G), RULE_11)
+            merge(H, util.trivial_partition(G), RULE_11)
 
     def test_cluster_of_edge(self):
         p = m11(diamond_star(2))
@@ -277,7 +276,7 @@ class TestDeterminism:
 class TestTraces:
     def test_replay_reconstructs_clusters(self, fuzz_corpus):
         for G in fuzz_corpus[:20]:
-            start = trivial_partition(G)
+            start = util.trivial_partition(G)
             for stage in (m11, m3plus):
                 if util.naive_stage(G, stage.__name__) is None:
                     for seed in (None, 1, 2, 3):
@@ -407,7 +406,7 @@ class TestRefusal:
         rounds = [(None, RULE_11), (RULE_11, RULE_12), (RULE_11, RULE_2PLUS), (RULE_12, RULE_3PLUS)]
         refused = {rule: 0 for _, rule in rounds}
         for G in graphs:
-            starts = {None: trivial_partition(G)}
+            starts = {None: util.trivial_partition(G)}
             starts[RULE_11] = util.naive_merge(G, starts[None], RULE_11)
             starts[RULE_12] = util.naive_merge(G, starts[RULE_11], RULE_12)
             for base, rule in rounds:
@@ -448,7 +447,7 @@ class TestSeededStates:
         ]
         refused = seeded = 0
         for G in [*fuzz_corpus, *free, util.wide_probe(12), EDGE_PLUS_PATH_34, DIAMOND_PLUS_123]:
-            starts = {"trivial": trivial_partition(G), "m11": m11(G), "m2plus": m2plus(G)}
+            starts = {"trivial": util.trivial_partition(G), "m11": m11(G), "m2plus": m2plus(G)}
             try:
                 starts["m12"] = m12(G)
             except NotFree:
@@ -592,10 +591,10 @@ class TestContraction:
         ]
 
     def _starts(self, G, rng: random.Random):
-        yield "trivial", trivial_partition(G)
+        yield "trivial", util.trivial_partition(G)
         yield "grouped", _grouped_start(rng, G)
         # Traces already present, and ids past the edge count.
-        yield "after_12", util.naive_merge(G, trivial_partition(G), RULE_12)
+        yield "after_12", util.naive_merge(G, util.trivial_partition(G), RULE_12)
         yield "after_grouped_12", util.naive_merge(G, _grouped_start(rng, G), RULE_12)
         yield "m11", m11(G)
 
@@ -661,7 +660,7 @@ class TestWitnessDefinitions:
         for G in self._graphs(fuzz_corpus):
             for seed in (None, 3):
                 rng = None if seed is None else random.Random(seed)
-                starts = {None: trivial_partition(G)}
+                starts = {None: util.trivial_partition(G)}
                 starts[RULE_11] = merge(G, starts[None], RULE_11, rng)
                 try:
                     starts[RULE_12] = merge(G, starts[RULE_11], RULE_12, rng)
@@ -688,3 +687,93 @@ class TestWitnessDefinitions:
                     for (_, p), (_, q) in itertools.combinations(sorted(live.items()), 2):
                         assert util.naive_witness(G, p, q, rule) is None, (G.edges, rule, p, q)
         assert all(counts.values()), counts
+
+
+class TestUnionJoins:
+    """A join under a rule of claim cap at most 2 takes the bitwise union of
+    its halves' states when they 1-claim no common pair, and walks
+    (``_make_state``) otherwise: the union lemma of ``_make_state``.  Either
+    way the joined state is the one ``_make_state`` builds for the joined
+    edges."""
+
+    def _watch(self, monkeypatch):
+        """Patch ``_join_state`` to check every join against ``_make_state``;
+        returns the counts of union and walked joins."""
+        counts = {"union": 0, "walked": 0}
+        join_state, make_state = merging._join_state, merging._make_state
+        walks = []
+
+        def counted_make_state(*args):
+            walks.append(args)
+            return make_state(*args)
+
+        def checked(G, edges, rule, ps, qs):
+            walks.clear()
+            got = join_state(G, edges, rule, ps, qs)
+            counts["walked" if walks else "union"] += 1
+            assert got == make_state(G, edges, rule), (G.edges, edges, rule)
+            return got
+
+        monkeypatch.setattr(merging, "_make_state", counted_make_state)
+        monkeypatch.setattr(merging, "_join_state", checked)
+        return counts
+
+    def test_union_states_match_the_walk(
+        self, monkeypatch, fuzz_corpus, corpus_k5, corpus_k6, corpus_k7
+    ):
+        # On an m11 start no two parts share a shadow pair, so every m12 and
+        # m2plus join is a union.
+        counts = self._watch(monkeypatch)
+        graphs = [*fuzz_corpus, *corpus_k5, *corpus_k6, *corpus_k7, util.f63_copies(2), diamond_star(8)]
+        joins = {}
+        for G in graphs:
+            for stage in (m12, m2plus):
+                before = counts["union"]
+                for seed in (None, 4):
+                    try:
+                        stage(G, rng=seed and random.Random(seed))
+                    except NotFree:  # a dense part (TestRefusal)
+                        continue
+                joins[stage] = joins.get(stage, 0) + counts["union"] - before
+        assert counts["walked"] == 0, counts
+        assert min(joins.values()) > 100, joins
+
+    def test_halves_sharing_a_shadow_pair_are_walked(self, monkeypatch, fuzz_corpus):
+        # Starts whose parts share shadow pairs: a diamond and an edge
+        # sharing (0, 2) under RULE_12, a sunflower and an edge sharing
+        # (1, 2) under RULE_2PLUS, and random groupings.  The union of the
+        # halves misses the cross pairs of the first two.
+        counts = self._watch(monkeypatch)
+        fixtures = [
+            (build(3, 5, [(0, 1, 2), (0, 1, 3), (0, 2, 4)]), [(0, 1), (2,)], RULE_12),
+            (build(3, 6, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (1, 2, 5)]), [(0, 1, 2), (3,)], RULE_2PLUS),
+        ]
+        for G, groups, rule in fixtures:
+            ps, qs = (merging._make_state(G, g, rule) for g in groups)
+            union = {p: ps.get(p, 0) | qs.get(p, 0) for p in ps.keys() | qs.keys()}
+            clusters = tuple(merging.Cluster(i, g, (), "custom", G) for i, g in enumerate(groups))
+            (c,) = merge(G, merging.Partition(G, clusters, (), "custom"), rule).clusters
+            assert c.state != union and c.state == merging._make_state(G, c.edge_indices, rule)
+        assert counts == {"union": 0, "walked": 2}
+        rng = random.Random(79)
+        for G in fuzz_corpus:
+            for rule in (RULE_12, RULE_2PLUS):
+                start = _grouped_start(rng, G)
+                try:
+                    got = merge(G, start, rule)
+                except NotFree:
+                    continue
+                want = util.naive_merge(G, start, rule)
+                assert json.dumps(partition_report(got)) == json.dumps(partition_report(want))
+        assert counts["walked"] > 20, counts
+
+    def test_m11_matches_a_merge_from_the_trivial_partition(self, fuzz_corpus):
+        # m11 starts from edge indices, with no trivial Partition.
+        for G in [*fuzz_corpus, util.f63_copies(2), diamond_star(8)]:
+            for seed in (None, 6):
+                got = m11(G, rng=seed and random.Random(seed))
+                want = merge(G, util.trivial_partition(G), RULE_11, rng=seed and random.Random(seed))
+                assert got == want and json.dumps(partition_report(got)) == json.dumps(
+                    partition_report(want)
+                )
+                assert all(c.state is None for c in got.clusters)

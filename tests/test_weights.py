@@ -241,7 +241,8 @@ class TestStateWeights:
 
         monkeypatch.setattr(merging, "_make_state", counted)
         checked = dict.fromkeys(self.CASES, 0)
-        for G in [*fuzz_corpus, *corpus_k5, *corpus_k6, *corpus_k7, *free]:
+        exceptional = 0  # K6High clusters of composition (2, 1, 1, 1)
+        for G in [*fuzz_corpus, *corpus_k5, *corpus_k6, *corpus_k7, *free, EXCEPTIONAL_K6]:
             for case in self.CASES:
                 info = weights._CASES[case]
                 if not info.applies(G.r):
@@ -262,7 +263,9 @@ class TestStateWeights:
                     last = util.NAIVE_STAGE_RULES[rule.stage][-1]
                     assert [(args[1], args[2]) for args in built] == [(c.edge_indices, last)]
                     checked[case] += 1
+                    exceptional += case == "K6High" and merging.composition(c) == (2, 1, 1, 1)
         assert min(checked.values()) > 100, checked
+        assert exceptional, checked
 
 
 def _tree_with_rest(seed: int, free: bool = True):

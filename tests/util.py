@@ -36,7 +36,6 @@ from beslab import (
     family_queries,
     family_violation_containing,
     merging,
-    trivial_partition,
     weights,
 )
 
@@ -229,6 +228,12 @@ def naive_deficit_pair(c: Cluster) -> Optional[Pair]:
         if not naive_claim_set(rest, u, v, 2) & {1, 2}:
             return Pair(u, v)
     return None
+
+
+def trivial_partition(G: Hypergraph) -> Partition:
+    """Every edge in its own cluster; cluster id = edge index."""
+    clusters = tuple(Cluster(i, (i,), (), "trivial", G) for i in range(len(G.edges)))
+    return Partition(G, clusters, (), "trivial")
 
 
 def replay_trace(start: Partition, cluster: Cluster) -> frozenset[int]:
@@ -498,6 +503,32 @@ def f63_copies(c: int) -> Hypergraph:
     """``c`` vertex-disjoint copies of ``f63()``."""
     F = f63()
     return build(3, F.n * c, [tuple(v + F.n * i for v in e) for i in range(c) for e in F.edges])
+
+
+def lift(F: Hypergraph, r: int) -> Hypergraph:
+    """The lift of a 3-graph F to uniformity r >= 3: edge i of F gains
+    r - 3 new vertices of its own, ``F.n + (r-3)*i`` onwards.
+
+    **Lifting lemma.**  A set of i edges of F on v vertices lifts to i
+    edges on v + (r-3)*i vertices, and a pair of F's vertices added to it
+    does the same.  Every budget the library tests for i edges is
+    (r-2)*i + 2 - x, with x = 0 for a claim and the main query and x = 1
+    for a denser member and for wide evidence, which is (r-3)*i more than
+    at r = 3.  So a set fits a budget at r exactly when it fits at 3, with
+    the same slack, and a pair of F's vertices has the same claims in both
+    graphs.  The new vertices come after F's, so the lifted edges sort as
+    F's do: edge indices, and the lexicographic order of index tuples,
+    are kept.  Hence ``is_family_free`` gives the same answer, witness and
+    query edge count.  A pair with a new vertex lies in one edge only, so
+    no two disjoint parts both hold it, and it is never a merge witness.
+    So every merge, trace and composition is F's, and the partition
+    reports differ only in ``ambient``.
+    """
+    if F.r != 3 or r < 3:
+        raise ValueError(f"lift takes a 3-graph to r >= 3, got r = {F.r} to {r}")
+    extra = r - 3
+    edges = [e + tuple(range(F.n + extra * i, F.n + extra * (i + 1))) for i, e in enumerate(F.edges)]
+    return build(r, F.n + extra * len(F.edges), edges)
 
 
 def wide_probe(n: int, tail: int = 2) -> Hypergraph:
