@@ -127,6 +127,21 @@ def _mask_to_list(mask: int) -> list[int]:
     return out
 
 
+def _meet(meets: list[int], incidence: Sequence[int] | dict[int, int], vertices: int) -> None:
+    """Add the vertex mask ``vertices``, none of them in U yet, to the
+    vertex set U of the level list ``meets``, in place.  Entry i of
+    ``meets`` is the bitmask of the items meeting U in at least i vertices
+    (entry 0 holds every item), and ``incidence[v]`` that of the items
+    through v."""
+    levels = range(len(meets) - 1, 0, -1)
+    while vertices:
+        low = vertices & -vertices
+        vertices ^= low
+        inc = incidence[low.bit_length() - 1]
+        for i in levels:
+            meets[i] |= meets[i - 1] & inc
+
+
 def build(r: int, n: int, raw_edges: Iterable[Iterable[int]]) -> Hypergraph:
     """Validate and canonicalize edges into a :class:`Hypergraph`.
 
@@ -178,6 +193,8 @@ def claim_set(F: Hypergraph, p: Pair, cap: int) -> frozenset[int]:
     """
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
+    if p.u == p.v:
+        raise ValueError(f"a pair needs two distinct vertices, got {p.u} twice")
     base = extra = 0
     for w in (p.u, p.v):
         if 0 <= w < F.n:
@@ -215,15 +232,9 @@ class ClaimProfile:
         return bool(self.all_bits) or bool(self.vertex_bits)
 
 
-def claim_profile(
-    F: Hypergraph,
-    cap: int,
-    start: int = 1,
-    seed: Optional[dict[Pair, int]] = None,
-    narrow: bool = False,
-) -> ClaimProfile:
-    """Scan the edge subsets of each size start..cap once, bucketing claims
-    for reuse.
+def claim_profile(F: Hypergraph, cap: int) -> ClaimProfile:
+    """Scan the edge subsets of each size 1..cap once, bucketing claims for
+    reuse.
 
     A subset ``S`` of size ``i`` with union ``U`` claims: every pair when
     ``|U| <= (r-2)i``, every pair touching ``U`` when ``|U| = (r-2)i + 1``,
@@ -231,38 +242,29 @@ def claim_profile(
     ``i`` walks only the subsets within that last budget,
     ``(r-2)i + 2`` vertices.  Nothing is lost: a subset that claims fits
     it, and so does every prefix on the way to it, whose union is smaller.
-
-    Each size sets only its own bit, so a profile at cap c is a deeper
-    profile with the bits above c cleared.  A walk from ``start`` > 1
-    therefore continues one at cap ``start - 1``: ``seed`` is that
-    profile's ``pair_bits`` (copied, never changed), and it must have no
-    wide evidence.  With ``narrow`` the walk stops at the first subset with
-    slack >= 1, which lies on the lowest size with wide evidence; the
-    profile then holds that subset's wide evidence and no other.
+    Merge parts, which are refused once wide, are walked by
+    ``merging._claim_walk`` instead.
     """
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
     r, m = F.r, len(F.edges)
     all_bits = 0
     vertex_bits: dict[int, int] = {}
-    pair_bits: dict[Pair, int] = dict(seed) if seed else {}
-    for i in range(start, min(cap, m) + 1):
+    pair_bits: dict[Pair, int] = {}
+    for i in range(1, min(cap, m) + 1):
         bit = 1 << i
         budget = (r - 2) * i + 2
         for _, union in _fitting_subsets(F.edge_masks, i, budget):
             slack = budget - union.bit_count()
-            if slack == 0:
+            if slack >= 2:
+                all_bits |= bit
+            elif slack == 1:
+                for v in _mask_to_list(union):
+                    vertex_bits[v] = vertex_bits.get(v, 0) | bit
+            else:
                 for a, b in itertools.combinations(_mask_to_list(union), 2):
                     key = Pair(a, b)
                     pair_bits[key] = pair_bits.get(key, 0) | bit
-                continue
-            if slack >= 2:
-                all_bits |= bit
-            else:
-                for v in _mask_to_list(union):
-                    vertex_bits[v] = vertex_bits.get(v, 0) | bit
-            if narrow:
-                return ClaimProfile(all_bits, vertex_bits, pair_bits)
     return ClaimProfile(all_bits, vertex_bits, pair_bits)
 
 
@@ -512,12 +514,8 @@ class _Shared:
         edge a in at least i vertices.  Callers never change it."""
         meets = self._roots.get(a)
         if meets is None:
-            r = self.G.r
-            meets = self._roots[a] = [self.full] + [0] * r
-            for v in self.G.edges[a]:
-                inc = self.incidence[v]
-                for i in range(r, 0, -1):
-                    meets[i] |= meets[i - 1] & inc
+            meets = self._roots[a] = [self.full] + [0] * self.G.r
+            _meet(meets, self.incidence, self.G.edge_masks[a])
         return meets
 
     def partnered(self, v: int, j: int) -> int:
@@ -625,7 +623,6 @@ def _first_anchor(G: Hypergraph, shared: _Shared, ell: int, s: int) -> Optional[
     t = (r - 2) * ell + 4 - s
     incidence, full = shared.incidence, shared.full
     alive, degree, covered = shared.core(t)
-    levels = range(r, 0, -1)
     while alive:
         bit = alive & -alive
         a = bit.bit_length() - 1
@@ -698,11 +695,7 @@ def _first_anchor(G: Hypergraph, shared: _Shared, ell: int, s: int) -> Optional[
                     if ((near & fit) ^ low).bit_count() < missing - 1:
                         continue
                 grown = list(meets)
-                for v in G.edges[e]:
-                    if w >> v & 1:
-                        inc = incidence[v]
-                        for i in levels:
-                            grown[i] |= grown[i - 1] & inc
+                _meet(grown, incidence, w)
                 if (grown[r] & scope).bit_count() >= ell:
                     return a
                 stack.append((child, grown))

@@ -43,10 +43,9 @@ from .hypergraphs import (
     ConfigQuery,
     Hypergraph,
     Pair,
+    _fitting_subsets,
     _incidence,
     _mask_to_list,
-    claim_profile,
-    find_configuration,
 )
 
 
@@ -220,6 +219,43 @@ def tp_pair_set(F: Hypergraph) -> frozenset[Pair]:
     return frozenset(out)
 
 
+def _claim_walk(
+    G: Hypergraph,
+    edges: Sequence[int],
+    cap: int,
+    seed: Optional[dict[Pair, int]] = None,
+    start: int = 1,
+) -> dict[Pair, int]:
+    """The claim bits of the pairs inside the part of ``G`` with ``edges``,
+    for the claim indices ``start..cap``, added to a copy of ``seed``.
+
+    An i-subset of the part on exactly (r-2)*i + 2 vertices i-claims the
+    pairs inside it, so it sets bit i on them.  One on fewer vertices is
+    wide evidence: it claims pairs outside it too, and the walk raises
+    :class:`NotFree` at the first one, naming it (ambient edge indices) and
+    the query (i, (r-2)*i + 1).  As for ``claim_profile``, size i walks
+    only the subsets within (r-2)*i + 2 vertices, in lexicographic order
+    (``_fitting_subsets``), and the sizes go up.  So the first wide subset
+    has the smallest wide size i, and is the first i-subset on at most
+    (r-2)*i + 1 vertices, the one ``find_configuration`` names.
+    """
+    order = sorted(edges)
+    masks = [G.edge_masks[j] for j in order]
+    out = dict(seed) if seed else {}
+    for i in range(start, min(cap, len(order)) + 1):
+        bit = 1 << i
+        budget = (G.r - 2) * i + 2
+        for subset, union in _fitting_subsets(masks, i, budget):
+            if union.bit_count() < budget:
+                q = ConfigQuery(i, budget - 1)
+                msg = f"a merged part contains {i} edges on at most {q.max_vertices} vertices"
+                raise NotFree(msg, tuple(order[j] for j in subset), q)
+            for a, b in itertools.combinations(_mask_to_list(union), 2):
+                key = Pair(a, b)
+                out[key] = out.get(key, 0) | bit
+    return out
+
+
 def _make_state(
     G: Hypergraph,
     edges: tuple[int, ...],
@@ -228,11 +264,9 @@ def _make_state(
     seed_cap: int = 0,
 ) -> dict[Pair, int]:
     """The part's claim bits per key pair, up to ``rule.claim_cap``, which is
-    all that ``rule``'s clauses read: the ``pair_bits`` of its claim profile.
-    Raises :class:`NotFree` when the profile has wide evidence (see ``merge``),
-    as soon as the walk meets it: the walk goes up by size, so its first
-    wide subset has the smallest wide size i, and is the first i-subset on
-    at most (r-2)*i + 1 vertices, the one ``find_configuration`` names.
+    all that ``rule``'s clauses read, by ``_claim_walk``.  Raises
+    :class:`NotFree` when the part has wide evidence (see ``merge``), at
+    its first wide subset.
 
     **State lemma.**  Each claim index sets only its own bit, so a state at
     cap c is a deeper state with the bits above c cleared (and the pairs
@@ -244,8 +278,8 @@ def _make_state(
 
     One edge spans (r-2)*1 + 2 vertices, so it 1-claims exactly its own
     pairs, and no edge is wide.  So a one-edge part, or any part under a
-    cap-1 rule, has the profile of its shadow at index 1 (bit 1), the one
-    ``claim_profile`` would build.
+    cap-1 rule, has its shadow at index 1 (bit 1), the state the walk
+    would build.
 
     Under ``two_plus`` (cap 1) bit 2 marks the 2+ pairs, ``tp_pair_set`` of
     the part, and no others.  It never claims too much: two edges of the
@@ -271,22 +305,8 @@ def _make_state(
     pair-connected and are walked (``_join_state``).
     """
     if len(edges) > 1 and rule.claim_cap > 1:
-        if seed is None:
-            seed_cap = 0
-        elif len(edges) <= seed_cap:  # no subset above the seed's sizes
-            return dict(seed)
-        part = G.subgraph(edges)
-        prof = claim_profile(part, rule.claim_cap, seed_cap + 1, seed, narrow=True)
-        if prof.has_wide_evidence:
-            wide = (prof.all_bits, *prof.vertex_bits.values())
-            i = min((b & -b).bit_length() - 1 for b in wide if b)
-            q = ConfigQuery(i, (G.r - 2) * i + 1)
-            found = find_configuration(part, q)
-            assert found is not None  # the profile is wide at index i
-            order = sorted(edges)
-            msg = f"a merged part contains {i} edges on at most {q.max_vertices} vertices"
-            raise NotFree(msg, tuple(order[j] for j in found), q)
-        return prof.pair_bits
+        start = 1 if seed is None else seed_cap + 1
+        return _claim_walk(G, edges, rule.claim_cap, seed, start)
     pair_bits = {Pair(u, v): 2 for i in edges for u, v in itertools.combinations(G.edges[i], 2)}
     if rule.kind == "two_plus" and len(edges) >= 3:
         for pair in tp_pair_set(G.subgraph(edges)):
@@ -454,17 +474,17 @@ def merge(
     **Refusal lemma.**  ``merge`` raises :class:`NotFree` when it would file
     a part with wide evidence, i edges on at most (r-2)*i + 1 vertices for
     some 2 <= i <= the claim cap, naming the smallest such i, the query
-    (i, (r-2)*i + 1) and its first configuration by ``find_configuration``
-    (ambient edge indices).  It refuses exactly when some fixpoint cluster
-    is that dense, under every schedule.  *Proof.*  Until it refuses, it
-    merges as a merge honouring wide claims would, since between narrow
-    parts a witness lies on a pair both list.  Every filed part, with its
-    configuration, lies inside a cluster of that order-independent
-    fixpoint, and every cluster is filed, as a start part or by the merge
-    that completes it.  No part that ``certify`` builds is refused: one
-    edge never fits r - 1 vertices, for 2 <= i < k the configuration is a
-    denser member of the family the graph is free of, and every
-    ``rule_for`` case has claim caps at most k - 1.
+    (i, (r-2)*i + 1) and its lexicographically first configuration, where
+    ``_claim_walk`` stops (ambient edge indices).  It refuses exactly when
+    some fixpoint cluster is that dense, under every schedule.  *Proof.*
+    Until it refuses, it merges as a merge honouring wide claims would,
+    since between narrow parts a witness lies on a pair both list.  Every
+    filed part, with its configuration, lies inside a cluster of that
+    order-independent fixpoint, and every cluster is filed, as a start part
+    or by the merge that completes it.  No part that ``certify`` builds is
+    refused: one edge never fits r - 1 vertices, for 2 <= i < k the
+    configuration is a denser member of the family the graph is free of, and
+    every ``rule_for`` case has claim caps at most k - 1.
 
     **Contraction lemma.**  Under ``RULE_11`` a part's claims are exactly
     its shadow (its state at cap 1), and shadow(P | Q) = shadow(P) |

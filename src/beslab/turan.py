@@ -27,6 +27,7 @@ from .hypergraphs import (
     ConfigQuery,
     Hypergraph,
     _mask,
+    _meet,
     build,
     family_queries,
     find_configuration,
@@ -132,15 +133,8 @@ class _Kills:
             if need <= 0:
                 out = self.full
             else:
-                # meets[i]: the candidates meeting the vertices seen so far in >= i.
                 meets = [self.full] + [0] * need
-                rest = v
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    inc = self.incidence[low.bit_length() - 1]
-                    for i in range(need, 0, -1):
-                        meets[i] |= meets[i - 1] & inc
+                _meet(meets, self.incidence, v)
                 out = meets[need]
             table[v] = out
         return out

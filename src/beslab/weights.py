@@ -19,16 +19,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .errors import Unknown, WrongStage
-from .hypergraphs import (
-    Hypergraph,
-    Pair,
-    _mask_to_list,
-    _require_free,
-    claim_profile,
-    claim_set,
-    one_bar_two,
-)
-from .merging import STAGES, Cluster, Partition, _cluster_state, composition
+from .hypergraphs import Hypergraph, Pair, _mask_to_list, _require_free, claim_set
+from .merging import STAGES, Cluster, Partition, _claim_walk, _cluster_state, composition
 
 # Base weight function on claim-index sets for the (3,6) rule.  h is the
 # maximum of f over subsets, making it monotone; h(A) > 0 exactly when A
@@ -184,10 +176,11 @@ def _deficit_pair(F: Cluster) -> Optional[Pair]:
     part = F.part
     if part.vertex_count() != (part.r - 2) * m + 2 or composition(F) != (m,):
         return None
-    candidates = sorted(one_bar_two(part))
-    if not candidates:
-        return None
     G = F.ambient
+    # 2-not-1-claimed: bit 2 without bit 1.  At r = 3 no two edges fit in
+    # three vertices, so the walk finds nothing wide.
+    state = _claim_walk(G, F.edge_indices, 2)
+    candidates = sorted(p for p, b in state.items() if b & 6 == 4)
     own = set(F.edge_indices)
     for p in candidates:
         through = _mask_to_list(G.incidence[p.u] | G.incidence[p.v])
@@ -205,7 +198,9 @@ def _pair_weight_map(F: Cluster, rule: WeightRule) -> dict[Pair, Fraction]:
     every pair with a claim in 1-4; the others have h(A) = 0, as A is at
     most {5}.  Claim 5 changes h only for the pairs whose claims in 1-4
     are {3} (``_FIVE_RAISES``), so size 5 is walked only when a cluster of
-    at least 5 edges has such a pair.
+    at least 5 edges has such a pair.  The walk refuses no cluster of a
+    graph free for k = 6: 5 edges on at most 6 vertices are a denser
+    member of the family.
     """
     _check_cluster(F, rule)
     state = _cluster_state(F)
@@ -213,8 +208,7 @@ def _pair_weight_map(F: Cluster, rule: WeightRule) -> dict[Pair, Fraction]:
     if late is None:  # h of the claim set
         raised = [p for p, b in state.items() if (b >> 1 & 15) in _FIVE_RAISES]
         if raised and len(F.edge_indices) >= 5:
-            five = claim_profile(F.part, 5, 5)
-            state = {**state, **{p: state[p] | five.bits(*p) for p in raised}}
+            state = _claim_walk(F.ambient, F.edge_indices, 5, state, 5)
         return {p: h for p, b in state.items() if (h := _H_TABLE[b >> 1 & 31])}
     out = dict.fromkeys(state, _ONE)  # a key without bit 1 is a late pair
     pairs, weight = late(F, state)

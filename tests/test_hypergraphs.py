@@ -173,6 +173,12 @@ class TestClaimSet:
         cs = claim_set(G, Pair.of(0, 1), 1)
         assert cs == {0, 1}
 
+    def test_degenerate_pair_rejected(self):
+        # a Pair built directly, past Pair.of's check, names one vertex twice
+        G = build(3, 4, [(0, 1, 2)])
+        with pytest.raises(ValueError, match="two distinct vertices"):
+            claim_set(G, Pair(1, 1), 1)
+
     def test_single_edge_pair_outside(self):
         G = build(3, 5, [(0, 1, 2)])
         assert claim_set(G, Pair.of(3, 4), 1) == {0}
@@ -291,43 +297,35 @@ class TestClaimProfile:
                     claim_profile(G, cap + 1), cap + 1
                 ), (G.edges, cap)
 
-    def test_seeded_walk_continues_a_narrow_profile(self, fuzz_corpus, big_star):
-        for G, top in self._graphs(fuzz_corpus, big_star):
-            for low in range(1, top):
-                seed = claim_profile(G, low)
-                if seed.has_wide_evidence:
-                    continue
-                kept = dict(seed.pair_bits)
-                for cap in range(low, top + 1):
-                    got = claim_profile(G, cap, low + 1, seed.pair_bits)
-                    assert got == claim_profile(G, cap), (G.edges, low, cap)
-                assert seed.pair_bits == kept
-
-    def test_narrow_walk_stops_at_the_lowest_wide_size(self, fuzz_corpus, big_star):
-        def wide(prof):
-            out = prof.all_bits
-            for b in prof.vertex_bits.values():
-                out |= b
-            return out
-
-        stopped = 0
-        for G, top in self._graphs(fuzz_corpus, big_star):
-            for cap in range(top + 1):
-                full, got = claim_profile(G, cap), claim_profile(G, cap, narrow=True)
-                if not full.has_wide_evidence:
-                    assert got == full, (G.edges, cap)
-                    continue
-                i = (wide(full) & -wide(full)).bit_length() - 1
-                assert wide(got) == 1 << i, (G.edges, cap)
-                first = find_configuration(G, ConfigQuery(i, (G.r - 2) * i + 1))
-                if got.vertex_bits:  # the first such subset has slack exactly 1
-                    assert set(got.vertex_bits) == {v for j in first for v in G.edges[j]}
-                stopped += 1
-        assert stopped
-
 
 # ---------------------------------------------------------------------------
 # Configuration search and the banned family
+
+
+class TestMeetLevels:
+    """``hypergraphs._meet``, the one update of a ``meets`` level list, on
+    random item masks against its definition: entry i holds the items
+    meeting the vertex set in at least i vertices."""
+
+    def test_matches_definition(self):
+        rng = random.Random(41)
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            items = [rng.getrandbits(n) for _ in range(rng.randint(0, 24))]
+            by_vertex = [sum(1 << h for h, m in enumerate(items) if m >> v & 1) for v in range(n)]
+            incidence = rng.choice([by_vertex, dict(enumerate(by_vertex))])
+            top = rng.randint(0, 6)
+            vs = rng.sample(range(n), rng.randint(0, n))
+            cut = rng.randint(0, len(vs))
+            meets = [(1 << len(items)) - 1] + [0] * top
+            hypergraphs._meet(meets, incidence, sum(1 << v for v in vs[:cut]))  # in two steps
+            hypergraphs._meet(meets, incidence, sum(1 << v for v in vs[cut:]))
+            vmask = sum(1 << v for v in vs)
+            want = [
+                sum(1 << h for h, m in enumerate(items) if (m & vmask).bit_count() >= i)
+                for i in range(top + 1)
+            ]
+            assert meets == want, (items, vs, top)
 
 
 class TestConfigurations:

@@ -15,6 +15,7 @@ import util
 from beslab import merging
 from beslab import (
     ClaimProfile,
+    ConfigQuery,
     MergeRule,
     NotFree,
     Pair,
@@ -363,6 +364,60 @@ class TestSetsWitness:
                 assert got == want, (n, sp, sq, rule)
                 found += got is not None
         assert found > 500, found
+
+
+class TestClaimWalk:
+    """``merging._claim_walk``, the claim walk of the merge parts, against
+    ``claim_profile`` and the naive configuration search."""
+
+    @staticmethod
+    def _graphs(fuzz_corpus, big_star):
+        # (graph, largest cap checked)
+        return [(G, 5) for G in fuzz_corpus] + [(util.wide_probe(12), 5), (big_star, 4)]
+
+    @staticmethod
+    def _walk(G, edges, cap, seed=None, start=1):
+        """The walk's state, or (witness, query, message) of its refusal."""
+        try:
+            return merging._claim_walk(G, edges, cap, seed, start)
+        except NotFree as exc:
+            return exc.witness, exc.query, str(exc)
+
+    def test_seeded_walk_continues_a_narrow_profile(self, fuzz_corpus, big_star):
+        for G, top in self._graphs(fuzz_corpus, big_star):
+            edges = range(len(G.edges))
+            for low in range(1, top):
+                seed = self._walk(G, edges, low)
+                if not isinstance(seed, dict):
+                    continue
+                kept = dict(seed)
+                for cap in range(low, top + 1):
+                    got = self._walk(G, edges, cap, seed, low + 1)
+                    assert got == self._walk(G, edges, cap), (G.edges, low, cap)
+                assert seed == kept
+
+    def test_narrow_walk_stops_at_the_lowest_wide_size(self, fuzz_corpus, big_star):
+        stopped = 0
+        for G, top in self._graphs(fuzz_corpus, big_star):
+            m = len(G.edges)
+            # the whole graph, and the part of its even edges, by ambient index
+            for edges in (tuple(range(m)), tuple(range(0, m, 2))):
+                part = G.subgraph(edges)
+                for cap in range(top + 1):
+                    full = claim_profile(part, cap)
+                    got = self._walk(G, edges[::-1], cap)
+                    wide = full.all_bits
+                    for b in full.vertex_bits.values():
+                        wide |= b
+                    if not wide:
+                        assert got == full.pair_bits, (G.edges, edges, cap)
+                        continue
+                    i = (wide & -wide).bit_length() - 1
+                    q = ConfigQuery(i, (G.r - 2) * i + 1)
+                    first = util.naive_find_config(part, *q)
+                    assert got[:2] == (tuple(edges[j] for j in first), q), (G.edges, edges, cap)
+                    stopped += 1
+        assert stopped
 
 
 class TestRefusal:
