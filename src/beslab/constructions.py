@@ -405,17 +405,15 @@ def random_packing_construction(params: RandomParams) -> ConstructionReport:
     cliques = _cliques(adj, m, u)
     packing: list[tuple[int, ...]] = []
     packing_masks: list[int] = []
-    used_pairs: set[tuple[int, int]] = set()
+    # The girth check keeps the packing edge-disjoint: two cliques sharing a
+    # pair lie on at most 2u - 2 vertices, which its ell = 2 query rejects
+    # (the cap is at least 2), and distinct 2-cliques share no pair.
     for K in cliques:
-        kp = set(itertools.combinations(K, 2))
-        if kp & used_pairs:
-            continue
         kmask = _mask(K)
         if not _packing_girth_ok(packing_masks, kmask, u, params.girth_cap):
             continue
         packing.append(K)
         packing_masks.append(kmask)
-        used_pairs.update(kp)
     t = len(packing)
 
     rng3 = _substream(params.seed, "G3")

@@ -21,10 +21,6 @@ class DuplicateEdge(BeslabError, ValueError):
     """The same edge (as a vertex set) appears more than once."""
 
 
-class WrongStage(BeslabError, ValueError):
-    """A cluster from one partition stage was passed where another is required."""
-
-
 class NotFree(BeslabError):
     """A graph required to avoid a configuration family contains one.
 

@@ -34,9 +34,10 @@ import bisect
 import heapq
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import NotFree
 from .hypergraphs import (
@@ -140,9 +141,10 @@ class Cluster:
     """One part of a partition, with the trace of merges that built it.
 
     ``state`` is the part's claim bits per key pair under the last rule of
-    its stage (see ``_make_state``), as ``merge`` left them; ``None`` where
-    no rule built one (``RULE_11`` merges by contraction) or the cluster was
-    made by hand.  It takes no part in equality or hashing.
+    its stage (see ``_make_state``), as ``merge`` left them; ``None`` under
+    ``RULE_11`` (the state would be the shadow, and the default schedule
+    builds none) or where the cluster was made by hand.  It takes no part
+    in equality or hashing.
     """
 
     id: int
@@ -355,91 +357,51 @@ def _mergeable(
     return min(found, default=None)
 
 
-# A rule's candidate finder is given the start parts (id -> sorted edges) and
-# ``push(i, j, witness)`` for i < j.  It pushes every mergeable pair of start
-# parts and returns ``join(i, j, new, edges)``, which, once parts i and j
-# have become ``new`` (the largest id yet) with ``edges``, pushes every
-# live part mergeable with ``new``.  The aliases exist for type checkers
-# only: built at run time, typing's cache would keep every re-import's
-# classes (and modules) alive.
-if TYPE_CHECKING:
-    _Push = Callable[[int, int, tuple[Pair, str]], None]
-    _Join = Callable[[int, int, int, tuple[int, ...]], None]
-
-
-def _by_claims(
-    G: Hypergraph, states: dict[int, dict[Pair, int]], rule: MergeRule, push: _Push
-) -> _Join:
-    """Candidates by ``_mergeable``, against the parts sharing a key pair.
-    ``states`` holds the start parts' states; each join replaces its two
-    parts' states by the new part's (``_join_state``)."""
-    holders: dict[Pair, set[int]] = {}
-
-    def file(new: int) -> None:
-        st = states[new]
-        found: set[int] = set()
-        for pair in st:
-            ids = holders.get(pair)
-            if ids is None:
-                holders[pair] = {new}
-            else:
-                found |= ids
-                ids.add(new)
-        for other in found:
-            w = _mergeable(states[other], st, rule)
-            if w is not None:
-                push(other, new, w)
-
-    def join(i: int, j: int, new: int, edges: tuple[int, ...]) -> None:
-        ps, qs = states.pop(i), states.pop(j)
-        for old, st in ((i, ps), (j, qs)):
-            for pair in st:
-                holders[pair].discard(old)
-        states[new] = _join_state(G, edges, rule, ps, qs)
-        file(new)
-
-    for cid in sorted(states):
-        file(cid)
-    return join
-
-
-def _by_contraction(G: Hypergraph, parts: dict[int, tuple[int, ...]], push: _Push) -> _Join:
-    """Candidates under ``RULE_11`` from the neighbour maps of the two halves."""
-    holders: dict[tuple[int, int], list[int]] = {}  # shadow pair -> parts, ascending
+def _scan(
+    G: Hypergraph, parts: dict[int, tuple[tuple[int, ...], tuple[MergeEvent, ...]]]
+) -> list[MergeEvent]:
+    """``RULE_11``'s default schedule from start parts (id -> (sorted edges,
+    trace)): its merges in order, by the scan lemma of ``merge``."""
+    holders: dict[tuple[int, int], list[int]] = {}  # shadow pair -> holders, ascending
     for cid in sorted(parts):
-        for i in parts[cid]:
+        for i in parts[cid][0]:
             for uv in itertools.combinations(G.edges[i], 2):
                 ids = holders.get(uv)
                 if ids is None:
                     holders[uv] = [cid]
                 elif ids[-1] != cid:
                     ids.append(cid)
-    near: dict[int, dict[int, Pair]] = {cid: {} for cid in parts}  # part -> neighbour -> witness
-    for uv in sorted(uv for uv, ids in holders.items() if len(ids) > 1):
-        pair = Pair(*uv)
-        for a, b in itertools.combinations(holders[uv], 2):  # a < b
-            if b not in near[a]:  # pairs come in order, so the first is the witness
-                near[a][b] = near[b][a] = pair
-                push(a, b, (pair, "left_A"))
-
-    def join(i: int, j: int, new: int, edges: tuple[int, ...]) -> None:
-        row, other = near.pop(i), near.pop(j)
-        del row[j], other[i]
-        if len(row) < len(other):
-            row, other = other, row
-        for o, pair in other.items():
-            kept = row.get(o)
-            if kept is None or pair < kept:
-                row[o] = pair
-        for o, pair in row.items():
-            there = near[o]
-            there.pop(i, None)
-            there.pop(j, None)
-            there[new] = pair
-            push(o, new, (pair, "left_A"))
-        near[new] = row
-
-    return join
+    # the live holders of each pair that two parts share, and each part's such pairs
+    lines = {uv: deque(ids) for uv, ids in holders.items() if len(ids) > 1}
+    shared: dict[int, list[tuple[int, int]]] = {}
+    for uv, line in lines.items():
+        for cid in line:
+            shared.setdefault(cid, []).append(uv)
+    turns = sorted(shared)
+    new = max(parts, default=-1) + 1
+    events: list[MergeEvent] = []
+    for p in turns:  # merged parts with a neighbour join the end
+        mine = shared.pop(p, None)
+        if mine is None:  # merged at an earlier turn
+            continue
+        q, witness = min([(lines[uv][1], uv) for uv in mine])
+        theirs = shared.pop(q)
+        for uv in mine:
+            lines[uv].popleft()  # p heads its lines
+        for uv in theirs:
+            lines[uv].remove(q)
+        kept = []
+        for uv in mine + theirs:
+            line = lines[uv]
+            if line and line[-1] != new:  # still shared, and not yet seen
+                line.append(new)
+                kept.append(uv)
+        if kept:
+            shared[new] = kept
+            turns.append(new)
+        events.append(MergeEvent(new, p, q, Pair(*witness), "left_A"))
+        new += 1
+    return events
 
 
 def merge(
@@ -458,18 +420,18 @@ def merge(
     in one sorted list, and drops a merged part's entries through an index
     of the entries that name each part.
 
-    Two parts have a witness only on a key pair of both states, so under
-    every rule but ``RULE_11`` parts are indexed by key pair and each new
-    part is checked only against the parts sharing one of its keys.  The
-    final parts keep their states as ``Cluster.state``, for the weights to
-    read.  A start part's state seeds its new one when both rules read
-    claim bits alone and the start's cap is at most the rule's (m3plus on
-    m12 walks only sizes 3 and 4; see ``_make_state``'s state lemma).  A
-    ``two_plus`` state seeds nothing: its bit 2 is the 2+ set, not the
-    2-claims.  Under a rule of claim cap at most 2, a merged part's state
-    is the union of its halves' when they share no shadow pair (the union
-    lemma of ``_make_state``), as on every m11 start, whose parts are
-    pair-connected components.
+    Two parts have a witness only on a key pair of both states, so parts
+    are indexed by key pair and each new part is checked only against the
+    parts sharing one of its keys.  The final parts keep their states as
+    ``Cluster.state``, for the weights to read; under ``RULE_11`` the state
+    is the shadow and is not kept.  A start part's state seeds its new one
+    when both rules read claim bits alone and the start's cap is at most
+    the rule's (m3plus on m12 walks only sizes 3 and 4; see
+    ``_make_state``'s state lemma).  A ``two_plus`` state seeds nothing:
+    its bit 2 is the 2+ set, not the 2-claims.  Under a rule of claim cap
+    at most 2, a merged part's state is the union of its halves' when they
+    share no shadow pair (the union lemma of ``_make_state``), as on every
+    m11 start, whose parts are pair-connected components.
 
     **Refusal lemma.**  ``merge`` raises :class:`NotFree` when it would file
     a part with wide evidence, i edges on at most (r-2)*i + 1 vertices for
@@ -486,15 +448,28 @@ def merge(
     configuration is a denser member of the family the graph is free of, and
     every ``rule_for`` case has claim caps at most k - 1.
 
-    **Contraction lemma.**  Under ``RULE_11`` a part's claims are exactly
-    its shadow (its state at cap 1), and shadow(P | Q) = shadow(P) |
-    shadow(Q).  So a part O can merge with P | Q exactly when it can merge
-    with P or with Q, and the witness, the smallest shared pair, is the
-    smaller of those two witnesses.  Both orientations hold for every
-    shared pair, so the direction is always ``left_A``.  Under ``RULE_11``
-    each live part therefore keeps a map from each neighbour to their
-    witness, and a merge combines the two halves' maps, with no part state
-    and no ``_mergeable`` call.
+    **Scan lemma.**  Under ``RULE_11`` the default schedule is a scan over
+    part ids in increasing order, each merged part's id appended as it is
+    made: a live part at its turn merges with its smallest live neighbour,
+    if any, with their smallest shared pair as the witness and ``left_A``
+    as the direction (``_scan``).  *Proof.*  Under ``RULE_11`` a part's
+    claims are its shadow (its state at cap 1), so neighbours are parts
+    sharing a shadow pair, both orientations hold on each shared pair, and
+    the witness is the smallest one, with ``left_A``.  Since shadow(P | Q)
+    = shadow(P) | shadow(Q), a part is a neighbour of P | Q exactly when it
+    is one of P or of Q, so a part with no live neighbour never gains one.
+    The heap holds every two live neighbours, so it pops the smallest i
+    with a live neighbour, with that part's smallest live neighbour j > i.
+    Inductively, at p's turn no live part below p has a live neighbour, so
+    if p has one the heap pops p and its smallest neighbour, and the new
+    id, larger than every id yet, has a turn later.  ``_scan`` keeps, for
+    each shadow pair that two live parts hold, its holders in id order.  At
+    its turn a part heads each of its lists, and the entries after it are
+    its neighbours, so j is the smallest second entry, on the smallest such
+    pair.  A merge removes both halves and appends the new id to the lists
+    another part still holds; a pair held by one part is never shared
+    again.  The ids, traces and witnesses are the heap's, with no part
+    state and no ``_mergeable`` call.
     """
     if start.ambient != G:
         raise ValueError("start partition does not belong to this graph")
@@ -519,52 +494,83 @@ def _coarsen(
     rng: Optional[random.Random],
 ) -> Partition:
     """``merge``'s schedule from start parts (id -> (sorted edges, trace))
-    under ``rule_stack[-1]``, and from the start parts' ``states`` under any
-    rule but ``RULE_11``; ``parts`` and ``states`` become the final ones."""
+    under ``rule_stack[-1]``, and from the start parts' ``states``, which
+    are ``None`` under ``RULE_11``: there the default schedule is
+    ``_scan``, and ``rng``'s runs on the parts' shadows, which the clusters
+    do not keep.  ``parts`` and ``states`` become the final ones."""
     rule = rule_stack[-1]
-    # (i, j, pair, direction) entries: a heap, or with ``rng`` a sorted list
-    cands: list[tuple[int, int, Pair, str]] = []
-    naming: dict[int, list[tuple[int, int, Pair, str]]] = {}  # part -> its entries
 
-    def push(i: int, j: int, w: tuple[Pair, str]) -> None:
-        entry = (i, j) + w
-        if rng is None:
-            heapq.heappush(cands, entry)
-        else:
-            bisect.insort(cands, entry)
-            naming.setdefault(i, []).append(entry)
-            naming.setdefault(j, []).append(entry)
-
-    if states is None:
-        join = _by_contraction(G, {cid: edges for cid, (edges, _) in parts.items()}, push)
-        states = {}
-    else:
-        join = _by_claims(G, states, rule, push)
-    next_id = max(parts, default=-1) + 1
-    while True:
-        if rng is None:
-            while cands and not (cands[0][0] in parts and cands[0][1] in parts):
-                heapq.heappop(cands)
-            if not cands:
-                break
-            i, j, pair, direction = heapq.heappop(cands)
-        else:
-            if not cands:
-                break
-            i, j, pair, direction = cands[rng.randrange(len(cands))]
-            for entry in naming.pop(i) + naming.pop(j):
-                at = bisect.bisect_left(cands, entry)
-                if at < len(cands) and cands[at] == entry:
-                    del cands[at]
-        (ei, ti), (ej, tj) = parts.pop(i), parts.pop(j)
+    def join(ev: MergeEvent) -> tuple[int, ...]:
+        (ei, ti), (ej, tj) = parts.pop(ev.left), parts.pop(ev.right)
         edges = tuple(sorted(ei + ej))
-        parts[next_id] = (edges, ti + tj + (MergeEvent(next_id, i, j, pair, direction),))
-        join(i, j, next_id, edges)
-        next_id += 1
+        parts[ev.new_id] = (edges, ti + tj + (ev,))
+        return edges
+
+    if states is None and rng is None:
+        for ev in _scan(G, parts):
+            join(ev)
+    else:
+        index = states
+        if index is None:
+            index = {cid: _make_state(G, edges, rule) for cid, (edges, _) in parts.items()}
+        # (i, j, pair, direction) entries: a heap, or with ``rng`` a sorted list
+        cands: list[tuple[int, int, Pair, str]] = []
+        naming: dict[int, list[tuple[int, int, Pair, str]]] = {}  # part -> its entries
+        holders: dict[Pair, set[int]] = {}  # key pair -> the live parts listing it
+
+        def file(new: int) -> None:
+            st = index[new]
+            found: set[int] = set()
+            for pair in st:
+                ids = holders.get(pair)
+                if ids is None:
+                    holders[pair] = {new}
+                else:
+                    found |= ids
+                    ids.add(new)
+            for other in found:
+                w = _mergeable(index[other], st, rule)
+                if w is None:
+                    continue
+                entry = (other, new) + w
+                if rng is None:
+                    heapq.heappush(cands, entry)
+                else:
+                    bisect.insort(cands, entry)
+                    naming.setdefault(other, []).append(entry)
+                    naming.setdefault(new, []).append(entry)
+
+        for cid in sorted(index):
+            file(cid)
+        next_id = max(parts, default=-1) + 1
+        while True:
+            if rng is None:
+                while cands and not (cands[0][0] in parts and cands[0][1] in parts):
+                    heapq.heappop(cands)
+                if not cands:
+                    break
+                i, j, pair, direction = heapq.heappop(cands)
+            else:
+                if not cands:
+                    break
+                i, j, pair, direction = cands[rng.randrange(len(cands))]
+                for entry in naming.pop(i) + naming.pop(j):
+                    at = bisect.bisect_left(cands, entry)
+                    if at < len(cands) and cands[at] == entry:
+                        del cands[at]
+            edges = join(MergeEvent(next_id, i, j, pair, direction))
+            ps, qs = index.pop(i), index.pop(j)
+            for old, st in ((i, ps), (j, qs)):
+                for key in st:
+                    holders[key].discard(old)
+            index[next_id] = _join_state(G, edges, rule, ps, qs)
+            file(next_id)
+            next_id += 1
     stage = _STAGE_NAMES.get(rule_stack, "custom")
     ordered = sorted(parts.items(), key=lambda kv: kv[1][0][0] if kv[1][0] else -1)
     clusters = tuple(
-        Cluster(cid, edges, trace, stage, G, states.get(cid)) for cid, (edges, trace) in ordered
+        Cluster(cid, edges, trace, stage, G, None if states is None else states[cid])
+        for cid, (edges, trace) in ordered
     )
     return Partition(G, clusters, rule_stack, stage)
 

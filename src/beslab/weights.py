@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .errors import Unknown, WrongStage
+from .errors import Unknown
 from .hypergraphs import Hypergraph, Pair, _mask_to_list, _require_free, claim_set
 from .merging import STAGES, Cluster, Partition, _claim_walk, _cluster_state, composition
 
@@ -146,17 +146,6 @@ def rule_for(r: int, k: int) -> WeightRule:
     return WeightRule(case, r, k)
 
 
-def _check_cluster(F: Cluster, rule: WeightRule) -> None:
-    if F.stage != rule.stage:
-        raise WrongStage(
-            f"{rule.case} weights apply to {rule.stage} clusters, got {F.stage!r}"
-        )
-    if F.ambient.r != rule.r:
-        raise WrongStage(
-            f"{rule.case} is pinned to uniformity r={rule.r}, cluster has r={F.ambient.r}"
-        )
-
-
 def _deficit_pair(F: Cluster) -> Optional[Pair]:
     """Extra unit-weight pair for 3- and 4-edge tree clusters (r = 3).
 
@@ -202,7 +191,6 @@ def _pair_weight_map(F: Cluster, rule: WeightRule) -> dict[Pair, Fraction]:
     graph free for k = 6: 5 edges on at most 6 vertices are a denser
     member of the family.
     """
-    _check_cluster(F, rule)
     state = _cluster_state(F)
     late = _CASES[rule.case].late
     if late is None:  # h of the claim set

@@ -590,9 +590,9 @@ class TestMergeIndex:
     )
     def test_certify_checks_linearly_many_pairs(self, G, k, stage, monkeypatch):
         # All-pairs checking made 57,024, 8,128 and 267,996 calls on these
-        # graphs.  m11 merges by contraction, with no _mergeable call, so
-        # K5R3 (which certifies at m11) makes none and K63 makes them only
-        # after m11.  No two diamonds of diamond_star share a key pair, so
+        # graphs.  m11's default schedule is a scan, with no _mergeable
+        # call, so K5R3 (which certifies at m11) makes none and K63 makes
+        # them only after m11.  No two diamonds of diamond_star share a key pair, so
         # the index offers K7's m2plus no candidate.
         calls = 0
         inner = merging._mergeable
@@ -631,8 +631,9 @@ def _grouped_start(rng: random.Random, G) -> merging.Partition:
 
 
 class TestContraction:
-    """``merge`` under RULE_11 finds a merged part's candidates from its two
-    halves' neighbour maps; the all-pairs merge must agree byte for byte."""
+    """``merge`` under RULE_11 runs the scan of its scan lemma, or with an
+    ``rng`` the claim index on the parts' shadows; the all-pairs merge must
+    agree byte for byte."""
 
     def _graphs(self, fuzz_corpus):
         rng = random.Random(53)
@@ -666,6 +667,20 @@ class TestContraction:
                     )
                     merged += len(start.clusters) - len(got.clusters)
         assert merged > 1000
+
+    def test_m11_at_hubs_matches_all_pairs_merge(self):
+        # Many parts share one pair, so a part's line of holders is long.
+        sunflowers = [build(3, c + 2, [(0, 1, i + 2) for i in range(c)]) for c in (5, 17, 40)]
+        two_hubs = build(3, 16, [(h, h + 1, i) for i in range(4, 16) for h in (0, 2)])
+        r4_hub = build(4, 8, [(0, 1) + p for p in itertools.combinations(range(2, 8), 2)])
+        for G in [*sunflowers, two_hubs, r4_hub, diamond_star(30)]:
+            for seed in (None, 4):
+                got = m11(G, rng=seed and random.Random(seed))
+                start = util.trivial_partition(G)
+                want = util.naive_merge(G, start, RULE_11, seed and random.Random(seed))
+                assert json.dumps(partition_report(got)) == json.dumps(partition_report(want)), (
+                    G.edges, seed,
+                )
 
 
 # (r, k) pairs reaching every rule_for case: K5R3, K5High, K63, K6High, K7.

@@ -18,7 +18,6 @@ from beslab import (
     Partition,
     Unknown,
     WeightRule,
-    WrongStage,
     build,
     bound_coefficient,
     certify,
@@ -26,7 +25,6 @@ from beslab import (
     f63,
     family_violation_containing,
     limit_table,
-    m2plus,
     m11,
     merge,
     one_bar_two,
@@ -204,16 +202,6 @@ class TestClusterWeights:
         pw = weights._pair_weight_map(c, rep.rule)
         assert pw.get(Pair.of(2, 3), 0) == Fraction(1, 2)
         assert rep.certified
-
-    def test_wrong_stage_rejected(self):
-        c = m11(SUNFLOWER).clusters[0]
-        with pytest.raises(WrongStage):
-            weights._pair_weight_map(c, rule_for(3, 6))
-        c2 = m2plus(SUNFLOWER).clusters[0]
-        with pytest.raises(WrongStage):
-            weights._pair_weight_map(c2, rule_for(3, 5))
-        with pytest.raises(WrongStage):
-            weights._pair_weight_map(m11(single_edge(4)).clusters[0], rule_for(3, 5))
 
 
 class TestStateWeights:
