@@ -31,7 +31,6 @@ two edges sharing a pair.
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import random
 from collections import deque
@@ -197,7 +196,8 @@ def tp_pair_set(F: Hypergraph) -> frozenset[Pair]:
     it in the order, which is a or b, and those are all of c's two.
 
     So the 2+ pairs are the pairs spanned by the diamonds that have such a
-    third edge.
+    third edge.  The edges meeting a diamond are tried lowest first, up to
+    the first third edge.
     """
     masks = F.edge_masks
     incidence = _incidence(F)
@@ -215,9 +215,14 @@ def tp_pair_set(F: Hypergraph) -> frozenset[Pair]:
             reach = 0
             for v in vs:
                 reach |= incidence[v]
-            meets = (masks[c] & union for c in _mask_to_list(reach & ~(1 << a | 1 << b)))
-            if any(t.bit_count() == 2 and (t & ma == t or t & mb == t) for t in meets):
-                out.update(Pair(x, y) for x, y in itertools.combinations(vs, 2))
+            reach &= ~(1 << a | 1 << b)
+            while reach:
+                low = reach & -reach
+                t = masks[low.bit_length() - 1] & union
+                if t.bit_count() == 2 and (t & ma == t or t & mb == t):
+                    out.update(Pair(x, y) for x, y in itertools.combinations(vs, 2))
+                    break
+                reach ^= low
     return frozenset(out)
 
 
@@ -304,7 +309,9 @@ def _make_state(
     subtrees, which are pair-connected too (the tree lemma of the
     module), so each lies in P or in Q.  This is the P | Q update with an
     empty cross term; caps above 2 have cross sets that are not
-    pair-connected and are walked (``_join_state``).
+    pair-connected and are walked (``_join_state``).  Under ``RULE_11`` the
+    state is the shadow alone, and shadow(P | Q) = shadow(P) | shadow(Q),
+    so there the union holds even when P and Q share shadow pairs.
     """
     if len(edges) > 1 and rule.claim_cap > 1:
         start = 1 if seed is None else seed_cap + 1
@@ -320,9 +327,9 @@ def _join_state(
     G: Hypergraph, edges: tuple[int, ...], rule: MergeRule, ps: dict[Pair, int], qs: dict[Pair, int]
 ) -> dict[Pair, int]:
     """The state of the part with ``edges`` that joins two parts with states
-    ``ps`` and ``qs``: their bitwise union under a rule of claim cap at
-    most 2 when no pair is 1-claimed by both (the union lemma of
-    ``_make_state``), else ``_make_state``'s walk."""
+    ``ps`` and ``qs``: their bitwise union under ``RULE_11``, and under
+    another rule of claim cap at most 2 when no pair is 1-claimed by both
+    (the union lemma of ``_make_state``), else ``_make_state``'s walk."""
     if rule.claim_cap <= 2:
         small, big = (ps, qs) if len(ps) <= len(qs) else (qs, ps)
         out = dict(big)
@@ -330,7 +337,7 @@ def _join_state(
             c = out.get(pair)
             if c is None:
                 out[pair] = b
-            elif b & c & 2:
+            elif b & c & 2 and rule != RULE_11:
                 break
             else:
                 out[pair] = b | c
@@ -412,13 +419,12 @@ def merge(
 ) -> Partition:
     """Coarsen ``start`` under ``rule`` until no two parts are mergeable.
 
-    The default schedule always merges the candidate with the smallest
-    (smaller id, larger id); passing ``rng`` picks a random candidate
-    instead (the fixpoint partition is the same either way).  Candidates
-    wait in a heap, and one that names an already merged part is dropped
-    when it comes up.  The random schedule keeps only the live candidates,
-    in one sorted list, and drops a merged part's entries through an index
-    of the entries that name each part.
+    Both schedules keep the live candidates, (smaller id, larger id, pair,
+    direction) entries, in one sorted list.  The default schedule merges
+    the first entry, the smallest (smaller id, larger id); passing ``rng``
+    draws an entry at random instead (the fixpoint partition is the same
+    either way).  After each merge one pass drops the entries that name a
+    merged part.
 
     Two parts have a witness only on a key pair of both states, so parts
     are indexed by key pair and each new part is checked only against the
@@ -431,7 +437,8 @@ def merge(
     its bit 2 is the 2+ set, not the 2-claims.  Under a rule of claim cap
     at most 2, a merged part's state is the union of its halves' when they
     share no shadow pair (the union lemma of ``_make_state``), as on every
-    m11 start, whose parts are pair-connected components.
+    m11 start, whose parts are pair-connected components, and under
+    ``RULE_11`` it is always the union of their shadows.
 
     **Refusal lemma.**  ``merge`` raises :class:`NotFree` when it would file
     a part with wide evidence, i edges on at most (r-2)*i + 1 vertices for
@@ -458,17 +465,18 @@ def merge(
     the witness is the smallest one, with ``left_A``.  Since shadow(P | Q)
     = shadow(P) | shadow(Q), a part is a neighbour of P | Q exactly when it
     is one of P or of Q, so a part with no live neighbour never gains one.
-    The heap holds every two live neighbours, so it pops the smallest i
-    with a live neighbour, with that part's smallest live neighbour j > i.
-    Inductively, at p's turn no live part below p has a live neighbour, so
-    if p has one the heap pops p and its smallest neighbour, and the new
-    id, larger than every id yet, has a turn later.  ``_scan`` keeps, for
-    each shadow pair that two live parts hold, its holders in id order.  At
+    The list holds every two live neighbours, so the smallest live
+    candidate names the smallest i with a live neighbour, with that part's
+    smallest live neighbour j > i.  Inductively, at p's turn no live part
+    below p has a live neighbour, so if p has one the smallest live
+    candidate is p with its smallest neighbour, and the new id, larger
+    than every id yet, has a turn later.  ``_scan`` keeps, for each shadow
+    pair that two live parts hold, its holders in id order.  At
     its turn a part heads each of its lists, and the entries after it are
     its neighbours, so j is the smallest second entry, on the smallest such
     pair.  A merge removes both halves and appends the new id to the lists
     another part still holds; a pair held by one part is never shared
-    again.  The ids, traces and witnesses are the heap's, with no part
+    again.  The ids, traces and witnesses are the list's, with no part
     state and no ``_mergeable`` call.
     """
     if start.ambient != G:
@@ -513,9 +521,7 @@ def _coarsen(
         index = states
         if index is None:
             index = {cid: _make_state(G, edges, rule) for cid, (edges, _) in parts.items()}
-        # (i, j, pair, direction) entries: a heap, or with ``rng`` a sorted list
-        cands: list[tuple[int, int, Pair, str]] = []
-        naming: dict[int, list[tuple[int, int, Pair, str]]] = {}  # part -> its entries
+        cands: list[tuple[int, int, Pair, str]] = []  # live (i, j, pair, direction), sorted
         holders: dict[Pair, set[int]] = {}  # key pair -> the live parts listing it
 
         def file(new: int) -> None:
@@ -530,35 +536,16 @@ def _coarsen(
                     ids.add(new)
             for other in found:
                 w = _mergeable(index[other], st, rule)
-                if w is None:
-                    continue
-                entry = (other, new) + w
-                if rng is None:
-                    heapq.heappush(cands, entry)
-                else:
-                    bisect.insort(cands, entry)
-                    naming.setdefault(other, []).append(entry)
-                    naming.setdefault(new, []).append(entry)
+                if w is not None:
+                    bisect.insort(cands, (other, new) + w)
 
         for cid in sorted(index):
             file(cid)
         next_id = max(parts, default=-1) + 1
-        while True:
-            if rng is None:
-                while cands and not (cands[0][0] in parts and cands[0][1] in parts):
-                    heapq.heappop(cands)
-                if not cands:
-                    break
-                i, j, pair, direction = heapq.heappop(cands)
-            else:
-                if not cands:
-                    break
-                i, j, pair, direction = cands[rng.randrange(len(cands))]
-                for entry in naming.pop(i) + naming.pop(j):
-                    at = bisect.bisect_left(cands, entry)
-                    if at < len(cands) and cands[at] == entry:
-                        del cands[at]
+        while cands:
+            i, j, pair, direction = cands[0 if rng is None else rng.randrange(len(cands))]
             edges = join(MergeEvent(next_id, i, j, pair, direction))
+            cands = [e for e in cands if e[0] in parts and e[1] in parts]
             ps, qs = index.pop(i), index.pop(j)
             for old, st in ((i, ps), (j, qs)):
                 for key in st:
@@ -622,16 +609,16 @@ def composition(c: Cluster) -> tuple[int, ...]:
     original m11 constituents (edges in different constituents never share
     two vertices).
     """
-    masks = c.ambient.edge_masks
-    comps = _pair_components([masks[i] for i in c.edge_indices])
+    comps = _pair_components([c.ambient.edges[i] for i in c.edge_indices])
     return tuple(sorted(map(len, comps), reverse=True))
 
 
-def _pair_components(masks: Sequence[int]) -> list[tuple[int, ...]]:
-    """Index sets of the pair-connected components of the edges with vertex
-    masks ``masks`` (indices into ``masks``)."""
-    m = len(masks)
-    parent = list(range(m))
+def _pair_components(edges: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Index sets of the pair-connected components of ``edges`` (sorted
+    vertex tuples; indices into ``edges``).  Each edge joins, for each of
+    its pairs, the first edge holding that pair, so the work is linear in
+    the pairs of the edges."""
+    parent = list(range(len(edges)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -639,16 +626,18 @@ def _pair_components(masks: Sequence[int]) -> list[tuple[int, ...]]:
             x = parent[x]
         return x
 
-    for a in range(m):
-        for b in range(a + 1, m):
-            if (masks[a] & masks[b]).bit_count() >= 2:
+    first: dict[tuple[int, int], int] = {}  # pair -> the first edge holding it
+    for a, e in enumerate(edges):
+        for uv in itertools.combinations(e, 2):
+            b = first.setdefault(uv, a)
+            if b != a:
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[ra] = rb
     groups: dict[int, list[int]] = {}
-    for a in range(m):
+    for a in range(len(edges)):
         groups.setdefault(find(a), []).append(a)
-    return [tuple(sorted(g)) for g in sorted(groups.values())]
+    return [tuple(g) for g in sorted(groups.values())]
 
 
 def rule_doc(rule: MergeRule) -> dict:

@@ -670,7 +670,7 @@ def lemma_tree(F) -> bool:
     """The tree lemma of ``merging``: m >= 1 edges form an i-tree exactly
     when they are pair-connected and span (r-2)*m + 2 vertices."""
     m = len(F.edges)
-    return m >= 1 and F.vertex_count() == (F.r - 2) * m + 2 and len(_pair_components(F.edge_masks)) == 1
+    return m >= 1 and F.vertex_count() == (F.r - 2) * m + 2 and len(_pair_components(F.edges)) == 1
 
 
 def grown_tree_plus_stray(rng: random.Random, r: int, m: int):

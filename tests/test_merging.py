@@ -29,6 +29,7 @@ from beslab import (
     claimed_pairs,
     composition,
     diamond_star,
+    f63,
     m11,
     m12,
     m2plus,
@@ -847,3 +848,72 @@ class TestUnionJoins:
                     partition_report(want)
                 )
                 assert all(c.state is None for c in got.clusters)
+
+
+class _FirstDraw:
+    """An rng whose draws are all 0: the seeded schedule then takes the
+    smallest live candidate, as the default one does."""
+
+    def randrange(self, n):
+        return 0
+
+
+class TestSingleList:
+    """Both schedules draw from one sorted list of live candidates: the
+    default takes its first entry, ``rng`` a random one."""
+
+    def test_first_draw_matches_the_default_schedule(self, fuzz_corpus):
+        # Under RULE_11 the default schedule is the scan, so m11 compares
+        # the scan with the list; the other stages run the list both ways.
+        for G in [*fuzz_corpus, f63(), diamond_star(8)]:
+            for stage, run in merging.STAGES.items():
+                try:
+                    want = json.dumps(partition_report(run(G)))
+                except NotFree:
+                    with pytest.raises(NotFree):
+                        run(G, rng=_FirstDraw())
+                    continue
+                assert json.dumps(partition_report(run(G, rng=_FirstDraw()))) == want, (G.edges, stage)
+
+    def test_seeded_m11_builds_states_only_for_start_parts(self, monkeypatch, fuzz_corpus):
+        # A RULE_11 join takes the union of its halves' shadows, even
+        # though they always share the witness pair.
+        calls = 0
+        inner = merging._make_state
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return inner(*args)
+
+        monkeypatch.setattr(merging, "_make_state", counted)
+        merged = 0
+        for G in [*fuzz_corpus, f63(), diamond_star(8), util.f63_copies(2)]:
+            for seed in (1, 2):
+                calls = 0
+                p = m11(G, random.Random(seed))
+                assert calls == len(G.edges), (G.edges, seed)
+                merged += len(G.edges) - len(p.clusters)
+        assert merged > 100
+
+
+class TestPairComponents:
+    """``_pair_components`` joins each edge to the first edge holding each
+    of its pairs; the flood fill and the all-pairs union must agree."""
+
+    def test_matches_naive_components(self, fuzz_corpus):
+        rng = random.Random(83)
+        graphs = [util.random_hypergraph(rng, rng.choice([3, 4]), rng.randint(4, 10), 14) for _ in range(150)]
+        hubs = [
+            build(3, 42, [(0, 1, i + 2) for i in range(40)]),
+            build(3, 16, [(h, h + 1, i) for i in range(4, 16) for h in (0, 2)]),
+            build(4, 8, [(0, 1) + p for p in itertools.combinations(range(2, 8), 2)]),
+            diamond_star(30),
+            util.f63_copies(2),
+        ]
+        for G in [*fuzz_corpus, *graphs, *hubs]:
+            comps = merging._pair_components(G.edges)
+            assert sorted(i for comp in comps for i in comp) == list(range(len(G.edges)))
+            assert {frozenset(comp) for comp in comps} == naive_pair_components(G), G.edges
+            assert sorted(map(len, comps), reverse=True) == util.naive_pair_components(G)
+            assert comps == sorted(comps) and all(list(comp) == sorted(comp) for comp in comps)
