@@ -330,6 +330,8 @@ def _join_state(
     ``ps`` and ``qs``: their bitwise union under ``RULE_11``, and under
     another rule of claim cap at most 2 when no pair is 1-claimed by both
     (the union lemma of ``_make_state``), else ``_make_state``'s walk."""
+    if rule == RULE_11:
+        return ps | qs
     if rule.claim_cap <= 2:
         small, big = (ps, qs) if len(ps) <= len(qs) else (qs, ps)
         out = dict(big)
@@ -337,7 +339,7 @@ def _join_state(
             c = out.get(pair)
             if c is None:
                 out[pair] = b
-            elif b & c & 2 and rule != RULE_11:
+            elif b & c & 2:
                 break
             else:
                 out[pair] = b | c
@@ -419,12 +421,13 @@ def merge(
 ) -> Partition:
     """Coarsen ``start`` under ``rule`` until no two parts are mergeable.
 
-    Both schedules keep the live candidates, (smaller id, larger id, pair,
+    Both schedules keep the candidates, (smaller id, larger id, pair,
     direction) entries, in one sorted list.  The default schedule merges
-    the first entry, the smallest (smaller id, larger id); passing ``rng``
-    draws an entry at random instead (the fixpoint partition is the same
-    either way).  After each merge one pass drops the entries that name a
-    merged part.
+    the first live entry, the smallest (smaller id, larger id), and drops
+    only the stale entries ahead of it, those naming a merged part, so
+    each entry is dropped once.  Passing ``rng`` draws a live entry at
+    random instead, so there one pass after each merge drops every stale
+    entry.  The fixpoint partition is the same either way.
 
     Two parts have a witness only on a key pair of both states, so parts
     are indexed by key pair and each new part is checked only against the
@@ -521,7 +524,7 @@ def _coarsen(
         index = states
         if index is None:
             index = {cid: _make_state(G, edges, rule) for cid, (edges, _) in parts.items()}
-        cands: list[tuple[int, int, Pair, str]] = []  # live (i, j, pair, direction), sorted
+        cands: list[tuple[int, int, Pair, str]] = []  # (i, j, pair, direction), sorted
         holders: dict[Pair, set[int]] = {}  # key pair -> the live parts listing it
 
         def file(new: int) -> None:
@@ -542,10 +545,18 @@ def _coarsen(
         for cid in sorted(index):
             file(cid)
         next_id = max(parts, default=-1) + 1
-        while cands:
+        while True:
+            if rng is None:  # drop the stale entries ahead of the first live one
+                k = 0
+                while k < len(cands) and not (cands[k][0] in parts and cands[k][1] in parts):
+                    k += 1
+                del cands[:k]
+            else:  # a draw needs every entry live
+                cands = [e for e in cands if e[0] in parts and e[1] in parts]
+            if not cands:
+                break
             i, j, pair, direction = cands[0 if rng is None else rng.randrange(len(cands))]
             edges = join(MergeEvent(next_id, i, j, pair, direction))
-            cands = [e for e in cands if e[0] in parts and e[1] in parts]
             ps, qs = index.pop(i), index.pop(j)
             for old, st in ((i, ps), (j, qs)):
                 for key in st:
