@@ -411,9 +411,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except Unknown as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotFree as exc:
-        print(f"not admissible: {exc}", file=sys.stderr)
-        return 1
     except TooLarge as exc:
         # Raised by turan and sweep, both of which take --json.
         if args.json:

@@ -268,42 +268,21 @@ def claim_profile(F: Hypergraph, cap: int) -> ClaimProfile:
     return ClaimProfile(all_bits, vertex_bits, pair_bits)
 
 
-def _pairs_with_bits(F: Hypergraph, prof: ClaimProfile, mask: int) -> set[Pair]:
-    """Pairs inside ``V(F)`` whose claim bits intersect ``mask``."""
-    verts = F.vertices()
-    if prof.all_bits & mask:
-        return {Pair(a, b) for a, b in itertools.combinations(verts, 2)}
-    out: set[Pair] = set()
-    vset = set(verts)
-    for v, b in prof.vertex_bits.items():
-        if b & mask and v in vset:
-            for w in verts:
-                if w != v:
-                    out.add(Pair.of(v, w))
-    for p, b in prof.pair_bits.items():
-        if b & mask:
-            out.add(p)
-    return out
-
-
-def claimed_pairs(F: Hypergraph, i: int) -> set[Pair]:
-    """Pairs inside ``V(F)`` that are i-claimed by ``F`` (``i >= 1``)."""
-    if i < 1:
-        raise ValueError(f"claim index must be at least 1, got {i}")
-    return _pairs_with_bits(F, claim_profile(F, i), 1 << i)
-
-
 def pairs_claimed_upto(F: Hypergraph, t: int) -> set[Pair]:
     """Pairs inside ``V(F)`` with some claim index in ``[1, t]``."""
     if t < 1:
         raise ValueError(f"claim bound must be at least 1, got {t}")
     mask = ((1 << (t + 1)) - 1) & ~1
-    return _pairs_with_bits(F, claim_profile(F, t), mask)
-
-
-def one_bar_two(F: Hypergraph) -> set[Pair]:
-    """Pairs that are 2-claimed but not 1-claimed (not in the shadow)."""
-    return claimed_pairs(F, 2) - shadow(F)
+    prof = claim_profile(F, t)
+    verts = F.vertices()
+    if prof.all_bits & mask:
+        return {Pair(a, b) for a, b in itertools.combinations(verts, 2)}
+    out = {p for p, b in prof.pair_bits.items() if b & mask}
+    vset = set(verts)
+    for v, b in prof.vertex_bits.items():
+        if b & mask and v in vset:
+            out.update(Pair.of(v, w) for w in verts if w != v)
+    return out
 
 
 # ---------------------------------------------------------------------------

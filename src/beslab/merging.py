@@ -140,10 +140,9 @@ class Cluster:
     """One part of a partition, with the trace of merges that built it.
 
     ``state`` is the part's claim bits per key pair under the last rule of
-    its stage (see ``_make_state``), as ``merge`` left them; ``None`` under
-    ``RULE_11`` (the state would be the shadow, and the default schedule
-    builds none) or where the cluster was made by hand.  It takes no part
-    in equality or hashing.
+    its stage (see ``_make_state``), as ``merge`` left them, the shadow
+    under ``RULE_11``; ``None`` only where the cluster was made by hand.
+    It takes no part in equality or hashing.
     """
 
     id: int
@@ -280,13 +279,13 @@ def _make_state(
     left without bits dropped).  Bit 1 marks exactly the shadow, and under
     ``two_plus`` bit 2 marks exactly the 2+ pairs (below).  So ``seed``,
     the part's state under a rule of cap ``seed_cap`` <= ``rule.claim_cap``,
-    neither rule ``two_plus``, holds the sizes up to ``seed_cap``, and only
+    not a ``two_plus`` state, holds the sizes up to ``seed_cap``, and only
     the sizes above it are walked; it is copied, never changed.
 
     One edge spans (r-2)*1 + 2 vertices, so it 1-claims exactly its own
     pairs, and no edge is wide.  So a one-edge part, or any part under a
     cap-1 rule, has its shadow at index 1 (bit 1), the state the walk
-    would build.
+    would build, and a seed, which holds size 1, is that shadow.
 
     Under ``two_plus`` (cap 1) bit 2 marks the 2+ pairs, ``tp_pair_set`` of
     the part, and no others.  It never claims too much: two edges of the
@@ -316,7 +315,10 @@ def _make_state(
     if len(edges) > 1 and rule.claim_cap > 1:
         start = 1 if seed is None else seed_cap + 1
         return _claim_walk(G, edges, rule.claim_cap, seed, start)
-    pair_bits = {Pair(u, v): 2 for i in edges for u, v in itertools.combinations(G.edges[i], 2)}
+    if seed is not None:
+        pair_bits = dict(seed)
+    else:
+        pair_bits = {Pair(u, v): 2 for i in edges for u, v in itertools.combinations(G.edges[i], 2)}
     if rule.kind == "two_plus" and len(edges) >= 3:
         for pair in tp_pair_set(G.subgraph(edges)):
             pair_bits[pair] = pair_bits.get(pair, 0) | 4
@@ -433,15 +435,15 @@ def merge(
     are indexed by key pair and each new part is checked only against the
     parts sharing one of its keys.  The final parts keep their states as
     ``Cluster.state``, for the weights to read; under ``RULE_11`` the state
-    is the shadow and is not kept.  A start part's state seeds its new one
-    when both rules read claim bits alone and the start's cap is at most
-    the rule's (m3plus on m12 walks only sizes 3 and 4; see
-    ``_make_state``'s state lemma).  A ``two_plus`` state seeds nothing:
-    its bit 2 is the 2+ set, not the 2-claims.  Under a rule of claim cap
-    at most 2, a merged part's state is the union of its halves' when they
-    share no shadow pair (the union lemma of ``_make_state``), as on every
-    m11 start, whose parts are pair-connected components, and under
-    ``RULE_11`` it is always the union of their shadows.
+    is the shadow.  A start part's state seeds its new one when the start's
+    cap is at most the rule's and it is not a ``two_plus`` state, whose bit
+    2 is the 2+ set, not the 2-claims (``_make_state``'s state lemma).  So
+    m12 walks only size 2 and m3plus sizes 3 and 4, and m2plus adds the 2+
+    pairs to m11's shadows.  Under a rule of claim cap at most 2, a merged
+    part's state is the union of its halves' when they share no shadow
+    pair (the union lemma of ``_make_state``), as on every m11 start, whose
+    parts are pair-connected components, and under ``RULE_11`` it is
+    always the union of their shadows.
 
     **Refusal lemma.**  ``merge`` raises :class:`NotFree` when it would file
     a part with wide evidence, i edges on at most (r-2)*i + 1 vertices for
@@ -485,15 +487,16 @@ def merge(
     if start.ambient != G:
         raise ValueError("start partition does not belong to this graph")
     parts = {c.id: (tuple(sorted(c.edge_indices)), c.trace) for c in start.clusters}
-    states: Optional[dict[int, dict[Pair, int]]] = None  # none under RULE_11
-    if rule != RULE_11:
-        # (trivial and RULE_11 clusters have no state to seed with)
-        last = start.rule_stack[-1] if start.rule_stack else RULE_11
-        seeds = last.claim_cap <= rule.claim_cap and "two_plus" not in (last.kind, rule.kind)
+    states: Optional[dict[int, dict[Pair, int]]] = None  # RULE_11's scan reads none
+    if rule != RULE_11 or rng is not None:
+        cap = 0  # the start states' claim cap, when they seed
+        if start.rule_stack:
+            last = start.rule_stack[-1]
+            if last.kind != "two_plus" and last.claim_cap <= rule.claim_cap:
+                cap = last.claim_cap
         states = {}
         for c in sorted(start.clusters, key=lambda c: c.id):
-            seed = c.state if seeds else None
-            states[c.id] = _make_state(G, parts[c.id][0], rule, seed, last.claim_cap)
+            states[c.id] = _make_state(G, parts[c.id][0], rule, c.state if cap else None, cap)
     return _coarsen(G, parts, states, start.rule_stack + (rule,), rng)
 
 
@@ -506,9 +509,9 @@ def _coarsen(
 ) -> Partition:
     """``merge``'s schedule from start parts (id -> (sorted edges, trace))
     under ``rule_stack[-1]``, and from the start parts' ``states``, which
-    are ``None`` under ``RULE_11``: there the default schedule is
-    ``_scan``, and ``rng``'s runs on the parts' shadows, which the clusters
-    do not keep.  ``parts`` and ``states`` become the final ones."""
+    are ``None`` only for ``RULE_11``'s default schedule: that is
+    ``_scan``, which reads no state, and each final part then gets its
+    shadow.  ``parts`` and ``states`` become the final ones."""
     rule = rule_stack[-1]
 
     def join(ev: MergeEvent) -> tuple[int, ...]:
@@ -517,18 +520,16 @@ def _coarsen(
         parts[ev.new_id] = (edges, ti + tj + (ev,))
         return edges
 
-    if states is None and rng is None:
+    if states is None:
         for ev in _scan(G, parts):
             join(ev)
+        states = {cid: _make_state(G, edges, rule) for cid, (edges, _) in parts.items()}
     else:
-        index = states
-        if index is None:
-            index = {cid: _make_state(G, edges, rule) for cid, (edges, _) in parts.items()}
         cands: list[tuple[int, int, Pair, str]] = []  # (i, j, pair, direction), sorted
         holders: dict[Pair, set[int]] = {}  # key pair -> the live parts listing it
 
         def file(new: int) -> None:
-            st = index[new]
+            st = states[new]
             found: set[int] = set()
             for pair in st:
                 ids = holders.get(pair)
@@ -538,11 +539,11 @@ def _coarsen(
                     found |= ids
                     ids.add(new)
             for other in found:
-                w = _mergeable(index[other], st, rule)
+                w = _mergeable(states[other], st, rule)
                 if w is not None:
                     bisect.insort(cands, (other, new) + w)
 
-        for cid in sorted(index):
+        for cid in sorted(states):
             file(cid)
         next_id = max(parts, default=-1) + 1
         while True:
@@ -557,18 +558,17 @@ def _coarsen(
                 break
             i, j, pair, direction = cands[0 if rng is None else rng.randrange(len(cands))]
             edges = join(MergeEvent(next_id, i, j, pair, direction))
-            ps, qs = index.pop(i), index.pop(j)
+            ps, qs = states.pop(i), states.pop(j)
             for old, st in ((i, ps), (j, qs)):
                 for key in st:
                     holders[key].discard(old)
-            index[next_id] = _join_state(G, edges, rule, ps, qs)
+            states[next_id] = _join_state(G, edges, rule, ps, qs)
             file(next_id)
             next_id += 1
     stage = _STAGE_NAMES.get(rule_stack, "custom")
     ordered = sorted(parts.items(), key=lambda kv: kv[1][0][0] if kv[1][0] else -1)
     clusters = tuple(
-        Cluster(cid, edges, trace, stage, G, None if states is None else states[cid])
-        for cid, (edges, trace) in ordered
+        Cluster(cid, edges, trace, stage, G, states[cid]) for cid, (edges, trace) in ordered
     )
     return Partition(G, clusters, rule_stack, stage)
 
@@ -578,7 +578,8 @@ def m11(G: Hypergraph, rng: Optional[random.Random] = None) -> Partition:
     from one start part per edge (id = edge index), as ``merge`` would
     from every edge in a cluster of its own."""
     parts = {i: ((i,), ()) for i in range(len(G.edges))}
-    return _coarsen(G, parts, None, (RULE_11,), rng)
+    states = None if rng is None else {i: _make_state(G, (i,), RULE_11) for i in parts}
+    return _coarsen(G, parts, states, (RULE_11,), rng)
 
 
 def m12(G: Hypergraph, rng: Optional[random.Random] = None) -> Partition:
@@ -602,15 +603,6 @@ STAGES: dict[str, Callable[..., Partition]] = {
     "m2plus": m2plus,
     "m3plus": m3plus,
 }
-_STAGE_RULES = {name: stack for stack, name in _STAGE_NAMES.items()}
-
-
-def _cluster_state(c: Cluster) -> dict[Pair, int]:
-    """The state of a cluster of a named stage under the stage's last rule:
-    the one ``merge`` kept, else built by ``_make_state``."""
-    if c.state is not None:
-        return c.state
-    return _make_state(c.ambient, c.edge_indices, _STAGE_RULES[c.stage][-1])
 
 
 def composition(c: Cluster) -> tuple[int, ...]:

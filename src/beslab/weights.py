@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import Unknown
 from .hypergraphs import Hypergraph, Pair, _mask_to_list, _require_free, claim_set
-from .merging import STAGES, Cluster, Partition, _claim_walk, _cluster_state, composition
+from .merging import STAGES, Cluster, Partition, _claim_walk, composition
 
 # Base weight function on claim-index sets for the (3,6) rule.  h is the
 # maximum of f over subsets, making it monotone; h(A) > 0 exactly when A
@@ -191,7 +191,7 @@ def _pair_weight_map(F: Cluster, rule: WeightRule) -> dict[Pair, Fraction]:
     graph free for k = 6: 5 edges on at most 6 vertices are a denser
     member of the family.
     """
-    state = _cluster_state(F)
+    state = F.state
     late = _CASES[rule.case].late
     if late is None:  # h of the claim set
         raised = [p for p, b in state.items() if (b >> 1 & 15) in _FIVE_RAISES]

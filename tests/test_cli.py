@@ -519,6 +519,15 @@ class TestTuran:
         assert code == 0
         assert cache.exists()
 
+    def test_default_cache_lies_under_home(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("BESLAB_CACHE", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        code, _, _ = run_cli(
+            ["turan", "--r", "3", "--n", "6", "--s", "5", "--k", "2"], capsys
+        )
+        assert code == 0
+        assert (tmp_path / ".cache" / "beslab" / "turan.jsonl").exists()
+
     def test_no_cache_beats_env(self, tmp_path, monkeypatch, capsys):
         cache = tmp_path / "never.jsonl"
         monkeypatch.setenv("BESLAB_CACHE", str(cache))

@@ -336,6 +336,18 @@ class TestRandomPipeline:
         assert aux["p_le3_minus_p1_in_g3"] is True
         assert all(res.free for res in rep.freeness_facts.values())
 
+    def test_empty_packing(self):
+        # alpha = 1/1000 on five vertices leaves no clique to pack, so the
+        # selection density d is 0 and nothing is selected.
+        rep = random_packing_construction(
+            RandomParams(r=5, m=5, alpha=Fraction(1, 1000), mu=Fraction(1, 2), seed=0)
+        )
+        aux = rep.aux
+        assert aux["empty_packing"] is True and aux["k1_size"] == 0
+        assert aux["d"] == "0" and aux["select_threshold"] is None
+        assert aux["m_expected"] == "0" and aux["selected"] == 0
+        assert rep.F.edges == () and rep.ratio == 0
+
     def test_deterministic(self):
         a = construction_doc(random_packing_construction(RandomParams(**self.PARAMS)))
         b = construction_doc(random_packing_construction(RandomParams(**self.PARAMS)))

@@ -1,12 +1,14 @@
-"""Hostile inputs end in bounded time: hub-heavy graphs through the public
-entry points, with wall-clock budgets far above the expected times."""
+"""Hostile inputs end in bounded time: hub-heavy graphs, huge vertex ids,
+duplicate-heavy input and dense graphs through the public entry points,
+with wall-clock budgets far above the expected times."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 
-from beslab import Pair, build, cli, m11, m2plus, partition_report
+from beslab import Pair, build, certify, cli, m11, m2plus, merging, partition_report, rule_for
 
 
 def sunflower(c: int):
@@ -63,3 +65,43 @@ def test_m2plus_on_a_sunflower_is_not_cubic():
     assert cluster.edge_indices == tuple(range(c))
     assert sum(1 for bits in cluster.state.values() if bits & 4) == (c + 2) * (c + 1) // 2
     assert elapsed <= 2, f"m2plus took {elapsed:.2f} s"
+
+
+def test_huge_vertex_ids_cost_nothing():
+    # Four edges among ten million vertices: no step may walk the unused ids.
+    n = 10**7
+    G = build(3, n, [(0, 1, 2), (0, 1, 3), (5, 6, n - 1), (n - 10, n - 9, n - 1)])
+    start = time.perf_counter()
+    for stage, run in merging.STAGES.items():
+        assert run(G).edge_sets() == {frozenset({0, 1}), frozenset({2}), frozenset({3})}, stage
+    rep = certify(G, rule_for(3, 5))
+    elapsed = time.perf_counter() - start
+    assert rep.certified and len(rep.per_cluster) == 3
+    assert elapsed <= 2, f"the stages and certify took {elapsed:.2f} s"
+
+
+def test_duplicate_heavy_input_is_refused(tmp_path, capsys):
+    path = tmp_path / "copies.txt"
+    path.write_text("3 3 100000\n" + "0 1 2\n" * 100000)
+    start = time.perf_counter()
+    code = cli.run(["certify", "--input", str(path), "--k", "5"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == "error: edge (0, 1, 2) appears more than once\n"
+    assert elapsed <= 2, f"certify took {elapsed:.2f} s"
+
+
+def test_complete_graph_is_refused_at_its_first_dense_subset(tmp_path, capsys):
+    # K14^(3), 364 edges in one part: m3plus refuses it at the first three
+    # edges on four vertices, without walking the part's larger subsets.
+    path = tmp_path / "k14.txt"
+    edges = list(itertools.combinations(range(14), 3))
+    path.write_text(f"3 14 {len(edges)}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in edges))
+    start = time.perf_counter()
+    code = cli.run(["partition", "--stage", "m3plus", "--json", "--input", str(path)])
+    elapsed = time.perf_counter() - start
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["free"] is False and doc["witness"] == [0, 1, 12]
+    assert doc["query"] == {"edge_count": 3, "max_vertices": 4}
+    assert elapsed <= 2, f"partition took {elapsed:.2f} s"

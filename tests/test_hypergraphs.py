@@ -19,7 +19,6 @@ from beslab import (
     build,
     claim_profile,
     claim_set,
-    claimed_pairs,
     diamond_star,
     f63,
     family_queries,
@@ -28,7 +27,6 @@ from beslab import (
     from_text,
     graph_doc,
     is_family_free,
-    one_bar_two,
     pairs_claimed_upto,
     shadow,
     to_text,
@@ -208,52 +206,30 @@ class TestClaimSet:
             got = claim_set(G, Pair.of(u, v), cap)
             assert got == util.naive_claim_set(G, u, v, cap), (G.edges, u, v, cap)
 
-    def test_claimed_pairs_match_naive(self, fuzz_corpus):
-        for G in fuzz_corpus:
-            if len(G.edges) > 6:
-                continue
-            pairs = set(itertools.combinations(G.vertices(), 2))
-            for i in (1, 2, 3):
-                got = {(p.u, p.v) for p in claimed_pairs(G, i)}
-                want = {
-                    (u, v) for u, v in pairs if i in util.naive_claim_set(G, u, v, i)
-                }
-                assert got == want, (G.edges, i)
-
     def test_pairs_claimed_upto_matches_naive(self, fuzz_corpus):
         for G in fuzz_corpus:
             if len(G.edges) > 6:
                 continue
             pairs = set(itertools.combinations(G.vertices(), 2))
-            got = {(p.u, p.v) for p in pairs_claimed_upto(G, 3)}
-            want = {
-                (u, v)
-                for u, v in pairs
-                if util.naive_claim_set(G, u, v, 3) & {1, 2, 3}
-            }
-            assert got == want, G.edges
-
-    def test_one_bar_two_matches_naive(self, fuzz_corpus):
-        for G in fuzz_corpus:
-            if len(G.edges) > 6:
-                continue
-            pairs = set(itertools.combinations(G.vertices(), 2))
-            got = {(p.u, p.v) for p in one_bar_two(G)}
-            want = set()
-            for u, v in pairs:
-                cs = util.naive_claim_set(G, u, v, 2)
-                if 2 in cs and 1 not in cs:
-                    want.add((u, v))
-            assert got == want, G.edges
+            for t in (1, 2, 3):
+                got = {(p.u, p.v) for p in pairs_claimed_upto(G, t)}
+                want = {
+                    (u, v)
+                    for u, v in pairs
+                    if util.naive_claim_set(G, u, v, t) & set(range(1, t + 1))
+                }
+                assert got == want, (G.edges, t)
 
     def test_validation(self):
         G = build(3, 5, [(0, 1, 2)])
         with pytest.raises(ValueError):
-            claimed_pairs(G, 0)
-        with pytest.raises(ValueError):
             pairs_claimed_upto(G, 0)
         with pytest.raises(ValueError):
             claim_profile(G, -1)
+        with pytest.raises(ValueError):
+            claim_set(G, Pair.of(0, 1), -1)
+        with pytest.raises(ValueError):
+            find_configuration(G, ConfigQuery(0, 2))
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_m=4), st.data())

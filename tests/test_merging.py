@@ -26,7 +26,6 @@ from beslab import (
     build,
     certify,
     claim_profile,
-    claimed_pairs,
     composition,
     diamond_star,
     f63,
@@ -37,6 +36,7 @@ from beslab import (
     merge,
     partition_report,
     rule_for,
+    shadow,
     tp_pair_set,
 )
 
@@ -106,7 +106,7 @@ class TestStages:
                     got = merging._make_state(G, (i,), rule)
                     part = G.subgraph([i])
                     assert got == claim_profile(part, rule.claim_cap).pair_bits
-                    assert set(got) == claimed_pairs(part, 1)
+                    assert set(got) == shadow(part)
             # Under a cap-1 rule every part takes the closed form.
             for _ in range(3 if len(G.edges) >= 2 else 0):
                 edges = tuple(rng.sample(range(len(G.edges)), rng.randint(2, len(G.edges))))
@@ -489,9 +489,10 @@ class TestRefusal:
 
 
 class TestSeededStates:
-    """m3plus continues each m12 part's state from size 3 (the state lemma
-    of ``_make_state``).  No other start may seed it: under ``two_plus``
-    bit 2 marks the 2+ pairs, not the 2-claimed ones."""
+    """m3plus continues each m12 part's state from size 3 and each m11
+    part's from size 2 (the state lemma of ``_make_state``).  An m2plus
+    start may not seed it: under ``two_plus`` bit 2 marks the 2+ pairs,
+    not the 2-claimed ones."""
 
     def test_three_plus_on_every_start_matches_all_pairs_merge(self, fuzz_corpus):
         rng = random.Random(73)
@@ -847,7 +848,89 @@ class TestUnionJoins:
                 assert got == want and json.dumps(partition_report(got)) == json.dumps(
                     partition_report(want)
                 )
-                assert all(c.state is None for c in got.clusters)
+                assert [c.state for c in got.clusters] == [c.state for c in want.clusters]
+
+
+class TestClusterStates:
+    """Every stage's clusters carry their state under the stage's last rule,
+    and each round continues from the start states that the state lemma
+    of ``_make_state`` lets seed it."""
+
+    def _graphs(self, fuzz_corpus):
+        return [*fuzz_corpus, f63(), diamond_star(8), util.f63_copies(2), util.wide_probe(12)]
+
+    def test_every_cluster_carries_its_state(self, fuzz_corpus):
+        checked = dict.fromkeys(merging.STAGES, 0)
+        for G in self._graphs(fuzz_corpus):
+            for stage, run in merging.STAGES.items():
+                last = util.NAIVE_STAGE_RULES[stage][-1]
+                for seed in (None, 7):
+                    try:
+                        p = run(G, rng=seed and random.Random(seed))
+                    except NotFree:  # a dense part (TestRefusal)
+                        continue
+                    for c in p.clusters:
+                        want = merging._make_state(G, c.edge_indices, last)
+                        assert c.state == want, (G.edges, stage, seed, c.edge_indices)
+                        checked[stage] += len(c.edge_indices) > 1
+        assert min(checked.values()) > 100, checked
+
+    def test_every_start_under_every_rule(self, fuzz_corpus):
+        # A start state seeds the new one exactly when its cap is at most
+        # the rule's and it is not a 2+ state (the state lemma); any other
+        # start is walked afresh.  Either way the state is _make_state's.
+        rules = (RULE_11, RULE_12, RULE_2PLUS, RULE_3PLUS)
+        checked = 0
+        for G in self._graphs(fuzz_corpus):
+            starts = [util.trivial_partition(G)]
+            for run in merging.STAGES.values():
+                try:
+                    starts.append(run(G))
+                except NotFree:  # a dense part (TestRefusal)
+                    pass
+            for start, rule, seed in itertools.product(starts, rules, (None, 9)):
+                try:
+                    p = merge(G, start, rule, rng=seed and random.Random(seed))
+                except NotFree:
+                    continue
+                for c in p.clusters:
+                    want = merging._make_state(G, c.edge_indices, rule)
+                    assert c.state == want, (G.edges, start.stage, rule, seed, c.edge_indices)
+                    checked += len(c.edge_indices) > 1
+        assert checked > 1000, checked
+
+    def test_rounds_continue_from_the_start_states(self, monkeypatch, fuzz_corpus):
+        # m12 walks only size 2 of m11's multi-edge parts, and every state
+        # of m2plus's round is seeded with m11's shadow, which it copies:
+        # the start's states stay as they were.
+        sizes = []
+        fitting, make_state = merging._fitting_subsets, merging._make_state
+
+        def walked(masks, k, s, base=0):
+            sizes.append(k)
+            return fitting(masks, k, s, base)
+
+        seeded = {True: 0, False: 0}
+
+        def made(G, edges, rule, seed=None, seed_cap=0):
+            if rule == RULE_2PLUS:
+                seeded[seed is not None] += 1
+            return make_state(G, edges, rule, seed, seed_cap)
+
+        monkeypatch.setattr(merging, "_fitting_subsets", walked)
+        monkeypatch.setattr(merging, "_make_state", made)
+        for G in self._graphs(fuzz_corpus):
+            start = m11(G)
+            before = copy.deepcopy([c.state for c in start.clusters])
+            for seed in (None, 8):
+                try:
+                    merge(G, start, RULE_12, rng=seed and random.Random(seed))
+                except NotFree:
+                    pass
+                merge(G, start, RULE_2PLUS, rng=seed and random.Random(seed))
+            assert [c.state for c in start.clusters] == before, G.edges
+        assert 1 not in sizes and sizes.count(2) > 100, sizes
+        assert seeded == {True: seeded[True], False: 0} and seeded[True] > 100, seeded
 
 
 class _FirstDraw:

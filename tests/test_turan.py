@@ -481,6 +481,15 @@ class TestCache:
             good.value, good.witness, good.nodes_explored)
         assert len(path.read_text().splitlines()) == 3
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        good = exact_turan_family(3, 6, 5, cache_path=str(path))
+        path.write_text("\n" + path.read_text() + "   \n\n")
+        hit = exact_turan_family(3, 6, 5, cache_path=str(path))
+        assert (hit.value, hit.witness, hit.nodes_explored) == (
+            good.value, good.witness, good.nodes_explored)
+        assert len(path.read_text().splitlines()) == 4  # a hit appends nothing
+
     def test_bound_never_reads_the_cache(self, tmp_path):
         # A record that passes the witness re-check but is too small
         # (f(7) = 4) answers its own key; the averaging bound for n = 8

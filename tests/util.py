@@ -531,6 +531,38 @@ def lift(F: Hypergraph, r: int) -> Hypergraph:
     return build(r, F.n + extra * len(F.edges), edges)
 
 
+def disjoint_union(G: Hypergraph, H: Hypergraph) -> Hypergraph:
+    """G and H side by side: H's vertices shifted by ``G.n``.  Edges sort
+    by their first vertex, so G's edges keep their indices and H's edge i
+    becomes edge ``len(G.edges) + i``.
+
+    **Union lemma.**  Give a set S of edges on V vertices, with a vertex
+    pair p added or not, the slack (r-2)*|S| + 2 - |V|.  If S splits into
+    a piece in G and a piece in H, the two on disjoint vertex sets, its
+    slack is the sum of the pieces' slacks minus 2, where each piece
+    holds the vertices of p that lie on its side, and an empty piece has
+    slack 2 minus their number.  In a graph free for k every set of 1 to
+    k-1 edges has slack at most 0, with p or without.  So when G and H
+    are free for k:
+
+    - no k edges of the union fit (r-2)*k + 2 vertices and no 2 <= i < k
+      edges fit (r-2)*i + 1 unless they lie in G or in H, since the two
+      nonempty pieces have fewer than k edges each and slack <= -2 in all;
+      so the union is free for k;
+    - no set of at most k - 1 edges claims a pair across the pieces or
+      a pair of one piece with edges of the other: each such split has
+      slack at most -1.
+
+    Every claim, merge witness, 3-edge subtree and deficit pair the
+    pipeline reads at claim caps below k lies in G or in H.  So every
+    stage's clusters are G's and H's, with the same compositions, and
+    ``certify`` weights each cluster as in its own piece.
+    """
+    if G.r != H.r:
+        raise ValueError(f"the pieces have r = {G.r} and r = {H.r}")
+    return build(G.r, G.n + H.n, [*G.edges, *(tuple(v + G.n for v in e) for e in H.edges)])
+
+
 def wide_probe(n: int, tail: int = 2) -> Hypergraph:
     """K4^(3) on {0, 1, 2, 3} plus a tight path of ``tail`` edges
     (3, 4, 5), (4, 5, 6), ... on ``n`` vertices.
