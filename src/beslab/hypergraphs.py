@@ -587,13 +587,23 @@ def _first_anchor(G: Hypergraph, shared: _Shared, ell: int, s: int) -> Optional[
     each with few others through the rest of it, cost a few mask
     operations, not one test each.
 
-    A node where few edges fit (:func:`_walks_edges`) takes them one at a
-    time and uses neither bound, which would seldom cut there.  With at
-    most two vertices to spare, such a node is decided at once: the
-    missing edges lie on U and one or two new vertices, so it counts the
-    fitting edges by their new vertices.  Any other node branches; at a
-    hub, where many edges fit but few pass the child bound, that is the
-    cheaper.
+    **Few-node lemma.**  A node where few edges fit (:func:`_walks_edges`)
+    builds no children and uses neither bound.  List its fitting edges
+    with the branch set first; one walk over the list decides the node,
+    with its first edge from the branch set: for each branch-set edge h
+    in turn, :func:`_config_search` for missing - 1 of the edges listed
+    after h that fit on U + h.  A configuration with smallest edge a and
+    U inside its vertices exists exactly when the walk finds such edges.
+    *Proof.*  Fitting edges are live edges after a and not in D, so the
+    found ones and D are ell edges from a on at most s vertices.
+    Conversely let U lie inside V(C).  The live edges inside V(C) but not
+    inside U all fit, and there are at least missing of them, since V(C)
+    holds C and D.  By the branching argument above one of them, Y, lies
+    in the branch set.  Take Y and missing - 1 others of them: they lie in
+    V(C), so with U on at most s vertices, and the first of them in the
+    list is a branch-set edge h, whose walk finds them or an earlier fit.
+    At a hub, where many edges fit but few pass the child bound,
+    branching under the bounds is the cheaper.
     """
     masks = G.edge_masks
     r = G.r
@@ -622,32 +632,18 @@ def _first_anchor(G: Hypergraph, shared: _Shared, ell: int, s: int) -> Optional[
                 continue
             if missing == 1:
                 return a
-            few = _walks_edges(fits, missing)
-            if slack <= 2 and few:
-                # The rest of a configuration lies on U and at most two
-                # new vertices W: count the fitting edges outside U by
-                # their new vertices and take the best W.
-                one: dict[int, int] = {}
-                two: dict[int, int] = {}
-                rest = fit
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    w = masks[low.bit_length() - 1] & ~union
-                    if w & (w - 1):
-                        two[w] = two.get(w, 0) + 1
-                    else:
-                        one[w] = one.get(w, 0) + 1
-                best = sum(sorted(one.values(), reverse=True)[:slack])
-                for w, c in two.items():
-                    low = w & -w
-                    best = max(best, c + one.get(low, 0) + one.get(w ^ low, 0))
-                if best >= missing:
-                    return a
-                continue
             branch = _branch_set(G, incidence, degree, inside, union, fit, t)
+            if _walks_edges(fits, missing):
+                # the few-node lemma: a first edge from the branch set,
+                # then missing - 1 of the later fitting edges
+                firsts = _mask_to_list(branch)
+                order = [masks[e] for e in firsts + _mask_to_list(fit & ~branch)]
+                for i in range(len(firsts)):
+                    if _config_search(order[i + 1 :], missing - 1, s, union | order[i]):
+                        return a
+                continue
             spare1 = slack - r + 1  # a child's spare on an edge meeting U once
-            if 0 <= spare1 < r and not few:
+            if 0 <= spare1 < r:
                 j = missing - 1 - (meets[r - spare1] & fit).bit_count()
                 if j > 0:
                     lone = branch & ~meets[2]
@@ -665,7 +661,7 @@ def _first_anchor(G: Hypergraph, shared: _Shared, ell: int, s: int) -> Optional[
                 seen.add(child)
                 w = child ^ union
                 spare = slack - w.bit_count()
-                if spare < r and not few:
+                if spare < r:
                     # the child bound
                     near = meets[r - spare]
                     for v in G.edges[e]:
@@ -684,10 +680,9 @@ def _first_anchor(G: Hypergraph, shared: _Shared, ell: int, s: int) -> Optional[
 
 def _walks_edges(fits: int, missing: int) -> bool:
     """Whether a node of :func:`_first_anchor` with ``fits`` fitting edges
-    and ``missing`` edges missing has so few edges that it takes them one
-    at a time: with at most two vertices to spare it counts their new
-    vertices rather than branching, and otherwise it builds each child
-    without the child bound and drops no hub edges in bulk."""
+    and ``missing`` edges missing has so few edges that one walk over them
+    decides it (the few-node lemma), rather than branching under the child
+    bound and the bulk drop of hub edges."""
     return fits <= 4 * missing
 
 

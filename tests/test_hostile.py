@@ -105,3 +105,20 @@ def test_complete_graph_is_refused_at_its_first_dense_subset(tmp_path, capsys):
     assert doc["free"] is False and doc["witness"] == [0, 1, 12]
     assert doc["query"] == {"edge_count": 3, "max_vertices": 4}
     assert elapsed <= 2, f"partition took {elapsed:.2f} s"
+
+
+def test_partition_m3plus_on_a_tight_path(tmp_path, capsys):
+    # The tight path {i, i+1, i+2}: m11 already joins it into one part, and
+    # m3plus's claim walk of that part is cubic in c (every two edges fit
+    # the size-4 claim budget), so only a wall budget holds it, no ratio.
+    c = 300
+    path = tmp_path / "path.txt"
+    path.write_text(f"3 {c + 2} {c}\n" + "".join(f"{i} {i + 1} {i + 2}\n" for i in range(c)))
+    start = time.perf_counter()
+    code = cli.run(["partition", "--stage", "m3plus", "--json", "--input", str(path)])
+    elapsed = time.perf_counter() - start
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["stage"] == "m3plus"
+    (cluster,) = doc["clusters"]
+    assert cluster["edges"] == list(range(c)) and cluster["composition"] == [c]
+    assert elapsed <= 2, f"partition took {elapsed:.2f} s"

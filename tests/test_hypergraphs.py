@@ -431,10 +431,9 @@ class TestConfigurations:
     def test_walking_edges_or_bounding_gives_the_same_answers(
         self, monkeypatch, fuzz_corpus, hub_graphs
     ):
-        # Taking a node's edges one at a time or under the bounds is exact
-        # either way: counting new vertices or branching at slack <= 2, and
-        # building every child or skipping children by the child bound and
-        # hub edges in bulk.
+        # Deciding a node by one walk over its fitting edges, the first from
+        # the branch set (the few-node lemma), or branching under the child
+        # bound and the bulk drop of hub edges is exact either way.
         rng = random.Random(67)
         cases = [(G, k) for G in fuzz_corpus for k in (5, 6, 7)] + list(hub_graphs)
         # bulk work that took edges meeting U twice for edges meeting it

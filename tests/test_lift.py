@@ -1,5 +1,6 @@
 """Metamorphic relations: a 3-graph and its lift to r = 4..6 (``util.lift``)
-give the same freeness answers and the same m12 and m2plus partitions."""
+give the same freeness answers, the same partitions at every stage and the
+same claim sets for every pair of the 3-graph's vertices."""
 
 from __future__ import annotations
 
@@ -10,12 +11,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from beslab import NotFree, build, diamond_star, f63, is_family_free, m2plus, m12, partition_report
+from beslab import (
+    NotFree,
+    Pair,
+    build,
+    claim_set,
+    diamond_star,
+    f63,
+    is_family_free,
+    m2plus,
+    m3plus,
+    m11,
+    m12,
+    partition_report,
+)
 
 
 def _freeness(G, k):
     res = is_family_free(G, k)
     return res.free, res.witness, res.query and res.query.edge_count
+
+
+def _claims(G, vertices, cap):
+    """Each pair of ``vertices`` with its claim set at ``cap``."""
+    return {(u, v): claim_set(G, Pair(u, v), cap) for u, v in itertools.combinations(vertices, 2)}
 
 
 def _report(stage, G):
@@ -54,19 +73,33 @@ def test_lift_keeps_freeness(r, k, F):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(4, 6), three_graphs())
-def test_lift_keeps_m12_and_m2plus(r, F):
+def test_lift_keeps_every_stage(r, F):
+    # m3plus also refuses dense parts: the lift refuses with F's witness.
     L = util.lift(F, r)
-    for stage in (m12, m2plus):
+    for stage in (m11, m12, m2plus, m3plus):
         assert _report(stage, L) == _report(stage, F), (F.edges, r, stage.__name__)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 6), three_graphs())
+def test_lift_keeps_claim_sets(r, F):
+    # Every pair of F's vertex ids, isolated ones too, at the cap that
+    # reaches every edge count.
+    cap = len(F.edges)
+    assert _claims(util.lift(F, r), range(F.n), cap) == _claims(F, range(F.n), cap), (F.edges, r)
 
 
 @pytest.mark.parametrize("r", [4, 5, 6])
 def test_lifts_of_the_large_constructions(r):
     # f63 and diamond_star(8): every answer and report of the lift is the
-    # 3-graph's, free or not (three diamonds are 6 edges on 8 vertices).
-    for F in (f63(), diamond_star(8)):
+    # 3-graph's, free or not (three diamonds are 6 edges on 8 vertices), and
+    # so are the claim sets of diamond_star(8)'s pairs and of f63's pairs
+    # within its first two edges.
+    big, small = f63(), diamond_star(8)
+    for F, vertices in ((big, sorted({*big.edges[0], *big.edges[1]})), (small, range(small.n))):
         L = util.lift(F, r)
         for k in (5, 6, 7):
             assert _freeness(L, k) == _freeness(F, k)
-        for stage in (m12, m2plus):
+        for stage in (m11, m12, m2plus, m3plus):
             assert _report(stage, L) == _report(stage, F)
+        assert _claims(L, vertices, 4) == _claims(F, vertices, 4)
