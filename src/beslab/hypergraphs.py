@@ -412,13 +412,17 @@ def is_family_free(G: Hypergraph, k: int) -> FreenessResult:
     found nothing, for j = 1 because an edge has r vertices.  So
     |V(D)| + |V(C - D)| >= (r-2)*ell + 4, while |V(C)| <= s.
 
-    So a configuration can be grown from its smallest edge through edges it
+    So a configuration can be grown from any of its edges through edges it
     must contain (:func:`_first_anchor`), never looking at edges away from
     what it has grown.  The search only finds the smallest edge index a
     that starts a configuration; the witness is then ``a`` and the first
     fitting (ell-1)-subset of the later edges, by :func:`_config_search`
     with ``base`` the edge ``a``.  No smaller edge starts a configuration,
-    so this is the lexicographically first one.
+    so this is the lexicographically first one.  By the order lemma of
+    :func:`_first_anchor` the anchors may be searched in any order: each
+    query takes them smallest-last, and only a query that finds a
+    configuration runs a second pass, in index order over the live edges
+    below its first hit, which names the smallest anchor.
 
     **Shared-state lemma.**  The queries read one :class:`_Shared` state,
     built once for G, and each runs exactly the steps it would run from
@@ -430,9 +434,9 @@ def is_family_free(G: Hypergraph, k: int) -> FreenessResult:
     the anchors dropped so far.  Here t = (r-2)*ell + 4 - s is 3 for every
     denser member and 2 for the main query, so the core is built once per
     distinct t, and each query peels a copy of its own.  An anchor's root
-    ``meets`` levels (the edges meeting it in at least i vertices) and
-    :func:`_partnered` read only G, and no query changes them, so they
-    serve every query.
+    ``meets`` levels (the edges meeting it in at least i vertices), the
+    anchor order and :func:`_partnered` read only G, and no query changes
+    them, so they serve every query.
     """
     masks = G.edge_masks
     shared = _Shared(G)
@@ -457,14 +461,16 @@ def _require_free(G: Hypergraph, k: int) -> None:
 
 class _Shared:
     """The state of a graph that every query of :func:`is_family_free`
-    reads: the incidence masks, one peel core per t, each anchor's root
-    ``meets`` levels and the :func:`_partnered` memo.  Built on demand,
-    once per graph (the shared-state lemma)."""
+    reads: the incidence masks and degrees, one peel core per t, the
+    anchor order, each anchor's root ``meets`` levels and the
+    :func:`_partnered` memo.  Built on demand, once per graph (the
+    shared-state lemma)."""
 
     def __init__(self, G: Hypergraph) -> None:
         self.G = G
         self.incidence = _incidence(G)
         self.full = (1 << len(G.edges)) - 1
+        self.degree = {v: inc.bit_count() for v, inc in self.incidence.items()}
         self._cores: dict[int, tuple[int, dict[int, int], list[int]]] = {}
         self._roots: dict[int, list[int]] = {}
         self._partnered: dict[tuple[int, int], int] = {}
@@ -476,7 +482,7 @@ class _Shared:
         got = self._cores.get(t)
         if got is None:
             G, masks = self.G, self.G.edge_masks
-            degree = {v: inc.bit_count() for v, inc in self.incidence.items()}
+            degree = dict(self.degree)
             once = shared = 0  # vertices in one edge or more, in two or more
             for mj in masks:
                 shared |= once & mj
@@ -487,6 +493,14 @@ class _Shared:
             got = self._cores[t] = (alive, degree, covered)
         alive, degree, covered = got
         return alive, dict(degree), list(covered)
+
+    @cached_property
+    def order(self) -> list[int]:
+        """The edges smallest-last: by the sum of their vertices' degrees
+        in G, ascending, ties by index."""
+        get = self.degree.__getitem__
+        sums = [sum(map(get, e)) for e in self.G.edges]
+        return sorted(range(len(sums)), key=sums.__getitem__)
 
     def root(self, a: int) -> list[int]:
         """``meets`` of the node {edge a}: entry i holds the edges meeting
@@ -543,16 +557,39 @@ def _first_anchor(G: Hypergraph, shared: _Shared, ell: int, s: int) -> Optional[
     By the lemma of :func:`is_family_free`, the edges of a configuration
     each meet the others in at least t = (r-2)*ell + 4 - s vertices, so it
     lies among the live edges left by peeling off the rest (:func:`_peel`).
-    Anchors are live edges taken in index order; once an anchor a has no
-    configuration, it is dropped and the peeling goes on.
+    Anchors are live edges taken one at a time; once a configuration among
+    the live edges contains no anchor a, a is dropped and the peeling goes
+    on.  The first pass takes them smallest-last (:attr:`_Shared.order`),
+    so that a hub's edges, whose vertices lie in many edges, are searched
+    last, once the edges around them are gone.
+
+    **Order lemma.**  Whatever the order of the anchors, a pass returns an
+    anchor exactly when some configuration exists, and every edge it has
+    dropped by then lies in no configuration.  *Proof.*  Let every
+    configuration lie among the live edges, as it does after the first
+    peel.  The search from a decides whether some configuration among the
+    live edges contains a: the root V(a) lies inside V(C) for every such
+    C, and the branching below keeps each child inside V(C).  It reads
+    ``degree`` only to choose which vertices to branch on, and any choice
+    keeps the argument.  If no configuration contains a, all of them avoid
+    a, so dropping a keeps them among the live edges; and so does the
+    peel, which drops only edges that meet the other live edges in fewer
+    than t vertices, and no configuration uses those.
+
+    So once the smallest-last pass hits an anchor a, a pass in index order
+    over the live edges below a names the smallest anchor: each edge it
+    drops lies in no configuration, so the first edge it hits is the
+    smallest in one, and if it hits none, a is.  Only a graph that is not
+    free runs that second pass.
 
     For an anchor a, a node is a vertex set U of at most s vertices.  It
-    stands for D, the live edges from a on that lie inside U, and is a hit
-    once D has ell edges.  Vertex sets lose nothing: a configuration C
-    with smallest edge a lies inside V(C), and the lemma also holds for the
-    other edges inside V(C), whose vertices C covers.  A node carries
-    ``meets[i]``, the edges meeting U in at least i vertices, so the live
-    edges that still fit are those of ``meets[r - s + |U|]``.
+    stands for D, the edges still live (a among them) that lie inside U,
+    and is a hit once D has ell edges.  Vertex sets lose nothing: a
+    configuration C of live edges through a lies inside V(C), and the
+    lemma also holds for the other edges inside V(C), whose vertices C
+    covers.  A node carries ``meets[i]``, the edges meeting U in at least
+    i vertices, so the live edges that still fit are those of
+    ``meets[r - s + |U|]``.
 
     Let U lie inside V(C) for a configuration C.  If an edge h of D meets
     the others in c < t vertices, the edges inside V(C) but not in D cover
@@ -592,31 +629,59 @@ def _first_anchor(G: Hypergraph, shared: _Shared, ell: int, s: int) -> Optional[
     with the branch set first; one walk over the list decides the node,
     with its first edge from the branch set: for each branch-set edge h
     in turn, :func:`_config_search` for missing - 1 of the edges listed
-    after h that fit on U + h.  A configuration with smallest edge a and
-    U inside its vertices exists exactly when the walk finds such edges.
-    *Proof.*  Fitting edges are live edges after a and not in D, so the
-    found ones and D are ell edges from a on at most s vertices.
-    Conversely let U lie inside V(C).  The live edges inside V(C) but not
-    inside U all fit, and there are at least missing of them, since V(C)
-    holds C and D.  By the branching argument above one of them, Y, lies
-    in the branch set.  Take Y and missing - 1 others of them: they lie in
-    V(C), so with U on at most s vertices, and the first of them in the
-    list is a branch-set edge h, whose walk finds them or an earlier fit.
+    after h that fit on U + h.  A configuration of live edges through a,
+    with U inside its vertices, exists exactly when the walk finds such
+    edges.  *Proof.*  Fitting edges are live edges other than a and not in
+    D, so the found ones and D are ell live edges through a on at most s
+    vertices.  Conversely let U lie inside V(C).  The live edges inside
+    V(C) but not inside U all fit, and there are at least missing of them,
+    since V(C) holds C and D.  By the branching argument above one of
+    them, Y, lies in the branch set.  Take Y and missing - 1 others of
+    them: they lie in V(C), so with U on at most s vertices, and the first
+    of them in the list is a branch-set edge h, whose walk finds them or
+    an earlier fit.
     At a hub, where many edges fit but few pass the child bound,
     branching under the bounds is the cheaper.
     """
-    masks = G.edge_masks
     r = G.r
-    if s <= r or ell > len(masks):
+    if s <= r or ell > len(G.edges):
         return None
     t = (r - 2) * ell + 4 - s
-    incidence, full = shared.incidence, shared.full
     alive, degree, covered = shared.core(t)
-    while alive:
-        bit = alive & -alive
-        a = bit.bit_length() - 1
+    if alive.bit_count() < ell:
+        return None
+    hit = _anchor_pass(G, shared, ell, s, t, alive, degree, covered, shared.order)
+    if hit is None:
+        return None
+    a, live = hit
+    below = _anchor_pass(G, shared, ell, s, t, live, degree, covered, range(a))
+    return a if below is None else below[0]
+
+
+def _anchor_pass(
+    G: Hypergraph,
+    shared: _Shared,
+    ell: int,
+    s: int,
+    t: int,
+    alive: int,
+    degree: dict[int, int],
+    covered: list[int],
+    anchors: Sequence[int],
+) -> Optional[tuple[int, int]]:
+    """One pass of :func:`_first_anchor`'s search over the live edges
+    ``alive``, with the peel counts ``degree`` and ``covered`` kept up to
+    date: the anchors are the live edges in the order ``anchors``.
+    Returns (a, the live edges) at the first anchor a that some
+    configuration among them contains, else ``None``."""
+    masks = G.edge_masks
+    r = G.r
+    incidence, full = shared.incidence, shared.full
+    for a in anchors:
+        if not alive >> a & 1:
+            continue
         scope = alive
-        alive ^= bit
+        alive ^= 1 << a
         if alive.bit_count() < ell - 1:
             return None
         stack = [(masks[a], shared.root(a))]
@@ -631,7 +696,7 @@ def _first_anchor(G: Hypergraph, shared: _Shared, ell: int, s: int) -> Optional[
             if fits < missing:
                 continue
             if missing == 1:
-                return a
+                return a, scope
             branch = _branch_set(G, incidence, degree, inside, union, fit, t)
             if _walks_edges(fits, missing):
                 # the few-node lemma: a first edge from the branch set,
@@ -640,7 +705,7 @@ def _first_anchor(G: Hypergraph, shared: _Shared, ell: int, s: int) -> Optional[
                 order = [masks[e] for e in firsts + _mask_to_list(fit & ~branch)]
                 for i in range(len(firsts)):
                     if _config_search(order[i + 1 :], missing - 1, s, union | order[i]):
-                        return a
+                        return a, scope
                 continue
             spare1 = slack - r + 1  # a child's spare on an edge meeting U once
             if 0 <= spare1 < r:
@@ -672,7 +737,7 @@ def _first_anchor(G: Hypergraph, shared: _Shared, ell: int, s: int) -> Optional[
                 grown = list(meets)
                 _meet(grown, incidence, w)
                 if (grown[r] & scope).bit_count() >= ell:
-                    return a
+                    return a, scope
                 stack.append((child, grown))
         alive = _peel(G, incidence, degree, covered, scope, t, [a])
     return None

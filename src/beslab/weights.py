@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .errors import Unknown
-from .hypergraphs import Hypergraph, Pair, _mask_to_list, _require_free, claim_set
+from .hypergraphs import Hypergraph, Pair, _config_search, _mask_to_list, _require_free, claim_set
 from .merging import STAGES, Cluster, Partition, _claim_walk, composition
 
 # Base weight function on claim-index sets for the (3,6) rule.  h is the
@@ -186,17 +186,27 @@ def _pair_weight_map(F: Cluster, rule: WeightRule) -> dict[Pair, Fraction]:
     The (3,6) rule wants claims 1-5, and its state (m3plus, cap 4) lists
     every pair with a claim in 1-4; the others have h(A) = 0, as A is at
     most {5}.  Claim 5 changes h only for the pairs whose claims in 1-4
-    are {3} (``_FIVE_RAISES``), so size 5 is walked only when a cluster of
-    at least 5 edges has such a pair.  The walk refuses no cluster of a
-    graph free for k = 6: 5 edges on at most 6 vertices are a denser
-    member of the family.
+    are {3} (``_FIVE_RAISES``), so only those are tested for it, each by
+    one first-witness search: 5 of the cluster's edges that fit, with the
+    pair's vertices, in 5(r-2) + 2 vertices.  That is claim 5 by its
+    definition.  In a graph free for k = 6, which is all that
+    :func:`certify` weights, 5 edges span at least 5(r-2) + 2 vertices
+    (fewer are a denser member of the family), so 5 edges that fit with
+    the pair hold it inside a union of exactly that size: the claim a
+    walk over the cluster's tight 5-edge unions would set.
     """
     state = F.state
     late = _CASES[rule.case].late
     if late is None:  # h of the claim set
         raised = [p for p, b in state.items() if (b >> 1 & 15) in _FIVE_RAISES]
         if raised and len(F.edge_indices) >= 5:
-            state = _claim_walk(F.ambient, F.edge_indices, 5, state, 5)
+            G = F.ambient
+            masks = [G.edge_masks[j] for j in F.edge_indices]
+            budget = 5 * (G.r - 2) + 2
+            state = dict(state)
+            for p in raised:
+                if _config_search(masks, 5, budget, base=1 << p.u | 1 << p.v) is not None:
+                    state[p] |= 1 << 5
         return {p: h for p, b in state.items() if (h := _H_TABLE[b >> 1 & 31])}
     out = dict.fromkeys(state, _ONE)  # a key without bit 1 is a late pair
     pairs, weight = late(F, state)

@@ -8,7 +8,8 @@ import itertools
 import json
 import time
 
-from beslab import Pair, build, certify, cli, m11, m2plus, merging, partition_report, rule_for
+import util
+from beslab import Pair, build, certify, cli, f63, m11, m2plus, merging, partition_report, rule_for
 
 
 def sunflower(c: int):
@@ -122,3 +123,22 @@ def test_partition_m3plus_on_a_tight_path(tmp_path, capsys):
     (cluster,) = doc["clusters"]
     assert cluster["edges"] == list(range(c)) and cluster["composition"] == [c]
     assert elapsed <= 2, f"partition took {elapsed:.2f} s"
+
+
+def test_certify_f63_copies_and_chain():
+    # 64 copies of f63 (3,904 edges), side by side and glued into a chain
+    # (util.f63_chain's glue lemma): both free for k = 6 and certified, the
+    # copies cluster by cluster as f63 (the union lemma of util).
+    # Certifying them is still super-linear in the copies (ROADMAP item
+    # 17), so only a wall budget holds them, no doubling ratio.
+    c = 64
+    copies = util.f63_copies(c)
+    for G in (copies, util.f63_chain(c)):
+        start = time.perf_counter()
+        rep = certify(G, rule_for(3, 6))
+        elapsed = time.perf_counter() - start
+        assert rep.certified
+        assert all(lam >= 0 for _, lam in rep.per_cluster.values())
+        assert elapsed <= 8, f"certify took {elapsed:.2f} s on {G.n} vertices"
+        if G is copies:
+            assert len(rep.per_cluster) == c * len(certify(f63(), rule_for(3, 6)).per_cluster)

@@ -482,6 +482,75 @@ class TestConfigurations:
             )
         assert anchors.count(None) > 1000 and len(anchors) - anchors.count(None) > 500
 
+    def test_anchor_order_is_smallest_last(self, fuzz_corpus, hub_graphs):
+        # Edges by the sum of their vertices' degrees, ascending, ties by
+        # index: index order on a diamond star, where every edge ties, and
+        # f63's central edge, on its three hub vertices, last.
+        graphs = fuzz_corpus + [G for G, _ in hub_graphs]
+        ties = 0
+        for G in graphs:
+            degree = {v: sum(v in e for e in G.edges) for v in range(G.n)}
+            sums = [sum(map(degree.get, e)) for e in G.edges]
+            want = sorted(range(len(G.edges)), key=lambda j: (sums[j], j))
+            assert hypergraphs._Shared(G).order == want, G.edges
+            ties += want != sorted(want) and len(set(sums)) < len(sums)
+        assert ties > 100
+        assert hypergraphs._Shared(diamond_star(16)).order == list(range(32))
+        assert hypergraphs._Shared(f63()).order[-1] == f63().edges.index((0, 1, 2))
+
+    def test_every_anchor_order_gives_the_same_answers(
+        self, monkeypatch, corpus_k5, corpus_k6, corpus_k7, hub_graphs
+    ):
+        # The order lemma of _first_anchor: the smallest-last kernel, the
+        # index-order kernel and one taking anchors in reverse index order
+        # give the same answer, witness and query, and on graphs of at most
+        # 9 edges the oracle of tests/util gives it too (every hub graph
+        # meets the lexicographic scan in the hub test above).
+        # Many of the first passes hit an anchor above a live edge, and
+        # the pass in index order then names the smallest anchor.
+        rng = random.Random(71)
+        cases = [(G, k) for G in corpus_k5 + corpus_k6 + corpus_k7 for k in (5, 6, 7)]
+        cases += hub_graphs[::3] + [(util.f63_copies(c), 6) for c in (1, 2, 4)]
+        for _ in range(600):
+            r = rng.choice([3, 3, 4])
+            cases.append((util.random_hypergraph(rng, r, rng.randint(r + 2, 9), 9), rng.randint(3, 7)))
+        want = [is_family_free(G, k) for G, k in cases]
+        for (G, k), res in zip(cases, want):
+            if len(G.edges) <= 9:
+                assert (res.query, res.witness) == _first_violation(G, k), (G.edges, k)
+        assert 0 < sum(res.free for res in want) < len(want)
+        below = []  # per pass in index order after a hit: a live edge below it
+        inner = hypergraphs._anchor_pass
+
+        def counted(G, shared, ell, s, t, alive, degree, covered, anchors):
+            if isinstance(anchors, range):
+                below.append(alive & (1 << len(anchors)) - 1 != 0)
+            return inner(G, shared, ell, s, t, alive, degree, covered, anchors)
+
+        monkeypatch.setattr(hypergraphs, "_anchor_pass", counted)
+        assert [is_family_free(G, k) for G, k in cases] == want
+        assert sum(below) > 300
+        for reverse in (False, True):
+            order = property(lambda self: list(range(len(self.G.edges)))[:: -1 if reverse else 1])
+            monkeypatch.setattr(hypergraphs._Shared, "order", order)
+            assert [is_family_free(G, k) for G, k in cases] == want, reverse
+
+    def test_a_smallest_last_hit_above_a_live_edge(self):
+        # (4, 5, 6) has the least degree sum, so the smallest-last pass of
+        # the main query (4, 6) takes it first, and it lies in a
+        # configuration, {0, 1, 2, 4} on {0, 1, 2, 4, 5, 6}; edge 0 is
+        # still live and starts one too, and it names the witness.
+        G = build(3, 7, [(0, 1, 2), (0, 1, 6), (0, 2, 4), (0, 3, 6), (4, 5, 6)])
+        shared = hypergraphs._Shared(G)
+        assert shared.order == [4, 0, 2, 3, 1]
+        alive, degree, covered = shared.core(2)
+        a, live = hypergraphs._anchor_pass(G, shared, 4, 6, 2, alive, degree, covered, shared.order)
+        assert a == 4 and live & 1
+        assert hypergraphs._first_anchor(G, hypergraphs._Shared(G), 4, 6) == 0
+        res = is_family_free(G, 4)
+        assert res.query == (4, 6) and res.witness == util.naive_find_config(G, 4, 6) == (0, 1, 2, 3)
+        assert (res.query, res.witness) == _first_violation(G, 4)
+
     def test_every_edge_of_a_first_violation_meets_the_rest(self):
         # The lemma behind is_family_free: in the first query with a hit,
         # every configuration's edges each meet the others in at least 2

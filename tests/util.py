@@ -505,6 +505,27 @@ def f63_copies(c: int) -> Hypergraph:
     return build(3, F.n * c, [tuple(v + F.n * i for v in e) for i in range(c) for e in F.edges])
 
 
+def f63_chain(c: int) -> Hypergraph:
+    """``c`` copies of ``f63()`` in a chain: copy i's vertex 0 is copy
+    i-1's vertex 62, so copy i takes the ids ``62*i .. 62*i + 62``.
+
+    **Glue lemma.**  Give a set S of edges on V vertices the slack
+    (r-2)*|S| + 2 - |V|, and split S by copy into p pieces.  Only
+    consecutive copies share a vertex, one each, so the pieces' vertex
+    counts add up to at most |V| + p - 1, and the slack of S is at most
+    the sum of the pieces' slacks minus p - 1: joining two pieces that
+    share one vertex lowers the slack by at least 1.  In f63, free
+    for k = 6, every set of 1 to 5 edges has slack at most 0.  So a set
+    of at most 6 edges that meets two copies or more has slack at most
+    -1, and no member of the family (k edges at slack 0 or more, or
+    fewer at slack 1 or more) meets two copies: the chain is free for
+    k = 6, as f63 is.
+    """
+    F = f63()
+    step = F.n - 1
+    return build(3, step * c + 1, [tuple(v + step * i for v in e) for i in range(c) for e in F.edges])
+
+
 def lift(F: Hypergraph, r: int) -> Hypergraph:
     """The lift of a 3-graph F to uniformity r >= 3: edge i of F gains
     r - 3 new vertices of its own, ``F.n + (r-3)*i`` onwards.
